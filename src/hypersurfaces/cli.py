@@ -201,11 +201,7 @@ def cmd_curve(args) -> int:
     if args.kind in ("elliptic", "genus2", "multisecant") and not fld.is_prime_field:
         print("error: this construction needs a prime field", file=sys.stderr)
         return 2
-    try:
-        v = _build_curve(args, fld)
-    except varieties.ConstructionError as err:
-        print(f"construction failed: {err}", file=sys.stderr)
-        return 1
+    v = _build_curve(args, fld)
     summary = [
         ("label", v.label),
         ("n", v.n),
@@ -216,7 +212,7 @@ def cmd_curve(args) -> int:
     tables = []
     profile = None
     if v.d <= 2 * v.c + 1:
-        profile = cohomology.deficiency_profile(v, seed=args.seed)
+        profile = cohomology.deficiency_profile(v)
         summary += [
             ("reg", profile.reg),
             ("linearly_normal", profile.linearly_normal),
@@ -226,12 +222,12 @@ def cmd_curve(args) -> int:
         for m in range(1, m_top + 1):
             am = profile.a.get(m)
             if am is None:
-                am = cohomology.a_m(v, m, seed=args.seed)
+                am = cohomology.a_m(v, m)
             u_val = formulas.u(v.c, v.g, v.d, m)
             rows.append((m, am, u_val, am - u_val))
         tables.append(("profile", ["m", "a_m", "u", "h1"], rows))
         try:
-            cls = cohomology.classify_a2_curve(v, seed=args.seed)
+            cls = cohomology.classify_a2_curve(v)
             tables.append(
                 (
                     "classification",
@@ -244,7 +240,7 @@ def cmd_curve(args) -> int:
     else:
         summary.append(("profile", f"unsupported: d = {v.d} > 2c+1"))
         rows = [
-            (m, cohomology.a_m(v, m, seed=args.seed))
+            (m, cohomology.a_m(v, m))
             for m in range(1, args.m_max + 1)
         ]
         tables.append(("counts", ["m", "a_m"], rows))
@@ -263,12 +259,8 @@ def cmd_curve(args) -> int:
 def cmd_points(args) -> int:
     if args.action == "sample":
         fld = _field_from_args(args)
-        try:
-            v = varieties.rational_normal_curve(args.r, fld)
-            cfg = v.sample_points(args.count, seed=args.seed)
-        except varieties.ConstructionError as err:
-            print(f"sampling failed: {err}", file=sys.stderr)
-            return 1
+        v = varieties.rational_normal_curve(args.r, fld)
+        cfg = v.sample_points(args.count, seed=args.seed)
         target = args.out_points or "points.txt"
         cfg.write_text(target)
         report = Report(
@@ -382,8 +374,8 @@ def cmd_table1(args) -> int:
             )
             rows.append((k, g, f"c+{d - c}", want1, want2, "-", "-", f"SKIPPED ({reason})"))
             continue
-        got1 = cohomology.h1_ideal(v, 1, seed=args.seed)
-        got2 = cohomology.h1_ideal(v, 2, seed=args.seed)
+        got1 = cohomology.h1_ideal(v, 1)
+        got2 = cohomology.h1_ideal(v, 2)
         ok = (got1, got2) == (want1, want2)
         any_fail = any_fail or not ok
         rows.append(
@@ -552,7 +544,7 @@ def cmd_verify_main(args) -> int:
         nonlocal any_fail
         for m in range(2, args.m_max + 1):
             want = expected_fn(m)
-            got = cohomology.a_m(v, m, seed=args.seed)
+            got = cohomology.a_m(v, m)
             ok = got == want
             any_fail = any_fail or not ok
             rows.append((label, m, want, got, "PASS" if ok else "FAIL"))
@@ -696,6 +688,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
+    except varieties.ConstructionError as err:
+        # covers FieldTooSmallError from the counts as well as construction
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -1,11 +1,12 @@
-"""Hypersurface counts, ideal-deficiency profiles and regularity of sampled varieties.
+"""Hypersurface counts, ideal-deficiency profiles and regularity of parametrised varieties.
 
-For an integral curve of degree d, a degree-m form vanishing at m*d + 1 of
-its points vanishes on the whole curve, so the count a_m of independent
-degree-m forms through the curve is the exact corank of one evaluation
-matrix.  For surfaces the rank is stabilised over growing random batches
-and flagged accordingly (on the acceptance path every such value is also
-pinned to a closed form).
+The count a_m of independent degree-m forms through a variety is exact and
+deterministic: the parameter domain supplies a point set on which no
+nonzero composed degree-m form vanishes (a tensor grid on an affine chart
+for products of projective spaces, m*N + 1 affine points for y^2 = f(x)
+models with coordinates of pole order <= N), so a_m is the corank of one
+evaluation matrix at the images of those points.  Prime fields too small
+to hold the point set raise FieldTooSmallError.
 
 The deficiency numbers h^1(I(m)) then come from the Riemann-Roch ledger
 a_m = u(c, g, d, m) + h^1(I(m)), valid whenever d <= 2c+1 (the twist
@@ -18,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .exactcore import Matrix, binomial, monomial_values, null_space, rank
+from .exactcore import Matrix, binomial, null_space, rank
 from .formulas import H as H_bound
 from .formulas import u as u_count
 from .pointconfig import PointConfig, evaluation_matrix
@@ -27,13 +28,10 @@ from .varieties import (
     ConstructionError,
     ParamVariety,
     linear_section_curve,
-    sample_points,
 )
 
 __all__ = [
-    "AmResult",
     "a_m",
-    "a_m_detailed",
     "h1_ideal",
     "DeficiencyProfile",
     "deficiency_profile",
@@ -44,65 +42,20 @@ __all__ = [
     "classify_a2_curve",
     "bound_check",
     "hyperplane_section_points",
-    "StabilizationError",
 ]
 
 
-class StabilizationError(RuntimeError):
-    """Sampled rank kept moving within the batch budget."""
-
-
-@dataclass(frozen=True)
-class AmResult:
-    value: int
-    exact: bool  # True for the Bezout-certified curve path
-    batches: int = 0
-
-
-def a_m_detailed(v: ParamVariety, m: int, seed: int = 0) -> AmResult:
+def a_m(v: ParamVariety, m: int, seed: int = 0) -> int:
     """Number of independent degree-m forms vanishing on `v`.
 
-    Curves: exact via m*d+1 distinct points (any degree-m form through all
-    of them contains the curve).  Higher dimension: random sample batches of
-    twice the column count until the rank sits still for three batches.
+    Exact for every variety: the count does not depend on `seed`, which is
+    accepted for call compatibility only.
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    ncols = binomial(v.amb + m, m)
-    if v.is_curve:
-        npts = m * v.d + 1
-        cfg = sample_points(v, npts, seed=_derive(seed, "am", m))
-        r = rank(evaluation_matrix(v.field, cfg.points, m))
-        return AmResult(ncols - r, exact=True)
-    batch = 2 * ncols
-    stream = v.domain.parameter_stream(v.field, _derive(seed, "am-batch", m))
-    rows = []
-    history = []
-    for nbatch in range(1, 13):
-        added = 0
-        for params in stream:
-            vec = v.eval_params(params)
-            if all(x == 0 for x in vec):
-                continue
-            rows.extend(_monomial_row(v, vec, m))
-            added += 1
-            if added == batch:
-                break
-        r = rank(Matrix(v.field, len(rows) // ncols, ncols, rows))
-        history.append(r)
-        if len(history) >= 4 and history[-1] == history[-2] == history[-3] == history[-4]:
-            return AmResult(ncols - r, exact=False, batches=nbatch)
-    raise StabilizationError(
-        f"{v.label}: rank still moving after {len(history)} batches: {history}"
-    )
-
-
-def _monomial_row(v: ParamVariety, vec, m: int):
-    return monomial_values(v.field, list(vec), m)
-
-
-def a_m(v: ParamVariety, m: int, seed: int = 0) -> int:
-    return a_m_detailed(v, m, seed).value
+    params = v.domain.unisolvent_params(v.field, v.coords, m)
+    vecs = [v.eval_params(q) for q in params]
+    return binomial(v.amb + m, m) - rank(evaluation_matrix(v.field, vecs, m))
 
 
 def _derive(seed: int, tag: str, extra: int) -> int:
@@ -120,11 +73,12 @@ def _require_ledger_curve(v: ParamVariety, op: str) -> None:
 
 
 def h1_ideal(v: ParamVariety, m: int, seed: int = 0) -> int:
-    """Ideal-sheaf deficiency h^1(I(m)) of a curve with d <= 2c+1."""
+    """Ideal-sheaf deficiency h^1(I(m)) of a curve with d <= 2c+1 (exact;
+    `seed` does not change it)."""
     _require_ledger_curve(v, "h1_ideal")
     if m < 1:
         raise ValueError("need m >= 1")
-    val = a_m(v, m, seed) - u_count(v.c, v.g, v.d, m)
+    val = a_m(v, m) - u_count(v.c, v.g, v.d, m)
     if val < 0:
         raise RuntimeError(
             f"{v.label}: ledger violation, a_{m} below the Riemann-Roch count"
@@ -161,13 +115,14 @@ class DeficiencyProfile:
 def deficiency_profile(v: ParamVariety, seed: int = 0) -> DeficiencyProfile:
     """Compute h^1(I(m)) for m = 1, 2, ... until it vanishes (it is
     nonincreasing for d <= 2c+1, so the first zero is final), and derive the
-    regularity from the last nonzero deficiency together with the genus."""
+    regularity from the last nonzero deficiency together with the genus.
+    The profile is exact and does not depend on `seed`."""
     _require_ledger_curve(v, "deficiency_profile")
     a: dict = {}
     h1: dict = {}
     last_nonzero = 0
     for m in range(1, v.d + 3):
-        am = a_m(v, m, seed)
+        am = a_m(v, m)
         a[m] = am
         h1[m] = am - u_count(v.c, v.g, v.d, m)
         if h1[m] < 0:
@@ -240,21 +195,21 @@ class CurveClassification:
     linearly_normal: bool
 
 
-def classify_a2_curve(v: ParamVariety, seed: int = 0) -> CurveClassification:
+def classify_a2_curve(v: ParamVariety) -> CurveClassification:
     """Rank the curve's quadric count and name the family the classification
     assigns to that rank (ranks 1..4), cross-checking the deficiency identity
     h^1(I(2)) = 2(d-c) - 1 - g - k."""
     _require_ledger_curve(v, "classify_a2_curve")
     c, g, d = v.c, v.g, v.d
-    a2 = a_m(v, 2, seed)
+    a2 = a_m(v, 2)
     k = binomial(c + 1, 2) + 1 - a2
     if k < 1:
         raise RuntimeError(f"{v.label}: quadric count exceeds the maximum")
     if k > c:
         raise ValueError(f"{v.label}: k = {k} > c, outside the classified range")
-    h1_2 = h1_ideal(v, 2, seed)
+    h1_2 = h1_ideal(v, 2)
     identity_ok = h1_2 == 2 * (d - c) - 1 - g - k
-    ln = h1_ideal(v, 1, seed) == 0
+    ln = h1_ideal(v, 1) == 0
     if k == 1:
         case, expect = "rational_normal_curve", (0, c + 1, True)
     elif k == 2:
@@ -287,13 +242,13 @@ def classify_a2_curve(v: ParamVariety, seed: int = 0) -> CurveClassification:
     )
 
 
-def bound_check(v: ParamVariety, m: int, k: int, seed: int = 0) -> bool:
+def bound_check(v: ParamVariety, m: int, k: int) -> bool:
     """a_m(v) <= H_k(n, c, m) for any variety of degree >= c+k."""
     if not 1 <= k <= v.c + 1:
         raise ValueError(f"k = {k} outside [1, c+1]")
     if v.d < v.c + k:
         raise ValueError(f"bound needs d >= c+k = {v.c + k}, have d = {v.d}")
-    return a_m(v, m, seed) <= H_bound(k, v.n, v.c, m)
+    return a_m(v, m) <= H_bound(k, v.n, v.c, m)
 
 
 def hyperplane_section_points(v: ParamVariety, seed: int = 0, budget: int = 400):

@@ -12,6 +12,7 @@ pure Python above).  No floating point anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -565,24 +566,40 @@ def monomials(v: int, m: int) -> list:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _monomial_plan(v: int, m: int) -> tuple:
+    """Build steps for the degree-1..m monomial levels in v variables.
+
+    Level k lists, for each degree-k monomial in monomials() order, the
+    index of its parent in level k-1 and the variable that multiplies it
+    (the first one with a positive exponent).
+    """
+    monomials(v, m)  # argument checks
+    prev = {(0,) * v: 0}
+    plan = []
+    for deg in range(1, m + 1):
+        level = monomials(v, deg)
+        steps = []
+        for e in level:
+            i = next(k for k, ek in enumerate(e) if ek > 0)
+            steps.append((prev[e[:i] + (e[i] - 1,) + e[i + 1 :]], i))
+        plan.append(tuple(steps))
+        prev = {e: k for k, e in enumerate(level)}
+    return tuple(plan)
+
+
 def monomial_values(field: Field, point: Sequence, m: int) -> list:
     """Values of all degree-m monomials at `point`, aligned with monomials().
 
     Computed level by level (each monomial is a variable times a lower-degree
-    one), so the cost is one multiplication per table entry.
+    one) from a cached plan, so the cost is one multiplication per entry.
     """
-    v = len(point)
     pt = [field.raw(x) for x in point]
     mul = field.mul
-    level = {(0,) * v: field.raw(1)}
-    for deg in range(1, m + 1):
-        nxt = {}
-        for e in monomials(v, deg):
-            i = next(k for k, ek in enumerate(e) if ek > 0)
-            parent = e[:i] + (e[i] - 1,) + e[i + 1 :]
-            nxt[e] = mul(level[parent], pt[i])
-        level = nxt
-    return [level[e] for e in monomials(v, m)]
+    vals = [field.raw(1)]
+    for steps in _monomial_plan(len(pt), m):
+        vals = [mul(vals[j], pt[i]) for j, i in steps]
+    return vals
 
 
 class MPoly:

@@ -11,6 +11,7 @@ an evaluation matrix), how regular the set is, whether it sits in linear
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -208,7 +209,7 @@ class PointConfig:
                 den = 1
                 for v in p:
                     q = Fraction(v)
-                    den = den * q.denominator // _gcd(den, q.denominator)
+                    den = den * q.denominator // math.gcd(den, q.denominator)
                 ints = [int(Fraction(v) * den) for v in p]
                 rows.append(" ".join(str(v) for v in ints))
         return "\n".join([head, f"{self.c} {len(self.points)}"] + rows) + "\n"
@@ -244,12 +245,6 @@ class PointConfig:
     def read_text(cls, path) -> "PointConfig":
         with open(path) as fh:
             return cls.from_text(fh.read())
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def evaluation_matrix(field: Field, points, m: int) -> Matrix:

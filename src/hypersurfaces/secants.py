@@ -16,7 +16,6 @@ doubled trial count before giving up.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from .cohomology import a_m
@@ -32,7 +31,6 @@ __all__ = [
     "expected_table2_deltas",
     "Table2Comparison",
     "table2_row",
-    "invariants_json",
     "TerraciniError",
 ]
 
@@ -55,7 +53,7 @@ class QuadraticEmbedding:
     span_dim: int
 
 
-def veronese_square(v: ParamVariety, seed: int = 0) -> QuadraticEmbedding:
+def veronese_square(v: ParamVariety) -> QuadraticEmbedding:
     """Quadratic embedding of `v`; needs polynomial coordinates (point-
     enumerator curves carry no parametrization to differentiate)."""
     if not isinstance(v.domain, ProjectiveDomain):
@@ -68,7 +66,7 @@ def veronese_square(v: ParamVariety, seed: int = 0) -> QuadraticEmbedding:
         idx = [i for i, e in enumerate(exp) for _ in range(e)]
         coords2.append(v.coords[idx[0]] * v.coords[idx[1]])
     n_big = binomial(v.amb + 2, 2) - 1
-    span = n_big - a_m(v, 2, seed=seed)
+    span = n_big - a_m(v, 2)
     return QuadraticEmbedding(base=v, coords2=tuple(coords2), N=n_big, span_dim=span)
 
 
@@ -158,8 +156,8 @@ def zak_invariants(v: ParamVariety, trials: int = 3, seed: int = 0) -> ZakInvari
     k_2 and delta^2, and enforces the span-count identity; on failure the
     trial count is doubled once before a hard error.
     """
+    y = veronese_square(v)
     for attempt_trials in (trials, 2 * trials):
-        y = veronese_square(v, seed=seed)
         s = {0: secant_dim(y, 0, attempt_trials, seed)}
         if s[0] != v.n:
             raise TerraciniError(
@@ -299,21 +297,3 @@ def table2_row(
         mismatches=tuple(mismatches),
     )
 
-
-def invariants_json(inv: ZakInvariants) -> str:
-    """Fixed-key JSON report for one invariant run."""
-    payload = {
-        "label": inv.label,
-        "n": inv.n,
-        "c": inv.c,
-        "d": inv.d,
-        "s": [inv.s[k] for k in sorted(inv.s)],
-        "delta": [inv.delta[k] for k in sorted(inv.delta)],
-        "ell2": inv.ell2,
-        "k2": inv.k2,
-        "delta2": inv.delta2_total,
-        "zak4_ok": inv.zak4_ok,
-        "trials": inv.trials,
-        "seed": inv.seed,
-    }
-    return json.dumps(payload, indent=2, sort_keys=False)

@@ -1,10 +1,11 @@
 """Constructors for explicit low-degree projective varieties over exact fields.
 
 Each ParamVariety carries exact coordinate polynomials together with a
-parameter domain that can produce sample points: products of projective
-spaces for rational parametrizations (rational normal curves, scrolls,
-Veronese, scroll sections and their projections) or a plane-curve point
-enumerator for elliptic and genus-2 curves presented by y^2 = f(x).
+parameter domain that can produce sample points and the point set on
+which hypersurface counts are exact: products of projective spaces for
+rational parametrizations (rational normal curves, scrolls, Veronese,
+scroll sections and their projections) or a plane-curve point enumerator
+for elliptic and genus-2 curves presented by y^2 = f(x).
 
 Claimed metadata is never trusted: constructions are certified numerically
 (distinct images over all rational parameters, a hyperplane degree count,
@@ -63,7 +64,8 @@ class ConstructionError(RuntimeError):
 
 
 class FieldTooSmallError(ConstructionError):
-    """The base field cannot supply the requested number of sample points."""
+    """The base field has too few points for the requested sample, for the
+    point set of an exact count, or for a full-scan certificate."""
 
 
 class ProjectionError(ConstructionError):
@@ -169,6 +171,30 @@ class ProjectiveDomain:
         """Canonical order of all P^1 parameters over GF(p): (1, t) then (0, 1)."""
         assert self.is_curve_line() and field.is_prime_field
         return [(1, t) for t in range(field.p)] + [(0, 1)]
+
+    def unisolvent_params(self, field: Field, coords: Sequence[MPoly], m: int) -> list:
+        """Parameter points on which no nonzero composed degree-m form vanishes.
+
+        The first coordinate of each block is set to 1; every other variable
+        j runs over 0..D_j with D_j = m * (its top exponent in `coords`).  A
+        polynomial of degree <= D_j in each variable that vanishes on this
+        tensor grid is zero, and the affine chart is dense, so a degree-m
+        form vanishes on the grid exactly when it vanishes on the variety.
+        """
+        axes = []
+        start = 0
+        for b in self.blocks:
+            axes.append((1,))
+            for j in range(start + 1, start + b):
+                top = m * max((e[j] for c in coords for e in c.terms), default=0)
+                if field.is_prime_field and field.p <= top:
+                    raise FieldTooSmallError(
+                        f"exact degree-{m} counts need p > {top} "
+                        f"(an evaluation grid 0..{top}), got {field!r}"
+                    )
+                axes.append(range(top + 1))
+            start += b
+        return list(itertools.product(*axes))
 
     def parameter_stream(self, field: Field, seed: int) -> Iterator[tuple]:
         rng = random.Random(("domain", self.blocks, seed).__repr__())
@@ -281,6 +307,21 @@ class WeierstrassDomain:
 
     def count_available(self, field: Field) -> int:
         return len(self.points())
+
+    def unisolvent_params(self, field: Field, coords: Sequence[MPoly], m: int) -> list:
+        """The first m*N + 1 affine points, N the top pole order of `coords`
+        at infinity: a composed degree-m form has pole order <= m*N, so if
+        it is nonzero it has at most m*N zeros (Bezout)."""
+        fdeg = len(self.f_coeffs) - 1
+        top = max(_section_pole_order(*_weierstrass_split(c), fdeg) for c in coords)
+        need = m * top + 1
+        pts = self.points()
+        if len(pts) < need:
+            raise FieldTooSmallError(
+                f"exact degree-{m} counts need {need} affine points, "
+                f"y^2 = f(x) over {field!r} has {len(pts)}"
+            )
+        return pts[:need]
 
     def parameter_stream(self, field: Field, seed: int) -> Iterator[tuple]:
         pts = self.points()
@@ -515,6 +556,11 @@ def _verify_injective_and_nondegenerate(v: ParamVariety, sample_size: int = 0) -
     fld = v.field
     if fld.is_prime_field and v.is_curve and fld.p <= FULL_SCAN_LIMIT:
         table = v.coordinate_table()
+        if len(table) < v.amb + 1:
+            raise FieldTooSmallError(
+                f"{v.label}: {fld!r} has {len(table)} rational parameters, "
+                f"spanning P^{v.amb} needs {v.amb + 1}"
+            )
         keys = set()
         for vec in table:
             if all(x == 0 for x in vec):

@@ -2,8 +2,8 @@
 
 symbolic_a_m computes hypersurface counts by expanding monomial-composed
 parametrizations into parameter monomials and taking an exact kernel
-dimension; it never samples points, so it is a genuinely independent oracle
-for the sampling-based counts in hypersurfaces.cohomology.
+dimension; it never evaluates at points, so it is a genuinely independent
+oracle for the grid-evaluation counts in hypersurfaces.cohomology.
 """
 
 from hypersurfaces.exactcore import Matrix, MPoly, kernel_dim, monomials

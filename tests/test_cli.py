@@ -96,6 +96,16 @@ def test_curve_construction_failure_exits_1(capsys):
     assert code == 1
 
 
+def test_curve_field_too_small_exits_1_without_traceback(capsys):
+    # a_4 of the twisted cubic needs the grid t = 0..12, more than GF(11) has
+    code = main(["curve", "rnc", "--r", "3", "--p", "11", "--m-max", "4"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "p > 12" in err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_curve_rejects_rationals_for_elliptic(capsys):
     code = run_cli(capsys, "curve", "elliptic", "--c", "2", "--q")[0]
     assert code == 2

@@ -5,9 +5,7 @@ from helpers import symbolic_a_m
 
 from hypersurfaces import formulas
 from hypersurfaces.cohomology import (
-    AmResult,
     a_m,
-    a_m_detailed,
     classify_a2_curve,
     bound_check,
     deficiency_profile,
@@ -17,11 +15,12 @@ from hypersurfaces.cohomology import (
     verify_monotonic,
     verify_reg_bound,
 )
-from hypersurfaces.exactcore import PrimeField, binomial
+from hypersurfaces.exactcore import QQ, PrimeField, binomial
 from hypersurfaces.varieties import (
     FieldTooSmallError,
     elliptic_normal_curve,
     hyperelliptic_g2_curve,
+    linear_section_curve,
     multisecant_projection,
     project_from_general_point,
     rational_normal_curve,
@@ -44,10 +43,8 @@ def test_a2_elliptic_quartic():
     assert a_m(elliptic_normal_curve(2, 10007), 2) == 2
 
 
-def test_a2_scroll_12_stabilized():
-    res = a_m_detailed(scroll_surface(1, 2, GF), 2)
-    assert res == AmResult(value=3, exact=False, batches=res.batches)
-    assert res.value == formulas.F(2, 2, 2)
+def test_a2_scroll_12_exact():
+    assert a_m(scroll_surface(1, 2, GF), 2) == 3 == formulas.F(2, 2, 2)
 
 
 def test_am_matches_symbolic_oracle_curves():
@@ -62,20 +59,54 @@ def test_am_matches_symbolic_oracle_curves():
     v = project_from_general_point(rational_normal_curve(4, GF), seed=3)
     for m in (2, 3):
         assert a_m(v, m) == symbolic_a_m(v, m)
+    for v in (
+        linear_section_curve(scroll_surface(1, 3, GF), seed=5),
+        linear_section_curve(veronese_surface(GF), seed=5),
+    ):
+        for m in (1, 2, 3, 4):
+            assert a_m(v, m) == symbolic_a_m(v, m), (v.label, m)
 
 
 def test_am_matches_symbolic_oracle_weierstrass():
     ell = elliptic_normal_curve(3, 10007)
     g2 = hyperelliptic_g2_curve(3, 10007)
+    pell = multisecant_projection(4, 4, 1, 10007, seed=5)
+    pg2 = multisecant_projection(5, 5, 2, 10007, seed=5)
     for m in (1, 2, 3):
         assert a_m(ell, m) == symbolic_a_m(ell, m)
         assert a_m(g2, m) == symbolic_a_m(g2, m)
+        assert a_m(pell, m) == symbolic_a_m(pell, m)
+        assert a_m(pg2, m) == symbolic_a_m(pg2, m)
 
 
 def test_am_matches_symbolic_oracle_surfaces():
-    for v in (scroll_surface(1, 2, GF), scroll_surface(2, 2, GF), veronese_surface(GF)):
-        for m in (2, 3):
-            assert a_m(v, m) == symbolic_a_m(v, m)
+    for v in (
+        scroll_surface(1, 2, GF),
+        scroll_surface(2, 2, GF),
+        scroll_surface(2, 3, GF),
+        veronese_surface(GF),
+        project_from_general_point(scroll_surface(1, 3, GF), seed=3),
+    ):
+        for m in (2, 3, 4):
+            assert a_m(v, m) == symbolic_a_m(v, m), (v.label, m)
+
+
+@pytest.mark.parametrize("fld", [PrimeField(1000003), QQ], ids=repr)
+def test_am_matches_symbolic_oracle_other_fields(fld):
+    witnesses = [
+        rational_normal_curve(4, fld),
+        scroll_section_curve(1, 3, 5, fld, seed=7),
+        project_from_general_point(rational_normal_curve(4, fld), seed=3),
+        scroll_surface(1, 2, fld),
+        scroll_surface(2, 3, fld),
+        veronese_surface(fld),
+        project_from_general_point(scroll_surface(1, 3, fld), seed=3),
+        linear_section_curve(scroll_surface(1, 3, fld), seed=5),
+        linear_section_curve(veronese_surface(fld), seed=5),
+    ]
+    for v in witnesses:
+        for m in (1, 2, 3, 4):
+            assert a_m(v, m) == symbolic_a_m(v, m), (v.label, m)
 
 
 def test_am_seed_independent():
@@ -83,12 +114,26 @@ def test_am_seed_independent():
     assert a_m(v, 2, seed=1) == a_m(v, 2, seed=2024) == 6
     ms = multisecant_projection(4, 4, 0, 10007, seed=5)
     assert a_m(ms, 2, seed=3) == a_m(ms, 2, seed=4)
+    s = scroll_surface(2, 3, GF)
+    assert {a_m(s, 3, seed=x) for x in range(5)} == {50}
 
 
 def test_am_field_too_small():
     v = rational_normal_curve(3, PrimeField(11))
-    with pytest.raises(FieldTooSmallError):
-        a_m(v, 4)  # needs 13 points, only 12 available
+    assert a_m(v, 3) == symbolic_a_m(v, 3)  # the grid t = 0..9 fits
+    with pytest.raises(FieldTooSmallError, match="p > 12"):
+        a_m(v, 4)  # the grid t = 0..12 needs 13 distinct values
+    ell = elliptic_normal_curve(2, 11)  # 13 affine points
+    assert a_m(ell, 3) == symbolic_a_m(ell, 3)  # needs exactly 13
+    with pytest.raises(FieldTooSmallError, match="17 affine points"):
+        a_m(ell, 4)
+
+
+def test_am_veronese_over_gf5():
+    v = veronese_surface(PrimeField(5))
+    assert a_m(v, 2) == symbolic_a_m(v, 2) == 6  # grid 0..4 in y, z fits in GF(5)
+    with pytest.raises(FieldTooSmallError, match="p > 6"):
+        a_m(v, 3)
 
 
 def test_am_validates_degree():

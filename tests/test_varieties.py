@@ -53,6 +53,12 @@ def test_rnc_sampling_exhausts_field():
         v.sample_points(9, seed=0)
 
 
+def test_rnc_certification_names_small_field():
+    # 12 parameters of P^1(GF(11)) cannot span P^12: the field is the cause
+    with pytest.raises(FieldTooSmallError, match="needs 13"):
+        rational_normal_curve(12, PrimeField(11))
+
+
 def test_sampling_deterministic():
     v = rational_normal_curve(4, GF)
     assert v.sample_points(10, seed=5).points == v.sample_points(10, seed=5).points
