@@ -26,6 +26,7 @@ from .pointconfig import PointConfig, evaluation_matrix
 from .varieties import (
     FULL_SCAN_LIMIT,
     ConstructionError,
+    FieldTooSmallError,
     ParamVariety,
     linear_section_curve,
 )
@@ -53,7 +54,10 @@ def a_m(v: ParamVariety, m: int, seed: int = 0) -> int:
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    params = v.domain.unisolvent_params(v.field, v.coords, m)
+    try:
+        params = v.domain.unisolvent_params(v.field, v.coords, m)
+    except FieldTooSmallError as err:
+        raise FieldTooSmallError(f"{v.label}: {err}") from None
     vecs = [v.eval_params(q) for q in params]
     return binomial(v.amb + m, m) - rank(evaluation_matrix(v.field, vecs, m))
 

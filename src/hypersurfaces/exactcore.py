@@ -32,6 +32,7 @@ __all__ = [
     "binomial",
     "rank",
     "kernel_dim",
+    "Echelon",
     "poly_eval",
     "poly_diff",
 ]
@@ -465,6 +466,70 @@ def rank(m: Matrix) -> int:
             return _rank_modp_numpy(rows, p)
         return _rank_modp_python(rows, p)
     return _rank_bareiss(_rows_to_integers(rows))
+
+
+class Echelon:
+    """Row echelon basis over one field that grows one raw vector at a time.
+
+    Each stored row has a 1 at its pivot column and a 0 at the pivot of
+    every earlier row, so reducing a vector against the rows in insertion
+    order clears all pivots.  `add` keeps a nonzero remainder as a new row;
+    `contains` is the membership test that `rank` cannot give.  The number
+    of rows is the rank of everything added.
+    """
+
+    __slots__ = ("field", "rows", "pivots")
+
+    def __init__(self, field: Field, vectors: Iterable[Sequence] = ()):
+        self.field = field
+        self.rows: list = []
+        self.pivots: list = []
+        for vec in vectors:
+            self.add(vec)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def copy(self) -> "Echelon":
+        out = Echelon(self.field)
+        out.rows = list(self.rows)  # rows are tuples, never changed once stored
+        out.pivots = list(self.pivots)
+        return out
+
+    def _remainder(self, vec: Sequence) -> list:
+        raw = self.field.raw
+        v = [raw(x) for x in vec]
+        if self.rows and len(v) != len(self.rows[0]):
+            raise ValueError(f"vector length {len(v)} != {len(self.rows[0])}")
+        if self.field.is_prime_field:
+            p = self.field.p
+            for row, c in zip(self.rows, self.pivots):
+                f = v[c]
+                if f:
+                    v = [(a - f * b) % p for a, b in zip(v, row)]
+        else:
+            for row, c in zip(self.rows, self.pivots):
+                f = v[c]
+                if f:
+                    v = [a - f * b for a, b in zip(v, row)]
+        return v
+
+    def contains(self, vec: Sequence) -> bool:
+        """True when `vec` lies in the span of the rows."""
+        return not any(self._remainder(vec))
+
+    def add(self, vec: Sequence) -> bool:
+        """Append `vec` to the basis; False (basis unchanged) if it is
+        already in the span."""
+        v = self._remainder(vec)
+        c = next((j for j, a in enumerate(v) if a), None)
+        if c is None:
+            return False
+        f = self.field
+        inv = f.inv(v[c])
+        self.rows.append(tuple(f.mul(a, inv) for a in v))
+        self.pivots.append(c)
+        return True
 
 
 def kernel_dim(m: Matrix) -> int:

@@ -6,6 +6,13 @@ everything else: how many degree-m forms vanish on the set (via the rank of
 an evaluation matrix), how regular the set is, whether it sits in linear
 (semi-)uniform position, and, constructively, how to extract a spanning
 3-regular subset of 2c+1 points from a larger semi-uniform set.
+
+The two subset searches run on an incremental `Echelon` rather than one
+`rank` per candidate: the nu-vector builds one echelon per subset and tests
+each point by one reduction against it, and the extraction carries the
+echelon of the degree-2 evaluation rows down a depth-first search, pruning
+every prefix whose rows are already dependent.  Both searches are still
+exponential in the number of points.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from fractions import Fraction
 
 from .exactcore import (
     QQ,
+    Echelon,
     Field,
     Matrix,
     PrimeField,
@@ -160,7 +168,9 @@ class PointConfig:
         configuration points on each; the set is in linear semi-uniform
         position when it spans P^c and each count depends only on i.
 
-        The enumeration is exponential in the configuration size, so it
+        Each subset costs one elimination (an `Echelon` of its points, given
+        up at the first dependent row) and one reduction per point.  The
+        number of subsets is exponential in the configuration size, so it
         refuses inputs above `size_cap` unless forced.
         """
         npts = len(self.points)
@@ -174,17 +184,11 @@ class PointConfig:
         uniform = spans_ok
         for i in range(self.c):
             counts = set()
-            for subset in itertools.combinations(range(npts), i + 1):
-                sub_rows = [list(self.points[j]) for j in subset]
-                if rank(Matrix.from_rows(self.field, sub_rows)) != i + 1:
+            for subset in itertools.combinations(self.points, i + 1):
+                span = Echelon(self.field)
+                if not all(span.add(q) for q in subset):
                     continue
-                inside = sum(
-                    1
-                    for q in self.points
-                    if rank(Matrix.from_rows(self.field, sub_rows + [list(q)]))
-                    == i + 1
-                )
-                counts.add(inside)
+                counts.add(sum(1 for q in self.points if span.contains(q)))
                 if len(counts) > 1:
                     break
             if len(counts) == 1:
@@ -266,11 +270,13 @@ def coordinate_simplex(field: Field, c: int) -> PointConfig:
 def extract_three_regular(config: PointConfig) -> PointConfig:
     """Certified spanning 3-regular subset of 2c+1 points.
 
-    Candidates are scanned in lexicographic index order; each one is
-    certified by the regularity oracle (hilbert at degree 2 must reach
-    2c+1) and the spanning check before being returned, so correctness
-    never depends on the search order.  The lexicographically smallest
-    certified subset wins, which keeps the result deterministic.
+    Candidates are searched depth first in lexicographic index order,
+    carrying the echelon of their degree-2 evaluation rows; a prefix whose
+    rows are dependent is pruned, since no superset of it can reach
+    hilbert(2) = 2c+1.  Each full candidate is certified by that rank and
+    the spanning check before being returned, so correctness never depends
+    on the search order.  The lexicographically smallest certified subset
+    wins, which keeps the result deterministic.
     """
     c = config.c
     size = 2 * c + 1
@@ -279,24 +285,28 @@ def extract_three_regular(config: PointConfig) -> PointConfig:
         raise ValueError(f"need at least {size} points in P^{c}, have {npts}")
     if config.span_dim() != c:
         raise ValueError("configuration does not span the ambient space")
-    target_cols = binomial(c + 2, 2)
-    full_eval = evaluation_matrix(config.field, config.points, 2).raw_rows()
-    coord_rows = [list(p) for p in config.points]
-    for subset in itertools.combinations(range(npts), size):
-        sub_coord = [coord_rows[i] for i in subset]
-        if rank(Matrix.from_rows(config.field, sub_coord)) != c + 1:
-            continue
-        sub_eval = Matrix(
-            config.field,
-            size,
-            target_cols,
-            [v for i in subset for v in full_eval[i]],
-        )
-        if rank(sub_eval) == size:
+    fld = config.field
+    eval_rows = evaluation_matrix(fld, config.points, 2).raw_rows()
+
+    def search(start: int, chosen: list, quadrics: Echelon):
+        if len(chosen) == size:
             # hilbert(2) = |subset| certifies regularity <= 3
-            result = config.subset(subset)
-            assert result.regularity() <= 3
-            return result
+            if len(Echelon(fld, [config.points[i] for i in chosen])) == c + 1:
+                return chosen
+            return None
+        for i in range(start, npts - (size - len(chosen)) + 1):
+            grown = quadrics.copy()
+            if grown.add(eval_rows[i]):
+                found = search(i + 1, chosen + [i], grown)
+                if found is not None:
+                    return found
+        return None
+
+    subset = search(0, [], Echelon(fld))
+    if subset is not None:
+        result = config.subset(subset)
+        assert result.regularity() <= 3
+        return result
     verdict = ""
     if npts <= NU_SIZE_CAP:
         nv = config.nu_vector()

@@ -208,7 +208,8 @@ class ProjectiveDomain:
         seen = set()
         if field.is_prime_field:
             p = field.p
-            while True:
+            total = self.count_available(field)
+            while len(seen) < total:  # stop once every point has been yielded
                 pt = []
                 for b in self.blocks:
                     # mostly affine charts, occasionally a point at infinity

@@ -4,10 +4,23 @@ symbolic_a_m computes hypersurface counts by expanding monomial-composed
 parametrizations into parameter monomials and taking an exact kernel
 dimension; it never evaluates at points, so it is a genuinely independent
 oracle for the grid-evaluation counts in hypersurfaces.cohomology.
+
+nu_vector_by_rank and extract_three_regular_by_scan are the plain searches
+that the incremental-echelon versions in hypersurfaces.pointconfig replace:
+one fresh `rank` per (subset, point) and a lexicographic scan of every
+(2c+1)-subset.
 """
 
-from hypersurfaces.exactcore import Matrix, MPoly, kernel_dim, monomials
-from hypersurfaces.varieties import ProjectiveDomain, WeierstrassDomain
+import itertools
+
+from hypersurfaces.exactcore import Matrix, MPoly, kernel_dim, monomials, rank
+from hypersurfaces.pointconfig import (
+    ExtractionError,
+    NuVector,
+    PointConfig,
+    evaluation_matrix,
+)
+from hypersurfaces.varieties import WeierstrassDomain
 
 
 def _reduce_weierstrass(poly: MPoly, f_coeffs) -> MPoly:
@@ -53,3 +66,38 @@ def symbolic_a_m(v, m: int) -> int:
             flat.append(t.terms.get(e, zero))
     mat = Matrix(fld, len(param_monos), len(composed), flat)
     return kernel_dim(mat)
+
+
+def nu_vector_by_rank(cfg: PointConfig) -> NuVector:
+    """nu-vector with one rank per independence test and per point."""
+    fld = cfg.field
+    spans_ok = rank(Matrix.from_rows(fld, cfg.points)) == cfg.c + 1
+    values = []
+    for i in range(cfg.c):
+        counts = set()
+        for subset in itertools.combinations(cfg.points, i + 1):
+            rows = [list(q) for q in subset]
+            if rank(Matrix.from_rows(fld, rows)) != i + 1:
+                continue
+            counts.add(
+                sum(1 for q in cfg.points if rank(Matrix.from_rows(fld, rows + [list(q)])) == i + 1)
+            )
+        values.append(counts.pop() if len(counts) == 1 else None)
+    return NuVector(tuple(values), spans_ok and None not in values)
+
+
+def extract_three_regular_by_scan(cfg: PointConfig) -> PointConfig:
+    """First (2c+1)-subset in lexicographic order that spans P^c and has
+    hilbert(2) = 2c+1, found by ranking every candidate."""
+    c, fld = cfg.c, cfg.field
+    size = 2 * c + 1
+    if len(cfg) < size or cfg.span_dim() != c:
+        raise ValueError("need at least 2c+1 points spanning P^c")
+    for subset in itertools.combinations(range(len(cfg)), size):
+        points = [cfg.points[i] for i in subset]
+        if (
+            rank(Matrix.from_rows(fld, points)) == c + 1
+            and rank(evaluation_matrix(fld, points, 2)) == size
+        ):
+            return cfg.subset(subset)
+    raise ExtractionError(f"no spanning 3-regular subset of {size} points")

@@ -101,7 +101,7 @@ def test_curve_field_too_small_exits_1_without_traceback(capsys):
     code = main(["curve", "rnc", "--r", "3", "--p", "11", "--m-max", "4"])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error: ") and "p > 12" in err
+    assert err.startswith("error: rnc(3): ") and "p > 12" in err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
 

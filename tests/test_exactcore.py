@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hypersurfaces.exactcore import (
     QQ,
+    Echelon,
     FieldMismatchError,
     Matrix,
     MPoly,
@@ -213,6 +214,67 @@ def test_rank_engines_agree_on_random_matrices():
         # agreement check across the vectorised and pure-Python paths
         assert rank(Matrix.from_rows(GF_BIGNUMPY, rows)) == oracle
         assert rank(Matrix.from_rows(f_big, rows)) == oracle
+
+
+# ---------------------------------------------------------------- echelon
+
+GF_M61 = PrimeField((1 << 61) - 1, trust_prime=True)  # pure-Python rank path
+ECHELON_FIELDS = [PrimeField(5), GF101, GF_BIGNUMPY, GF_M61, QQ]
+
+
+@st.composite
+def field_and_rows(draw):
+    """A field, rows of one length and one more vector; small entries make
+    dependencies common, and some rows are sums of earlier ones."""
+    fld = draw(st.sampled_from(ECHELON_FIELDS))
+    ncols = draw(st.integers(1, 6))
+    entry = st.integers(-3, 3)
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        if len(rows) >= 2 and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([x + 2 * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    vec = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+    return fld, rows, vec
+
+
+def test_echelon_dependent_add_leaves_basis_unchanged():
+    ech = Echelon(GF7, [[1, 2, 3], [0, 1, 4]])
+    before = (list(ech.rows), list(ech.pivots))
+    assert not ech.add([2, 5, 3])  # 2*r0 + r1 mod 7
+    assert not ech.add([0, 0, 0])
+    assert (ech.rows, ech.pivots) == before
+    assert ech.add([0, 0, 1]) and len(ech) == 3
+
+
+def test_echelon_rejects_ragged_vector():
+    ech = Echelon(QQ, [[1, 2, 3]])
+    with pytest.raises(ValueError):
+        ech.contains([1, 2])
+
+
+@given(field_and_rows())
+@settings(max_examples=150, deadline=None)
+def test_echelon_matches_rank(case):
+    fld, rows, vec = case
+    ech = Echelon(fld)
+    for k, row in enumerate(rows):
+        before = (list(ech.rows), list(ech.pivots))
+        grew = ech.add(row)
+        # the basis size is the rank of everything added so far
+        assert len(ech) == rank(Matrix.from_rows(fld, rows[: k + 1]))
+        if not grew:
+            assert (ech.rows, ech.pivots) == before
+    if not rows:
+        assert ech.contains(vec) == all(x == 0 for x in vec)
+        return
+    base = rank(Matrix.from_rows(fld, rows))
+    assert ech.contains(vec) == (rank(Matrix.from_rows(fld, rows + [vec])) == base)
+    copy = ech.copy()
+    assert copy.add(vec) == (not ech.contains(vec))
+    assert len(ech) == base  # adding to a copy leaves the original alone
 
 
 def test_rref_null_space_and_invert():

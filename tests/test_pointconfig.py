@@ -3,7 +3,8 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from helpers import extract_three_regular_by_scan, nu_vector_by_rank
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypersurfaces.exactcore import QQ, Matrix, PrimeField, binomial, rank
@@ -264,6 +265,19 @@ def test_extract_deterministic_lexicographic():
     assert a.points == cfg.points[:5]
 
 
+def test_extract_rejects_independent_subset_in_a_hyperplane():
+    # in P^4 the first 9 points lie in x4 = 0 yet impose 9 conditions on
+    # quadrics: only the spanning check turns them down
+    flat = [[17, 72, 97, 8], [32, 15, 63, 97], [57, 60, 83, 48], [100, 26, 12, 62],
+            [3, 49, 55, 77], [97, 98, 0, 89], [57, 34, 92, 29], [75, 13, 40, 3],
+            [2, 3, 83, 69]]
+    cfg = PointConfig(GF101, [v + [0] for v in flat] + [[0, 0, 0, 0, 1], [1, 1, 1, 1, 1]])
+    assert cfg.subset(range(9)).hilbert(2) == 9
+    got = extract_three_regular(cfg)
+    assert got.points == cfg.points[:8] + cfg.points[9:10]
+    assert got == extract_three_regular_by_scan(cfg)
+
+
 def test_extract_failure_reported():
     # 2c+1 points that cannot span: all on a line in P^2 plus one off point
     vecs = [[1, t, 0] for t in range(4)] + [[0, 0, 1]]
@@ -365,3 +379,70 @@ def test_hilbert_properties_random(vecs):
     assert cfg.hilbert(reg - 1) == len(cfg)
     text_round = PointConfig.from_text(cfg.to_text())
     assert text_round == cfg
+
+
+# ------------------------------------------------ against the rank oracles
+
+ORACLE_FIELDS = [PrimeField(5), PrimeField(7), QQ]
+
+
+@st.composite
+def coincident_configs(draw, min_points=None):
+    """Up to 2c+3 distinct points of P^2 or P^3 over GF(5), GF(7) or QQ,
+    drawn from `min_points` (default 2c+1) on before repeats are dropped.
+    Small coordinates, and points drawn on the line through the first two,
+    make collinear and coplanar coincidences common."""
+    fld = draw(st.sampled_from(ORACLE_FIELDS))
+    c = draw(st.integers(2, 3))
+    coord = st.integers(0, fld.p - 1) if fld.is_prime_field else st.integers(-2, 2)
+    low = 2 * c + 1 if min_points is None else min_points
+    vecs = []
+    for _ in range(draw(st.integers(low, 2 * c + 3))):
+        if len(vecs) >= 2 and draw(st.integers(0, 3)) == 0:
+            a, b = draw(coord), draw(coord)
+            vecs.append([a * x + b * y for x, y in zip(vecs[0], vecs[1])])
+        else:
+            vecs.append(draw(st.lists(coord, min_size=c + 1, max_size=c + 1)))
+    distinct, seen = [], set()
+    for vec in vecs:
+        if any(fld.raw(x) != 0 for x in vec):
+            key = PointConfig(fld, [vec]).points[0]
+            if key not in seen:
+                seen.add(key)
+                distinct.append(vec)
+    assume(distinct)
+    return PointConfig(fld, distinct)
+
+
+@given(coincident_configs(min_points=1))
+@settings(max_examples=60, deadline=None)
+def test_nu_vector_matches_rank_oracle(cfg):
+    assert cfg.nu_vector() == nu_vector_by_rank(cfg)
+
+
+def _extraction(fn, cfg):
+    try:
+        return fn(cfg).points
+    except ExtractionError:
+        return ExtractionError
+    except ValueError:
+        return ValueError
+
+
+@given(coincident_configs())
+@settings(max_examples=80, deadline=None)
+def test_extract_matches_scan_oracle(cfg):
+    assert _extraction(extract_three_regular, cfg) == _extraction(
+        extract_three_regular_by_scan, cfg
+    )
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_extract_failure_matches_scan_oracle(field):
+    # 5 collinear points of a plane and 1 off the line: every 5-subset
+    # either holds 4 collinear points or misses the span
+    vecs = [[1, t, 0] for t in range(5)] + [[1, 1, 1]]
+    cfg = PointConfig(field, vecs)
+    assert _extraction(extract_three_regular, cfg) is ExtractionError
+    assert _extraction(extract_three_regular_by_scan, cfg) is ExtractionError
+    assert cfg.nu_vector() == nu_vector_by_rank(cfg)

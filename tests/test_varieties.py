@@ -1,5 +1,7 @@
 """Tests for variety constructions, projections and their certificates."""
 
+from itertools import islice
+
 import pytest
 
 from hypersurfaces.exactcore import QQ, Matrix, PrimeField, rank
@@ -7,6 +9,7 @@ from hypersurfaces.varieties import (
     ConstructionError,
     FieldTooSmallError,
     ProjectionCenter,
+    ProjectiveDomain,
     ProjectionError,
     elliptic_normal_curve,
     from_descriptor,
@@ -57,6 +60,14 @@ def test_rnc_certification_names_small_field():
     # 12 parameters of P^1(GF(11)) cannot span P^12: the field is the cause
     with pytest.raises(FieldTooSmallError, match="needs 13"):
         rational_normal_curve(12, PrimeField(11))
+
+
+def test_parameter_stream_stops_when_exhausted():
+    # P^2(GF(2)) has 7 points: the stream ends instead of drawing forever
+    pts = list(islice(ProjectiveDomain((3,)).parameter_stream(PrimeField(2), 0), 8))
+    assert len(pts) == len(set(pts)) == 7
+    surface = list(ProjectiveDomain((2, 2)).parameter_stream(PrimeField(3), 1))
+    assert len(set(surface)) == 16  # P^1 x P^1 over GF(3)
 
 
 def test_sampling_deterministic():
