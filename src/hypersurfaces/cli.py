@@ -516,6 +516,7 @@ def cmd_secants(args) -> int:
             ("k2", inv.k2),
             ("delta2", inv.delta2_total),
             ("zak4_ok", inv.zak4_ok),
+            ("zak5_ok", inv.zak5_ok),
         ],
         tables=[
             (

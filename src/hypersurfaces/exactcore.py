@@ -1,20 +1,20 @@
-"""Exact scalar arithmetic, dense matrix rank/kernel, and sparse multivariate polynomials.
+"""Exact fields, dense matrix rank/kernel, and sparse multivariate polynomials.
 
 Two ground fields are supported: arbitrary-precision rationals and prime
-fields GF(p).  All values are immutable after construction and every
-operation is pure, so everything here is safe to share across threads.
+fields GF(p).  Field elements are raw Python values (Fractions over Q,
+residues in [0, p) over GF(p)); the field objects do the arithmetic.
 
-Rank computation is deliberately boring: deterministic first-nonzero
-pivoting, fraction-free (Bareiss) elimination over the rationals, ordinary
-elimination over prime fields (vectorised with int64 numpy when p < 2^31,
-pure Python above).  No floating point anywhere.
+There is one pure-Python elimination, the incremental `Echelon`: monic rows
+over GF(p), and fraction-free primitive integer rows over Q.  `rank` uses it
+for Q and for 62-bit primes, and a vectorised int64 numpy elimination for
+p < 2^31; `null_space` back-substitutes in it.  Pivoting is deterministic
+(first nonzero) and no floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -25,13 +25,11 @@ __all__ = [
     "QQ",
     "PrimeField",
     "RationalField",
-    "Scalar",
     "Matrix",
     "MPoly",
     "monomials",
     "binomial",
     "rank",
-    "kernel_dim",
     "Echelon",
     "poly_eval",
     "poly_diff",
@@ -44,7 +42,7 @@ _PRIMALITY_CHECK_LIMIT = 1 << 31
 
 
 class FieldMismatchError(ValueError):
-    """Raised when scalars from different fields meet in one operation."""
+    """Raised when values from different fields meet in one operation."""
 
 
 def binomial(a: int, b: int) -> int:
@@ -84,29 +82,14 @@ class RationalField:
 
     is_prime_field = False
 
-    def __call__(self, value) -> "Scalar":
-        return Scalar(self, self.raw(value))
-
     def raw(self, value) -> Fraction:
         """Coerce to the internal representation (Fraction keeps lowest
         terms and a positive denominator)."""
-        if isinstance(value, Scalar):
-            if value.field is not self:
-                raise FieldMismatchError("scalar belongs to a different field")
-            return value.value
         if isinstance(value, Fraction):
             return value
         if isinstance(value, int):
             return Fraction(value)
         raise TypeError(f"cannot coerce {value!r} into QQ")
-
-    @property
-    def zero(self) -> "Scalar":
-        return Scalar(self, Fraction(0))
-
-    @property
-    def one(self) -> "Scalar":
-        return Scalar(self, Fraction(1))
 
     def add(self, a, b):
         return a + b
@@ -160,27 +143,12 @@ class PrimeField:
             )
         self.p = p
 
-    def __call__(self, value) -> "Scalar":
-        return Scalar(self, self.raw(value))
-
     def raw(self, value) -> int:
-        if isinstance(value, Scalar):
-            if value.field != self:
-                raise FieldMismatchError("scalar belongs to a different field")
-            return value.value
         if isinstance(value, int):
             return value % self.p
         if isinstance(value, Fraction):
             return self.raw(value.numerator) * self.inv(self.raw(value.denominator)) % self.p
         raise TypeError(f"cannot coerce {value!r} into GF({self.p})")
-
-    @property
-    def zero(self) -> "Scalar":
-        return Scalar(self, 0)
-
-    @property
-    def one(self) -> "Scalar":
-        return Scalar(self, 1 % self.p)
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -217,69 +185,9 @@ def _same_field(a: Field, b: Field) -> None:
         raise FieldMismatchError(f"mixed fields {a!r} and {b!r}")
 
 
-@dataclass(frozen=True)
-class Scalar:
-    """A single exact field element: a Fraction over QQ, a residue in GF(p)."""
-
-    field: Field
-    value: Union[Fraction, int]
-
-    def _coerce(self, other) -> "Scalar":
-        if isinstance(other, Scalar):
-            _same_field(self.field, other.field)
-            return other
-        return Scalar(self.field, self.field.raw(other))
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return Scalar(self.field, self.field.add(self.value, o.value))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return Scalar(self.field, self.field.sub(self.value, o.value))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return Scalar(self.field, self.field.sub(o.value, self.value))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return Scalar(self.field, self.field.mul(self.value, o.value))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return Scalar(self.field, self.field.mul(self.value, self.field.inv(o.value)))
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.neg(self.value))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Scalar):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, (int, Fraction)):
-            return self.value == self.field.raw(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.value))
-
-    def __repr__(self) -> str:
-        return f"{self.value}"
-
-
 class Matrix:
-    """Dense matrix over one exact field, row-major and immutable.
-
-    Entries are stored raw (ints or Fractions); the ``entries`` property
-    exposes them as Scalars.
-    """
+    """Dense matrix over one exact field, row-major and immutable, with raw
+    entries (ints or Fractions)."""
 
     __slots__ = ("field", "rows", "cols", "_data")
 
@@ -290,17 +198,10 @@ class Matrix:
             raise ValueError(
                 f"entry count {len(entries)} does not match {rows}x{cols}"
             )
-        data = []
-        for e in entries:
-            if isinstance(e, Scalar):
-                _same_field(field, e.field)
-                data.append(e.value)
-            else:
-                data.append(field.raw(e))
         self.field = field
         self.rows = rows
         self.cols = cols
-        self._data = tuple(data)
+        self._data = tuple(map(field.raw, entries))
 
     @classmethod
     def from_rows(cls, field: Field, rows: Iterable[Sequence]) -> "Matrix":
@@ -314,35 +215,9 @@ class Matrix:
             flat.extend(r)
         return cls(field, nrows, ncols, flat)
 
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        flat = [field.one if i == j else field.zero for i in range(n) for j in range(n)]
-        return cls(field, n, n, flat)
-
-    @classmethod
-    def zero(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, rows, cols, [0] * (rows * cols))
-
-    @property
-    def entries(self) -> list:
-        return [Scalar(self.field, v) for v in self._data]
-
-    def at(self, i: int, j: int) -> Scalar:
-        return Scalar(self.field, self._data[i * self.cols + j])
-
     def raw_rows(self) -> list:
         c = self.cols
         return [list(self._data[i * c : (i + 1) * c]) for i in range(self.rows)]
-
-    def transpose(self) -> "Matrix":
-        flat = [self._data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
-        return Matrix(self.field, self.cols, self.rows, flat)
-
-    def rank(self) -> int:
-        return rank(self)
-
-    def kernel_dim(self) -> int:
-        return kernel_dim(self)
 
     def __eq__(self, other) -> bool:
         return (
@@ -386,96 +261,41 @@ def _rank_modp_numpy(rows: list, p: int) -> int:
     return r
 
 
-def _rank_modp_python(rows: list, p: int) -> int:
-    """Row rank over GF(p), pure Python (used for 62-bit moduli)."""
-    m = [[v % p for v in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        prow = [v * inv % p for v in m[r]]
-        m[r] = prow
-        for i in range(r + 1, nrows):
-            f = m[i][c]
-            if f:
-                mi = m[i]
-                for j in range(c, ncols):
-                    mi[j] = (mi[j] - f * prow[j]) % p
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def _rank_bareiss(rows: list) -> int:
-    """Row rank of an integer matrix by fraction-free elimination.
-
-    Intermediate entries stay integers (each is a minor of the input), so
-    there is no rational blowup and no precision loss.
-    """
-    m = [list(map(int, row)) for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pivot = m[r][c]
-        for i in range(r + 1, nrows):
-            mi = m[i]
-            f = mi[c]
-            mr = m[r]
-            for j in range(c + 1, ncols):
-                mi[j] = (mi[j] * pivot - f * mr[j]) // prev
-            mi[c] = 0
-        prev = pivot
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def _rows_to_integers(rows: list) -> list:
-    """Clear denominators row by row (rank is unchanged)."""
-    out = []
-    for row in rows:
-        den = 1
-        for v in row:
-            if isinstance(v, Fraction):
-                den = den * v.denominator // math.gcd(den, v.denominator)
-        out.append([int(v * den) for v in row])
-    return out
-
-
 def rank(m: Matrix) -> int:
     """Row rank of `m` over its field."""
-    rows = m.raw_rows()
     if m.rows == 0 or m.cols == 0:
         return 0
-    if m.field.is_prime_field:
-        p = m.field.p
-        if p < _NUMPY_PRIME_LIMIT:
-            return _rank_modp_numpy(rows, p)
-        return _rank_modp_python(rows, p)
-    return _rank_bareiss(_rows_to_integers(rows))
+    f = m.field
+    if f.is_prime_field and f.p < _NUMPY_PRIME_LIMIT:
+        return _rank_modp_numpy(m.raw_rows(), f.p)
+    return len(Echelon(f, m.raw_rows()))
+
+
+def _integer_row(vec: Sequence) -> list:
+    """A rational vector scaled by the lcm of its denominators."""
+    den = 1
+    for x in vec:
+        if isinstance(x, Fraction):
+            den = den * x.denominator // math.gcd(den, x.denominator)
+        elif not isinstance(x, int):
+            raise TypeError(f"cannot coerce {x!r} into QQ")
+    return [
+        x.numerator * (den // x.denominator) if isinstance(x, Fraction) else x * den
+        for x in vec
+    ]
 
 
 class Echelon:
     """Row echelon basis over one field that grows one raw vector at a time.
 
-    Each stored row has a 1 at its pivot column and a 0 at the pivot of
-    every earlier row, so reducing a vector against the rows in insertion
-    order clears all pivots.  `add` keeps a nonzero remainder as a new row;
-    `contains` is the membership test that `rank` cannot give.  The number
-    of rows is the rank of everything added.
+    Over GF(p) each stored row has a 1 at its pivot column.  Over Q it is a
+    primitive integer row (content 1, positive pivot): a vector is reduced
+    by cross-multiplying with gcd-reduced multipliers, so, as in Bareiss's
+    fraction-free elimination, no Fraction arithmetic is done.  Each row has
+    a 0 at the pivot of every earlier row, so reducing a vector against the
+    rows in insertion order clears all pivots.  `add` keeps a nonzero
+    remainder as a new row; `contains` is the membership test that `rank`
+    cannot give.  The number of rows is the rank of everything added.
     """
 
     __slots__ = ("field", "rows", "pivots")
@@ -497,21 +317,28 @@ class Echelon:
         return out
 
     def _remainder(self, vec: Sequence) -> list:
-        raw = self.field.raw
-        v = [raw(x) for x in vec]
+        prime = self.field.is_prime_field
+        if prime:
+            raw = self.field.raw
+            v = [raw(x) for x in vec]
+        else:
+            v = _integer_row(vec)
         if self.rows and len(v) != len(self.rows[0]):
             raise ValueError(f"vector length {len(v)} != {len(self.rows[0])}")
-        if self.field.is_prime_field:
+        if prime:
             p = self.field.p
             for row, c in zip(self.rows, self.pivots):
                 f = v[c]
                 if f:
                     v = [(a - f * b) % p for a, b in zip(v, row)]
         else:
+            gcd = math.gcd
             for row, c in zip(self.rows, self.pivots):
                 f = v[c]
                 if f:
-                    v = [a - f * b for a, b in zip(v, row)]
+                    g = gcd(f, row[c])
+                    f, h = f // g, row[c] // g
+                    v = [h * a - f * b for a, b in zip(v, row)]
         return v
 
     def contains(self, vec: Sequence) -> bool:
@@ -526,84 +353,39 @@ class Echelon:
         if c is None:
             return False
         f = self.field
-        inv = f.inv(v[c])
-        self.rows.append(tuple(f.mul(a, inv) for a in v))
+        if f.is_prime_field:
+            inv = f.inv(v[c])
+            self.rows.append(tuple(f.mul(a, inv) for a in v))
+        else:
+            g = math.gcd(*v) if v[c] > 0 else -math.gcd(*v)
+            self.rows.append(tuple(a // g for a in v))
         self.pivots.append(c)
         return True
-
-
-def kernel_dim(m: Matrix) -> int:
-    """Dimension of the right kernel: cols - rank."""
-    return m.cols - rank(m)
-
-
-def rref(m: Matrix) -> tuple:
-    """Reduced row echelon form (exact), returned as (rows, pivot_columns).
-
-    Used for canonical null spaces and small inversions; not a performance
-    path, so it runs in plain field arithmetic for every field.
-    """
-    f = m.field
-    a = m.raw_rows()
-    nrows, ncols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = f.inv(a[r][c])
-        a[r] = [f.mul(v, inv) for v in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                fct = a[i][c]
-                a[i] = [f.sub(v, f.mul(fct, w)) for v, w in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return a, pivots
 
 
 def null_space(m: Matrix) -> list:
     """Canonical basis of the right kernel {x : m x = 0}, as raw row vectors.
 
     One basis vector per free column, in increasing column order; entry at
-    the free column is 1.  Deterministic, so downstream constructions that
-    depend on the choice of complement are reproducible.
+    the free column is 1 and the other free entries are 0, which fixes the
+    vector (it is what the reduced row echelon form gives).  Deterministic,
+    so downstream constructions that depend on the choice of complement
+    are reproducible.
     """
     f = m.field
-    a, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
+    ech = Echelon(f, m.raw_rows())
+    # back substitution, from the last pivot up
+    steps = sorted(zip(ech.pivots, ech.rows), reverse=True)
+    free = sorted(set(range(m.cols)) - set(ech.pivots))
     basis = []
-    one = f.raw(1)
-    zero = f.raw(0)
     for fc in free:
-        v = [zero] * m.cols
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = f.neg(a[r][fc])
+        v = [f.raw(0)] * m.cols
+        v[fc] = f.raw(1)
+        for c, row in steps:
+            s = f.raw(sum(row[j] * v[j] for j in range(c + 1, m.cols) if v[j]))
+            v[c] = f.neg(f.mul(s, f.inv(f.raw(row[c]))))
         basis.append(v)
     return basis
-
-
-def invert(m: Matrix) -> Matrix:
-    """Exact inverse of a square matrix; raises ValueError if singular."""
-    if m.rows != m.cols:
-        raise ValueError("only square matrices can be inverted")
-    f = m.field
-    n = m.rows
-    aug_rows = []
-    for i, row in enumerate(m.raw_rows()):
-        ident = [f.raw(1) if j == i else f.raw(0) for j in range(n)]
-        aug_rows.append(row + ident)
-    aug = Matrix.from_rows(f, aug_rows)
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    inv_rows = [row[n:] for row in red[:n]]
-    return Matrix.from_rows(f, inv_rows)
 
 
 def monomials(v: int, m: int) -> list:
@@ -772,7 +554,7 @@ class MPoly:
     def scale(self, c) -> "MPoly":
         return self * c
 
-    def eval(self, point: Sequence) -> Scalar:
+    def eval(self, point: Sequence):
         return poly_eval(self, point)
 
     def diff(self, var: int) -> "MPoly":
@@ -803,8 +585,8 @@ class MPoly:
         return "MPoly(" + " + ".join(bits) + ")"
 
 
-def poly_eval(f: MPoly, point: Sequence) -> Scalar:
-    """Exact evaluation of f at `point` (length must equal nvars)."""
+def poly_eval(f: MPoly, point: Sequence):
+    """Exact raw value of f at `point` (length must equal nvars)."""
     if len(point) != f.nvars:
         raise ValueError(f"point length {len(point)} != nvars {f.nvars}")
     fld = f.field
@@ -816,7 +598,7 @@ def poly_eval(f: MPoly, point: Sequence) -> Scalar:
             if e:
                 v = fld.mul(v, pow(x, e) if not fld.is_prime_field else pow(x, e, fld.p))
         total = fld.add(total, v)
-    return Scalar(fld, total)
+    return total
 
 
 def poly_diff(f: MPoly, var: int) -> MPoly:

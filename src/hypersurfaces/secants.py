@@ -73,9 +73,9 @@ def veronese_square(v: ParamVariety) -> QuadraticEmbedding:
 def _tangent_rows(y: QuadraticEmbedding, jac, params) -> list:
     """Affine cone point and all parameter partials at one parameter point."""
     pt = list(params)
-    rows = [[c.eval(pt).value for c in y.coords2]]
+    rows = [[c.eval(pt) for c in y.coords2]]
     for var_polys in jac:
-        rows.append([dp.eval(pt).value for dp in var_polys])
+        rows.append([dp.eval(pt) for dp in var_polys])
     return rows
 
 

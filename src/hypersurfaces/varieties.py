@@ -413,7 +413,7 @@ class ParamVariety:
     # -------------------------------------------------------- evaluation
 
     def eval_params(self, params: Sequence) -> tuple:
-        return tuple(c.eval(list(params)).value for c in self.coords)
+        return tuple(c.eval(list(params)) for c in self.coords)
 
     def _line_coeff_matrix(self) -> tuple:
         """Dehomogenised coefficient matrix for a single-P^1 curve: entry
@@ -1223,4 +1223,8 @@ def _build(cons: dict, fld: Field) -> ParamVariety:
             for b in cons["center"]
         )
         return project(base, ProjectionCenter(base.amb, basis))
+    if name == "scroll_hyperplane_section":
+        return linear_section_curve(scroll_surface(cons["a"], cons["b"], fld), cons["seed"])
+    if name == "veronese_conic_section":
+        return linear_section_curve(veronese_surface(fld), cons["seed"])
     raise ValueError(f"unknown construction {name!r}")

@@ -9,11 +9,17 @@ nu_vector_by_rank and extract_three_regular_by_scan are the plain searches
 that the incremental-echelon versions in hypersurfaces.pointconfig replace:
 one fresh `rank` per (subset, point) and a lexicographic scan of every
 (2c+1)-subset.
+
+fraction_elimination_rank, rank_mod_p and null_space_by_rref are plain
+Gauss-Jordan eliminations, kept apart from the library's `Echelon` and
+numpy kernels so that the property tests compare two implementations.
 """
 
 import itertools
+import operator
+from fractions import Fraction
 
-from hypersurfaces.exactcore import Matrix, MPoly, kernel_dim, monomials, rank
+from hypersurfaces.exactcore import Matrix, MPoly, monomials, rank
 from hypersurfaces.pointconfig import (
     ExtractionError,
     NuVector,
@@ -65,7 +71,67 @@ def symbolic_a_m(v, m: int) -> int:
         for t in composed:
             flat.append(t.terms.get(e, zero))
     mat = Matrix(fld, len(param_monos), len(composed), flat)
-    return kernel_dim(mat)
+    return mat.cols - rank(mat)
+
+
+def _rref(rows, inv, mul, sub):
+    """Reduced row echelon form by Gauss-Jordan elimination in the field
+    given by `inv`, `mul` and `sub`; returns (rows, pivot columns)."""
+    a = [list(row) for row in rows]
+    nrows, ncols = len(a), len(a[0]) if a else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        s = inv(a[r][c])
+        a[r] = [mul(s, x) for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [sub(x, mul(f, y)) for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return a, pivots
+
+
+def fraction_elimination_rank(rows) -> int:
+    """Rank over Q by plain Gaussian elimination over Fractions."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    return len(_rref(rows, lambda a: 1 / a, operator.mul, operator.sub)[1])
+
+
+def rank_mod_p(rows, p: int) -> int:
+    """Rank over GF(p) by plain Gaussian elimination on residues."""
+    rows = [[x % p for x in row] for row in rows]
+    return len(
+        _rref(
+            rows,
+            lambda a: pow(a, p - 2, p),
+            lambda x, y: x * y % p,
+            lambda x, y: (x - y) % p,
+        )[1]
+    )
+
+
+def null_space_by_rref(m: Matrix) -> list:
+    """Canonical kernel basis read off the reduced row echelon form: one
+    vector per free column, 1 there, minus the free column of the reduced
+    rows at the pivots."""
+    f = m.field
+    a, pivots = _rref(m.raw_rows(), f.inv, f.mul, f.sub)
+    basis = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        v = [f.raw(0)] * m.cols
+        v[fc] = f.raw(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = f.neg(a[r][fc])
+        basis.append(v)
+    return basis
 
 
 def nu_vector_by_rank(cfg: PointConfig) -> NuVector:

@@ -165,6 +165,7 @@ def test_secants_json(capsys):
     assert payload["summary"]["ell2"] == 2
     assert payload["summary"]["k2"] == 3
     assert payload["summary"]["zak4_ok"] is True
+    assert payload["summary"]["zak5_ok"] is True
 
 
 def test_verify_main(capsys):

@@ -1,5 +1,6 @@
 """Tests for variety constructions, projections and their certificates."""
 
+import json
 from itertools import islice
 
 import pytest
@@ -276,6 +277,30 @@ def test_descriptor_round_trip_scroll_section():
     v = scroll_section_curve(1, 3, 5, GF, seed=7)
     again = from_descriptor(v.descriptor())
     assert again.coords == v.coords
+
+
+ROUND_TRIP_CASES = {
+    "rnc": lambda: rational_normal_curve(4, GF),
+    "scroll": lambda: scroll_surface(1, 3, GF),
+    "veronese": lambda: veronese_surface(QQ),
+    "scroll_section": lambda: scroll_section_curve(2, 3, 4, GF, seed=3),
+    "elliptic": lambda: elliptic_normal_curve(3, 10007),
+    "genus2": lambda: hyperelliptic_g2_curve(4, 10007),
+    "multisecant": lambda: multisecant_projection(4, 3, 0, 10007, seed=2),
+    "project": lambda: project_from_general_point(rational_normal_curve(4, QQ), seed=1),
+    "scroll_hyperplane_section": lambda: linear_section_curve(scroll_surface(1, 3, GF), seed=4),
+    "veronese_conic_section": lambda: linear_section_curve(veronese_surface(GF), seed=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_CASES))
+def test_descriptor_round_trip_every_construction(name):
+    v = ROUND_TRIP_CASES[name]()
+    desc = json.loads(json.dumps(v.descriptor()))
+    assert desc["construction"]["name"] == name
+    again = from_descriptor(desc)
+    assert again.coords == v.coords
+    assert again.descriptor() == v.descriptor()
 
 
 def test_descriptor_fields():
