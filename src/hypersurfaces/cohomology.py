@@ -28,6 +28,7 @@ from .varieties import (
     ConstructionError,
     FieldTooSmallError,
     ParamVariety,
+    VerificationError,
     linear_section_curve,
 )
 
@@ -84,7 +85,7 @@ def h1_ideal(v: ParamVariety, m: int, seed: int = 0) -> int:
         raise ValueError("need m >= 1")
     val = a_m(v, m) - u_count(v.c, v.g, v.d, m)
     if val < 0:
-        raise RuntimeError(
+        raise VerificationError(
             f"{v.label}: ledger violation, a_{m} below the Riemann-Roch count"
         )
     return val
@@ -130,12 +131,12 @@ def deficiency_profile(v: ParamVariety, seed: int = 0) -> DeficiencyProfile:
         a[m] = am
         h1[m] = am - u_count(v.c, v.g, v.d, m)
         if h1[m] < 0:
-            raise RuntimeError(f"{v.label}: ledger violation at m={m}")
+            raise VerificationError(f"{v.label}: ledger violation at m={m}")
         if h1[m] == 0:
             break
         last_nonzero = m
     else:
-        raise RuntimeError(f"{v.label}: deficiency failed to vanish by m = {v.d + 2}")
+        raise VerificationError(f"{v.label}: deficiency failed to vanish by m = {v.d + 2}")
     if last_nonzero:
         reg = last_nonzero + 2
     else:
@@ -208,7 +209,7 @@ def classify_a2_curve(v: ParamVariety) -> CurveClassification:
     a2 = a_m(v, 2)
     k = binomial(c + 1, 2) + 1 - a2
     if k < 1:
-        raise RuntimeError(f"{v.label}: quadric count exceeds the maximum")
+        raise VerificationError(f"{v.label}: quadric count exceeds the maximum")
     if k > c:
         raise ValueError(f"{v.label}: k = {k} > c, outside the classified range")
     h1_2 = h1_ideal(v, 2)
@@ -280,18 +281,12 @@ def hyperplane_section_points(v: ParamVariety, seed: int = 0, budget: int = 400)
     npar = len(table)
     for _ in range(budget):
         picks = rng.sample(range(npar), v.amb)
-        m = Matrix.from_rows(fld, [list(table[i]) for i in picks])
+        m = Matrix.from_rows(fld, [table[i].tolist() for i in picks])
         ann = null_space(m)
         if len(ann) != 1:
             continue
         h = [int(x) for x in ann[0]]
-        zero_rows = []
-        for row in table:
-            acc = 0
-            for a, b in zip(h, row):
-                acc += a * b
-            if acc % fld.p == 0:
-                zero_rows.append(row)
+        zero_rows = table[table @ h % fld.p == 0].tolist()
         if len(zero_rows) != v.d:
             continue
         drop = next(i for i, x in enumerate(h) if x % fld.p != 0)

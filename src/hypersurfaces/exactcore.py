@@ -104,7 +104,7 @@ class RationalField:
         return -a
 
     def inv(self, a):
-        return 1 / a
+        return Fraction(1) / a
 
     def __repr__(self) -> str:
         return "QQ"

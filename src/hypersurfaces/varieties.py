@@ -7,10 +7,15 @@ rational parametrizations (rational normal curves, scrolls, Veronese,
 scroll sections and their projections) or a plane-curve point enumerator
 for elliptic and genus-2 curves presented by y^2 = f(x).
 
-Claimed metadata is never trusted: constructions are certified numerically
-(distinct images over all rational parameters, a hyperplane degree count,
-and a nondegeneracy rank) and fail loudly instead of returning a variety
-whose invariants might silently be wrong.
+Claimed metadata is never trusted: constructions are certified (distinct
+images over all rational parameters, a hyperplane degree count, and a
+nondegeneracy rank) and fail loudly instead of returning a variety whose
+invariants might silently be wrong.  Over GF(p), p <= FULL_SCAN_LIMIT, a
+curve's images are checked on its whole coordinate table as one int64
+array.  Nondegeneracy is the exact rank of the coordinates' coefficient
+matrix, that is the span over the algebraic closure: a curve whose
+coordinates are independent forms is accepted even when its GF(p)-points
+happen to lie in a hyperplane.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ class ProjectionError(ConstructionError):
 
 
 class VerificationError(ConstructionError):
-    """Numeric verification of claimed metadata failed."""
+    """Numeric verification of claimed metadata or of a count ledger failed."""
 
 
 # above this modulus, exhaustive rational-point scans give way to sampling
@@ -254,56 +259,25 @@ class WeierstrassDomain:
         self.f_coeffs = tuple(field.raw(c) for c in f_coeffs)
         self._points: Optional[list] = None
 
-    def f_eval(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.f_coeffs):
-            acc = (acc * x + c) % self.field.p
-        return acc
-
-    def _sqrt(self, a: int) -> Optional[int]:
-        p = self.field.p
-        a %= p
-        if a == 0:
-            return 0
-        if pow(a, (p - 1) // 2, p) != 1:
-            return None
-        if p % 4 == 3:
-            return pow(a, (p + 1) // 4, p)
-        # Tonelli-Shanks
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = 2
-        while pow(z, (p - 1) // 2, p) != p - 1:
-            z += 1
-        m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-        while t != 1:
-            i, tt = 0, t
-            while tt != 1:
-                tt = tt * tt % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            m, c = i, b * b % p
-            t, r = t * c % p, r * b % p
-        return r
-
     def points(self) -> list:
+        """Affine points with x ascending; for each x, (x, y) with the smaller
+        square root y first, then (x, p - y) when y != 0."""
         if self._points is None:
             p = self.field.p
-            pts = []
-            for x in range(p):
-                v = self.f_eval(x)
-                y = self._sqrt(v)
-                if y is None:
-                    continue
-                if y == 0:
-                    pts.append((x, 0))
-                else:
-                    y = min(y, p - y)
-                    pts.append((x, y))
-                    pts.append((x, p - y))
-            self._points = pts
+            xs = np.arange(p, dtype=np.int64)
+            fx = np.zeros(p, dtype=np.int64)
+            for c in reversed(self.f_coeffs):  # Horner
+                fx = (fx * xs + c) % p
+            # root[a] = the least square root y of a, or -1 for a non-square;
+            # the least roots are 0..(p-1)/2, and their squares are distinct
+            half = xs[: (p + 1) // 2]
+            root = np.full(p, -1, dtype=np.int64)
+            root[half * half % p] = half
+            ys = root[fx]
+            x, y = xs[ys >= 0], ys[ys >= 0]
+            pairs = np.stack([x, y, x, p - y], axis=1).reshape(-1, 2, 2)
+            keep = np.stack([np.ones(len(y), dtype=bool), y != 0], axis=1)
+            self._points = [tuple(pt) for pt in pairs[keep].tolist()]
         return self._points
 
     def count_available(self, field: Field) -> int:
@@ -362,8 +336,8 @@ class ParamVariety:
 
     Immutable after construction; the coordinate table over GF(p) (all
     rational parameter points evaluated through the coordinates) is built
-    lazily and cached, and backs sampling, injectivity scans and degree
-    checks.
+    lazily and cached as a read-only int64 array, and backs sampling and
+    the injectivity scan.
     """
 
     def __init__(
@@ -389,7 +363,7 @@ class ParamVariety:
         self.domain = domain
         self.linearly_normal = linearly_normal
         self.construction = dict(construction)
-        self._table: Optional[list] = None
+        self._table: Optional[np.ndarray] = None
         if len(self.coords) != amb + 1:
             raise ValueError("need amb+1 coordinate polynomials")
         for c in self.coords:
@@ -428,9 +402,9 @@ class ParamVariety:
                 cm[et][i] = coeff
         return cm, deg
 
-    def coordinate_table(self) -> list:
-        """Coordinate vectors at every rational parameter point, in the
-        domain's canonical order (GF(p) curves only)."""
+    def coordinate_table(self) -> np.ndarray:
+        """Coordinate vectors at every rational parameter point, one int64
+        row each, in the domain's canonical order (GF(p) curves only)."""
         if self._table is not None:
             return self._table
         fld = self.field
@@ -441,18 +415,13 @@ class ParamVariety:
             cm, deg = self._line_coeff_matrix()
             coeff = np.array([[int(v) for v in row] for row in cm], dtype=np.int64)
             ts = np.arange(p, dtype=np.int64)
-            powers = np.ones((p, deg + 1), dtype=np.int64)
+            powers = np.ones((p + 1, deg + 1), dtype=np.int64)
             for j in range(1, deg + 1):
-                powers[:, j] = powers[:, j - 1] * ts % p
+                powers[:p, j] = powers[:p, j - 1] * ts % p
+            powers[p, :deg] = 0  # the parameter at infinity picks the t^deg row
             table = powers @ coeff % p
-            infinity = [int(v) % p for v in cm[deg]]
-            rows = [tuple(int(x) for x in r) for r in table]
-            rows.append(tuple(infinity))
-            self._table = rows
         elif isinstance(self.domain, WeierstrassDomain):
-            pts = self.domain.points()
-            xs = np.array([pt[0] for pt in pts], dtype=np.int64)
-            ys = np.array([pt[1] for pt in pts], dtype=np.int64)
+            xs, ys = np.array(self.domain.points(), dtype=np.int64).reshape(-1, 2).T
             cols = []
             xpow_cache = {0: np.ones_like(xs)}
 
@@ -472,10 +441,11 @@ class ParamVariety:
                     col = (col + term) % p
                 cols.append(col)
             table = np.stack(cols, axis=1)
-            self._table = [tuple(int(x) for x in r) for r in table]
         else:
             raise ValueError("coordinate tables are only built for curves")
-        return self._table
+        table.setflags(write=False)  # the cache is shared: keep it read-only
+        self._table = table
+        return table
 
     # -------------------------------------------------------- sampling
 
@@ -512,7 +482,7 @@ def sample_points(v: ParamVariety, count: int, seed: int = 0) -> PointConfig:
         order = list(range(len(table)))
         random.Random(("sample", v.label, seed).__repr__()).shuffle(order)
         for i in order:
-            vec = table[i]
+            vec = tuple(table[i].tolist())
             if all(x == 0 for x in vec):
                 continue
             key = _normalize_key(fld, vec)
@@ -553,6 +523,38 @@ def _normalize_key(fld: Field, vec) -> tuple:
 # ------------------------------------------------------------------ verification
 
 
+def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise a^(p-2) mod p by square and multiply: the inverse of each
+    nonzero residue.  Products stay below p^2, so int64 is exact for
+    p < 2^31."""
+    out = np.ones_like(a)
+    base = a % p
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
+def _coefficient_rank(v: ParamVariety) -> int:
+    """Rank of the coordinates' coefficient matrix (a row per monomial, a
+    column per coordinate).  A linear form vanishes on the image over the
+    algebraic closure exactly when it is a linear relation among the
+    coordinate polynomials: the parameter spaces are irreducible, and on
+    y^2 = f(x) with deg f odd, A(x) + B(x) y vanishes only when A = B = 0
+    (A^2 = B^2 f would need an even and an odd degree to agree)."""
+    if isinstance(v.domain, WeierstrassDomain) and any(
+        e[1] > 1 for c in v.coords for e in c.terms
+    ):
+        raise ValueError("Weierstrass coordinates must have y-degree <= 1")
+    zero = v.field.raw(0)
+    monos = sorted({e for c in v.coords for e in c.terms})
+    rows = [[c.terms.get(e, zero) for c in v.coords] for e in monos]
+    return rank(Matrix.from_rows(v.field, rows))
+
+
 def _verify_injective_and_nondegenerate(v: ParamVariety, sample_size: int = 0) -> None:
     fld = v.field
     if fld.is_prime_field and v.is_curve and fld.p <= FULL_SCAN_LIMIT:
@@ -562,26 +564,29 @@ def _verify_injective_and_nondegenerate(v: ParamVariety, sample_size: int = 0) -
                 f"{v.label}: {fld!r} has {len(table)} rational parameters, "
                 f"spanning P^{v.amb} needs {v.amb + 1}"
             )
-        keys = set()
-        for vec in table:
-            if all(x == 0 for x in vec):
-                raise VerificationError(f"{v.label}: parametrization has a base point")
-            keys.add(_normalize_key(fld, vec))
-        if len(keys) != len(table):
+        nonzero = table != 0
+        if not nonzero.any(axis=1).all():
+            raise VerificationError(f"{v.label}: parametrization has a base point")
+        # scale each row to lead entry 1 and count the distinct rows; the
+        # residues are below p <= 2^16, so a row packs into uint16 bytes
+        lead = table[np.arange(len(table)), nonzero.argmax(axis=1)]
+        keys = table * _inverse_mod(lead, fld.p)[:, None] % fld.p
+        keys = np.ascontiguousarray(keys, dtype=np.uint16)
+        images = len(np.unique(keys.view(np.dtype((np.void, keys.strides[0])))))
+        if images != len(table):
             raise VerificationError(
                 f"{v.label}: parameter points collide in the image "
-                f"({len(table)} parameters, {len(keys)} images)"
+                f"({len(table)} parameters, {images} images)"
             )
-        m = Matrix.from_rows(fld, [list(r) for r in table])
     else:
         size = sample_size or 3 * (v.amb + 1)
         cfg = sample_points(v, size, seed=987)
         if len(set(cfg.points)) != size:
             raise VerificationError(f"{v.label}: sampled images not distinct")
-        m = cfg.coordinate_matrix()
-    if rank(m) != v.amb + 1:
+    span = _coefficient_rank(v)
+    if span != v.amb + 1:
         raise VerificationError(
-            f"{v.label}: image is degenerate (span rank {rank(m)} < {v.amb + 1})"
+            f"{v.label}: image is degenerate (span rank {span} < {v.amb + 1})"
         )
 
 

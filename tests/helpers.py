@@ -13,6 +13,12 @@ one fresh `rank` per (subset, point) and a lexicographic scan of every
 fraction_elimination_rank, rank_mod_p and null_space_by_rref are plain
 Gauss-Jordan eliminations, kept apart from the library's `Echelon` and
 numpy kernels so that the property tests compare two implementations.
+
+certify_by_row_scan is the full-scan certificate of a curve over GF(p) as a
+per-row loop (every rational parameter evaluated through the coordinates,
+each image scaled to lead entry 1, then the rank of the whole table), and
+weierstrass_points_by_sqrt enumerates the points of y^2 = f(x) with one
+Tonelli-Shanks square root per x; the library does both on arrays.
 """
 
 import itertools
@@ -26,7 +32,12 @@ from hypersurfaces.pointconfig import (
     PointConfig,
     evaluation_matrix,
 )
-from hypersurfaces.varieties import WeierstrassDomain
+from hypersurfaces.varieties import (
+    FieldTooSmallError,
+    ProjectiveDomain,
+    VerificationError,
+    WeierstrassDomain,
+)
 
 
 def _reduce_weierstrass(poly: MPoly, f_coeffs) -> MPoly:
@@ -167,3 +178,98 @@ def extract_three_regular_by_scan(cfg: PointConfig) -> PointConfig:
         ):
             return cfg.subset(subset)
     raise ExtractionError(f"no spanning 3-regular subset of {size} points")
+
+
+def sqrt_by_tonelli_shanks(a: int, p: int):
+    """A square root of a mod an odd prime p, or None for a non-square."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, tt = 0, t
+        while tt != 1:
+            tt = tt * tt % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
+def weierstrass_points_by_sqrt(p: int, f_coeffs) -> list:
+    """Affine points of y^2 = f(x) over GF(p): x ascending, then (x, y) with
+    the smaller root y, then (x, p - y) when y != 0."""
+    pts = []
+    for x in range(p):
+        fx = sum(c * pow(x, i, p) for i, c in enumerate(f_coeffs)) % p
+        y = sqrt_by_tonelli_shanks(fx, p)
+        if y is None:
+            continue
+        if y == 0:
+            pts.append((x, 0))
+        else:
+            y = min(y, p - y)
+            pts += [(x, y), (x, p - y)]
+    return pts
+
+
+def certify_by_row_scan(v) -> None:
+    """Raise what full-scan certification of the curve `v` over GF(p) must
+    raise: FieldTooSmallError for fewer rational parameters than amb+1,
+    VerificationError for a base point, a collision of two parameters in
+    the image, or a table of rank below amb+1."""
+    p = v.field.p
+    if isinstance(v.domain, ProjectiveDomain):
+        params = [(1, t) for t in range(p)] + [(0, 1)]
+    else:
+        params = weierstrass_points_by_sqrt(p, v.domain.f_coeffs)
+    terms = [[(e, int(c)) for e, c in poly.terms.items()] for poly in v.coords]
+    exps = {e for poly in terms for e, _ in poly}
+    table = []
+    for q in params:
+        mono = {e: pow(q[0], e[0], p) * pow(q[1], e[1], p) for e in exps}
+        table.append([sum(c * mono[e] for e, c in poly) % p for poly in terms])
+    if len(table) < v.amb + 1:
+        raise FieldTooSmallError(f"{len(table)} parameters for P^{v.amb}")
+    keys = set()
+    for vec in table:
+        if all(x == 0 for x in vec):
+            raise VerificationError("base point")
+        lead = next(x for x in vec if x != 0)
+        inv = pow(lead, p - 2, p)
+        keys.add(tuple(x * inv % p for x in vec))
+    if len(keys) != len(table):
+        raise VerificationError("collision")
+    if _row_by_row_rank(table, p) != v.amb + 1:
+        raise VerificationError("degenerate span")
+
+
+def _row_by_row_rank(rows, p: int) -> int:
+    """Rank mod p of many short rows: reduce each row against the monic
+    basis rows kept so far (each zero at the pivots of the earlier ones),
+    stopping once the basis fills the columns."""
+    basis = []
+    for row in rows:
+        for piv, b in basis:
+            if row[piv]:
+                f = row[piv]
+                row = [(x - f * y) % p for x, y in zip(row, b)]
+        piv = next((i for i, x in enumerate(row) if x), None)
+        if piv is not None:
+            inv = pow(row[piv], p - 2, p)
+            basis.append((piv, [x * inv % p for x in row]))
+            if len(basis) == len(row):
+                break
+    return len(basis)

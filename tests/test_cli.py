@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hypersurfaces import cohomology
 from hypersurfaces.cli import main, table1_rows
 
 
@@ -104,6 +105,16 @@ def test_curve_field_too_small_exits_1_without_traceback(capsys):
     assert err.startswith("error: rnc(3): ") and "p > 12" in err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_ledger_violation_exits_1_without_traceback(capsys, monkeypatch):
+    # a count below the Riemann-Roch part breaks the ledger h1 = a_m - u >= 0
+    monkeypatch.setattr(cohomology, "a_m", lambda v, m, seed=0: -1)
+    code = main(["curve", "rnc", "--r", "3"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: rnc(3): ledger violation")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_curve_rejects_rationals_for_elliptic(capsys):

@@ -89,6 +89,12 @@ def test_scalar_division_by_zero():
         QQ.inv(QQ.raw(0))
 
 
+def test_rational_inverse_of_an_int_stays_exact():
+    assert QQ.inv(2) == Fraction(1, 2) and isinstance(QQ.inv(2), Fraction)
+    half = MPoly.variable(QQ, 1, 0).scale(QQ.inv(2))
+    assert half.terms == {(1,): Fraction(1, 2)}
+
+
 # ---------------------------------------------------------------- rank
 
 

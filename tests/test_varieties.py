@@ -3,15 +3,24 @@
 import json
 from itertools import islice
 
+import numpy as np
 import pytest
+from helpers import certify_by_row_scan, weierstrass_points_by_sqrt
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from hypersurfaces.exactcore import QQ, Matrix, PrimeField, rank
+from hypersurfaces.exactcore import QQ, Matrix, MPoly, PrimeField, rank
 from hypersurfaces.varieties import (
     ConstructionError,
     FieldTooSmallError,
+    ParamVariety,
     ProjectionCenter,
     ProjectiveDomain,
     ProjectionError,
+    VerificationError,
+    WeierstrassDomain,
+    _certify,
+    _verify_injective_and_nondegenerate,
     elliptic_normal_curve,
     from_descriptor,
     hyperelliptic_g2_curve,
@@ -309,3 +318,176 @@ def test_descriptor_fields():
     assert d["field"] == 10007
     assert d["construction"] == {"name": "rnc", "r": 3}
     assert (d["n"], d["c"], d["d"], d["g"]) == (1, 2, 3, 0)
+
+
+# ---------------------------------------------------------------- certification against the row scan
+
+
+def _outcome(certify, v):
+    """None when `certify` accepts `v`, else the class of its refusal."""
+    try:
+        certify(v)
+    except ConstructionError as err:
+        return type(err)
+    return None
+
+
+def _drawn_curve(fld, coords, domain):
+    return ParamVariety(
+        label="drawn", n=1, amb=len(coords) - 1, d=max(c.degree() for c in coords),
+        g=0, fld=fld, coords=coords, domain=domain, linearly_normal=False,
+        construction={"name": "drawn"},
+    )
+
+
+def _binary_form(fld, coeffs):
+    """sum_j coeffs[j] s^(D-j) t^j with D = len(coeffs) - 1."""
+    top = len(coeffs) - 1
+    return MPoly(fld, 2, {(top - j, j): c for j, c in enumerate(coeffs)})
+
+
+SCAN_FIELDS = [PrimeField(5), PrimeField(7), PrimeField(11), PrimeField(10007)]
+
+
+@st.composite
+def drawn_line_curves(draw):
+    """Curves P^1 -> P^amb by binary forms of one degree D <= p, some with a
+    repeated coordinate (degenerate span), a common linear factor (a base
+    point) or composed with (s, t) -> (s^2, t^2) (a collision).  A nonzero
+    form of degree <= p cannot vanish on all p+1 points of P^1(GF(p)), so
+    on these curves the table rank and the coefficient rank agree."""
+    fld = draw(st.sampled_from(SCAN_FIELDS))
+    p = fld.p
+    shape = draw(st.sampled_from(["plain", "repeated", "base point", "squares"]))
+    top = {"plain": p, "repeated": p, "base point": p - 1, "squares": p // 2}[shape]
+    deg = draw(st.integers(1, min(top, 5)))
+    amb = draw(st.integers(2, 4))
+    coeff = st.one_of(st.integers(0, 2), st.integers(0, p - 1))
+    forms = [[draw(coeff) for _ in range(deg + 1)] for _ in range(amb + 1)]
+    assume(any(any(f) for f in forms))
+    if shape == "repeated":
+        i, j = draw(st.lists(st.integers(0, amb), min_size=2, max_size=2, unique=True))
+        forms[j] = list(forms[i])
+    elif shape == "base point":
+        a, b = draw(coeff), draw(coeff)
+        assume(a or b)
+        # multiply by a s + b t
+        forms = [
+            [(a * (f[j] if j < len(f) else 0) + b * (f[j - 1] if j else 0)) % p
+             for j in range(len(f) + 1)]
+            for f in forms
+        ]
+    elif shape == "squares":
+        forms = [[f[j // 2] if j % 2 == 0 else 0 for j in range(2 * deg + 1)] for f in forms]
+    coords = [_binary_form(fld, f) for f in forms]
+    return _drawn_curve(fld, coords, ProjectiveDomain((2,)))
+
+
+@given(drawn_line_curves())
+@settings(max_examples=80, deadline=None)
+def test_certification_matches_row_scan(v):
+    assert _outcome(_verify_injective_and_nondegenerate, v) == _outcome(certify_by_row_scan, v)
+
+
+def test_drawn_curves_reach_every_outcome():
+    # the comparison above only checks the outcomes its draws reach
+    seen = set()
+
+    @given(drawn_line_curves())
+    @settings(max_examples=150, deadline=None, database=None)
+    def collect(v):
+        try:
+            _verify_injective_and_nondegenerate(v)
+            seen.add("accepted")
+        except VerificationError as err:
+            seen.add(next(k for k in ("base point", "collide", "degenerate") if k in str(err)))
+
+    collect()
+    assert seen == {"accepted", "base point", "collide", "degenerate"}
+
+
+def _elliptic_13(*exps):
+    fld = PrimeField(13)
+    coords = [MPoly(fld, 2, {e: 1}) for e in exps]
+    return _drawn_curve(fld, coords, WeierstrassDomain(fld, (1, 1, 0, 1)))
+
+
+def _rnc12_gf11():
+    fld = PrimeField(11)
+    coords = [MPoly(fld, 2, {(12 - i, i): 1}) for i in range(13)]
+    return _drawn_curve(fld, coords, ProjectiveDomain((2,)))
+
+
+def _collision_off_the_first_chart():
+    # t = 1 and t = 2 map to (0, 1, 2) and (0, 2, 4): proportional images
+    # whose lead entry is not the first coordinate
+    fld = PrimeField(7)
+    forms = [[2, 4, 1, 0], [0, 1, 0, 0], [0, 4, 4, 1]]  # s(t-s)(t-2s), s^2 t, ...
+    return _drawn_curve(fld, [_binary_form(fld, f) for f in forms], ProjectiveDomain((2,)))
+
+
+PINNED_CERTIFICATES = {
+    "collision-off-chart": (_collision_off_the_first_chart, VerificationError),
+    "elliptic": (lambda: _elliptic_13((0, 0), (1, 0), (0, 1)), None),
+    # (0, +-1) lie on y^2 = x^3 + x + 1 and map to zero
+    "base-point": (lambda: _elliptic_13((1, 0), (2, 0), (1, 1)), VerificationError),
+    # (x, y) and (x, -y) share their image
+    "collision": (lambda: _elliptic_13((0, 0), (1, 0), (2, 0)), VerificationError),
+    "span": (lambda: _elliptic_13((0, 0), (1, 0), (1, 0), (0, 1)), VerificationError),
+    "rnc7-gf7": (lambda: rational_normal_curve(7, PrimeField(7)), None),
+    # 12 parameters cannot span P^12
+    "rnc12-gf11": (_rnc12_gf11, FieldTooSmallError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CERTIFICATES))
+def test_certification_refusals_pinned(name):
+    build, refusal = PINNED_CERTIFICATES[name]
+    v = build()
+    assert _outcome(_verify_injective_and_nondegenerate, v) is refusal
+    assert _outcome(certify_by_row_scan, v) is refusal
+
+
+@pytest.mark.parametrize("claimed", [2, 3, 4])
+def test_degree_count_refuses_a_wrong_degree(claimed):
+    # the twisted cubic and the plane cubic y^2 = x^3 + x + 1 have degree 3
+    for v in (rational_normal_curve(3, GF), _elliptic_13((0, 0), (1, 0), (0, 1))):
+        v = ParamVariety(v.label, 1, v.amb, claimed, 0, v.field, v.coords, v.domain,
+                         False, {"name": "drawn"})
+        if claimed == 3:
+            assert _certify(v, seed=0) is v
+        else:
+            with pytest.raises(VerificationError, match="degree check|hyperplane meets"):
+                _certify(v, seed=0)
+
+
+def test_span_is_exact_over_the_closure():
+    # s^5 t and s t^5 agree on every point of P^1(GF(5)), so the rational
+    # points lie in the hyperplane x1 = x2, but the four coordinates are
+    # independent forms: the curve spans P^3 over the algebraic closure
+    fld = PrimeField(5)
+    coords = [MPoly(fld, 2, {e: 1}) for e in [(6, 0), (5, 1), (1, 5), (0, 6)]]
+    v = _drawn_curve(fld, coords, ProjectiveDomain((2,)))
+    assert _outcome(_verify_injective_and_nondegenerate, v) is None
+    assert _outcome(certify_by_row_scan, v) is VerificationError
+
+
+def test_coordinate_table_rows_are_the_images():
+    v = multisecant_projection(4, 4, 1, 101, seed=5)
+    table = v.coordinate_table()
+    assert table.dtype == np.int64 and not table.flags.writeable
+    assert table is v.coordinate_table()
+    images = [tuple(v.eval_params(q)) for q in v.domain.points()]
+    assert [tuple(row) for row in table.tolist()] == images
+    rnc = rational_normal_curve(3, PrimeField(7))
+    params = rnc.domain.line_parameters(rnc.field)
+    assert rnc.coordinate_table().tolist() == [list(rnc.eval_params(q)) for q in params]
+
+
+@pytest.mark.parametrize("p", [13, 10007, 10009])
+@pytest.mark.parametrize("f", [(1, 1, 0, 1), (0, -1, 0, 1), (1, 1, 0, 0, 0, 1), (3, 0, 2, 0, 1, 1)])
+def test_weierstrass_points_match_tonelli_shanks(p, f):
+    # 10007 is 3 mod 4 (one exponentiation), 13 and 10009 are 1 mod 4
+    fld = PrimeField(p)
+    f = tuple(x % p for x in f)
+    assert WeierstrassDomain(fld, f).points() == weierstrass_points_by_sqrt(p, f)
