@@ -76,6 +76,13 @@ def _field_from_args(args, default_prime: int = DEFAULT_PRIME) -> Field:
     return PrimeField(p if p is not None else default_prime)
 
 
+def _terracini_field(args) -> Field:
+    """Field of a Terracini run; a --trials below 1 is a usage error."""
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    return _field_from_args(args, default_prime=DEFAULT_TERRACINI_PRIME)
+
+
 def _field_spec(fld: Field):
     return "Q" if not fld.is_prime_field else fld.p
 
@@ -407,7 +414,7 @@ def cmd_table1(args) -> int:
 
 
 def cmd_table2(args) -> int:
-    fld = _field_from_args(args, default_prime=DEFAULT_TERRACINI_PRIME)
+    fld = _terracini_field(args)
     rows = []
     any_fail = False
 
@@ -481,7 +488,7 @@ def cmd_table2(args) -> int:
 
 
 def cmd_secants(args) -> int:
-    fld = _field_from_args(args, default_prime=DEFAULT_TERRACINI_PRIME)
+    fld = _terracini_field(args)
     try:
         if args.construction == "rnc":
             v = varieties.rational_normal_curve(args.r, fld)

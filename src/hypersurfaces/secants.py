@@ -2,16 +2,19 @@
 
 The quadratic embedding of a parametrised variety X in P^r is the image Y
 of X under all C(r+2, 2) pairwise coordinate products.  The dimension s_k
-of the k-th secant variety of Y is read off as the rank of a stacked
-matrix of affine tangent spaces at k+1 random parameter points (Terracini),
-maximised over several trials; the derived data are the deficiencies
-delta_k = s_{k-1} + n + 1 - s_k, the last deficiency-free index ell_2, the
-filling index k_2, and the total deficiency delta^2.
+of its k-th secant variety is the rank, minus 1, of the affine tangent
+spaces of Y at k+1 generic points (Terracini).  One nested pass gives every
+s_k: each trial draws one point sequence, builds each point's tangent rows
+by the chain rule from the base coordinates and their partials, and feeds
+them to one echelon basis; s_k is the maximum over the trials.  The derived
+data are the deficiencies delta_k = s_{k-1} + n + 1 - s_k, the last
+deficiency-free index ell_2, the filling index k_2, and the total delta^2.
 
-Every run is cross-checked against Zak's span-count identity
-a_2(X) = delta^2 - (k_2+1)(n+1) + C(c+n+2, 2); a failure means the random
-tangent samples undersampled the generic rank, so the run retries with a
-doubled trial count before giving up.
+Zak's span-count identity a_2(X) = delta^2 - (k_2+1)(n+1) + C(c+n+2, 2)
+and its companion inequalities are consistency checks: a failure means the
+samples undersampled the generic rank, so the pass adds as many trials
+again before giving up.  They cannot see a rank lost inside the run of
+positive deficiencies, so they do not certify every s_k.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from .cohomology import a_m
-from .exactcore import Matrix, binomial, monomials, poly_diff, rank
+from .exactcore import Echelon, binomial, poly_diff
 from .varieties import ParamVariety, ProjectiveDomain
 
 __all__ = [
@@ -43,12 +46,11 @@ class TerraciniError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadraticEmbedding:
-    """All pairwise coordinate products of a parametrised variety, in the
-    global graded-lex pair order; span_dim is recomputed from the exact
-    quadric count of the base, never copied from metadata."""
+    """The quadratic embedding of `base` in P^N, N = C(amb+2, 2) - 1; span_dim
+    is recomputed from the exact quadric count of the base, never copied
+    from metadata."""
 
     base: ParamVariety
-    coords2: tuple
     N: int
     span_dim: int
 
@@ -60,74 +62,70 @@ def veronese_square(v: ParamVariety) -> QuadraticEmbedding:
         raise ValueError(
             f"{v.label}: quadratic embedding needs a polynomial parametrization"
         )
-    pair_order = monomials(v.amb + 1, 2)
-    coords2 = []
-    for exp in pair_order:
-        idx = [i for i, e in enumerate(exp) for _ in range(e)]
-        coords2.append(v.coords[idx[0]] * v.coords[idx[1]])
     n_big = binomial(v.amb + 2, 2) - 1
-    span = n_big - a_m(v, 2)
-    return QuadraticEmbedding(base=v, coords2=tuple(coords2), N=n_big, span_dim=span)
-
-
-def _tangent_rows(y: QuadraticEmbedding, jac, params) -> list:
-    """Affine cone point and all parameter partials at one parameter point."""
-    pt = list(params)
-    rows = [[c.eval(pt) for c in y.coords2]]
-    for var_polys in jac:
-        rows.append([dp.eval(pt) for dp in var_polys])
-    return rows
-
-
-def _jacobian(y: QuadraticEmbedding) -> list:
-    nvars = y.base.domain.nvars
-    return [[poly_diff(c, var) for c in y.coords2] for var in range(nvars)]
+    return QuadraticEmbedding(base=v, N=n_big, span_dim=n_big - a_m(v, 2))
 
 
 def _random_params(domain: ProjectiveDomain, fld, rng: random.Random) -> tuple:
+    top = fld.p if fld.is_prime_field else 1000
     out = []
     for b in domain.blocks:
-        if fld.is_prime_field:
-            out.extend([1] + [rng.randrange(1, fld.p) for _ in range(b - 1)])
-        else:
-            out.extend([1] + [rng.randint(1, 999) for _ in range(b - 1)])
+        out.extend([1] + [rng.randrange(1, top) for _ in range(b - 1)])
     return tuple(out)
 
 
-def secant_dim(
-    y: QuadraticEmbedding, k: int, trials: int = 3, seed: int = 0
-) -> int:
-    """dim S^k Y by Terracini: span of tangent spaces at k+1 generic points.
-
-    The rank at any specific sample never exceeds the generic rank, so the
-    maximum over trials is a certified lower bound that equals the true
-    dimension once one sample is generic; the ambient field must be exact
-    rationals or a prime field with p > 10^6 to make rank loss negligible.
-    """
-    if k < 0:
-        raise ValueError("need k >= 0")
-    fld = y.base.field
+def _tangent_ranks(y: QuadraticEmbedding, seed: int, trial: int) -> list:
+    """One Terracini trial: entry k is the rank, minus 1, of the tangent
+    spaces of Y at the first k+1 points the trial draws.  The run ends once
+    it fills the span, or after span_dim + 2 points."""
+    v, fld = y.base, y.base.field
     if fld.is_prime_field and fld.p <= _MIN_TERRACINI_PRIME:
         raise ValueError(
             f"Terracini sampling needs the rationals or p > 10^6, got {fld!r}"
         )
-    jac = _jacobian(y)
-    best = -1
-    for trial in range(trials):
-        rng = random.Random(("terracini", y.base.label, k, seed, trial).__repr__())
-        rows: list = []
-        for _ in range(k + 1):
-            for _attempt in range(8):
-                params = _random_params(y.base.domain, fld, rng)
-                new_rows = _tangent_rows(y, jac, params)
-                if any(any(x != 0 for x in row) for row in new_rows):
-                    rows.extend(new_rows)
-                    break
-            else:
-                raise TerraciniError(f"{y.base.label}: could not sample a nonzero point")
-        m = Matrix.from_rows(fld, rows)
-        best = max(best, rank(m) - 1)
-    return best
+    jac = [[poly_diff(c, var) for c in v.coords] for var in range(v.domain.nvars)]
+    pairs = [(i, j) for i in range(v.amb + 1) for j in range(i, v.amb + 1)]  # graded lex
+    rng = random.Random(("terracini", v.label, seed, trial).__repr__())
+    basis = Echelon(fld)
+    ranks: list = []
+    while len(ranks) < y.span_dim + 2 and (not ranks or ranks[-1] < y.span_dim):
+        for _attempt in range(8):
+            params = _random_params(v.domain, fld, rng)
+            xs = [c.eval(params) for c in v.coords]
+            if any(xs):
+                break
+        else:
+            raise TerraciniError(f"{v.label}: could not sample a nonzero point")
+        # chain rule on the products: cone point x_i x_j, partials dx_i x_j + x_i dx_j
+        basis.add([xs[i] * xs[j] for i, j in pairs])
+        for partials in jac:
+            dx = [d.eval(params) for d in partials]
+            basis.add([dx[i] * xs[j] + xs[i] * dx[j] for i, j in pairs])
+        ranks.append(len(basis) - 1)
+    return ranks
+
+
+def _secant_dims(runs: list) -> list:
+    """[s_0, s_1, ...]: the maximum over the trial runs, each counting as
+    its last entry (span_dim once it has filled) past its end."""
+    if not runs:
+        raise ValueError("need trials >= 1")
+    return [max(r[min(k, len(r) - 1)] for r in runs) for k in range(max(map(len, runs)))]
+
+
+def secant_dim(y: QuadraticEmbedding, k: int, trials: int = 3, seed: int = 0) -> int:
+    """dim S^k Y by Terracini: span of tangent spaces at k+1 generic points.
+
+    The rank at any specific sample never exceeds the generic rank, so the
+    maximum over trials is a lower bound that equals the true dimension
+    once one sample is generic; the ambient field must be exact rationals
+    or a prime field with p > 10^6 to make rank loss negligible.  This is
+    entry k of the nested pass that zak_invariants reads in full.
+    """
+    if k < 0:
+        raise ValueError("need k >= 0")
+    dims = _secant_dims([_tangent_ranks(y, seed, t) for t in range(trials)])
+    return dims[min(k, len(dims) - 1)]
 
 
 @dataclass(frozen=True)
@@ -152,29 +150,27 @@ class ZakInvariants:
 def zak_invariants(v: ParamVariety, trials: int = 3, seed: int = 0) -> ZakInvariants:
     """Full secant-deficiency ledger of the quadratic embedding of `v`.
 
-    Computes s_k until the secants fill the span, derives delta_k, ell_2,
-    k_2 and delta^2, and enforces the span-count identity; on failure the
-    trial count is doubled once before a hard error.
+    Reads s_k from one nested Terracini pass until the secants fill the
+    span, derives delta_k, ell_2, k_2 and delta^2, and checks them against
+    Zak's identities; on failure the pass adds `trials` more trials (the
+    first ones are kept) once before a hard error.
     """
     y = veronese_square(v)
+    runs: list = []
     for attempt_trials in (trials, 2 * trials):
-        s = {0: secant_dim(y, 0, attempt_trials, seed)}
-        if s[0] != v.n:
+        runs += [_tangent_ranks(y, seed, t) for t in range(len(runs), attempt_trials)]
+        dims = _secant_dims(runs)
+        if dims[0] != v.n:
             raise TerraciniError(
-                f"{v.label}: tangent rank gives dim {s[0]} != n = {v.n}"
+                f"{v.label}: tangent rank gives dim {dims[0]} != n = {v.n}"
             )
-        k = 0
-        while s[k] < y.span_dim:
-            k += 1
-            if k > y.span_dim + 1:
-                raise TerraciniError(f"{v.label}: secants never fill the span")
-            sk = secant_dim(y, k, attempt_trials, seed)
-            if sk < s[k - 1] or sk > min(s[k - 1] + v.n + 1, y.span_dim):
-                raise TerraciniError(
-                    f"{v.label}: rank sequence broken at k={k}: {s} then {sk}"
-                )
-            s[k] = sk
-        k2 = k
+        if dims[-1] < y.span_dim:
+            raise TerraciniError(f"{v.label}: secants never fill the span")
+        k2 = next(k for k, sk in enumerate(dims) if sk >= y.span_dim)
+        s = dict(enumerate(dims[: k2 + 1]))
+        for k in range(1, k2 + 1):
+            if not s[k - 1] <= s[k] <= min(s[k - 1] + v.n + 1, y.span_dim):
+                raise TerraciniError(f"{v.label}: rank sequence broken at k={k}: {s}")
         delta = {j: s[j - 1] + v.n + 1 - s[j] for j in range(1, k2 + 1)}
         zero_ks = [j for j in range(1, k2 + 1) if delta[j] == 0]
         ell2 = max(zero_ks) if zero_ks else 0

@@ -952,6 +952,20 @@ def hyperelliptic_g2_curve(c: int, p: int, f_coeffs: Sequence[int] = (1, 1, 0, 0
 def project(v: ParamVariety, center: ProjectionCenter) -> ParamVariety:
     """Linear projection of `v` away from `center`; the image must stay
     nondegenerate of the same dimension and degree (certified, not assumed)."""
+    fld = v.field
+    construction = {
+        "name": "project",
+        "base": v.construction,
+        "center": [[int(x) if fld.is_prime_field else str(x) for x in b] for b in center.basis],
+        "seed": v.construction.get("seed", 0),
+    }
+    return _project(v, center, f"{v.label}/proj{center.dim}", construction)
+
+
+def _project(
+    v: ParamVariety, center: ProjectionCenter, label: str, construction: dict
+) -> ParamVariety:
+    """`project`, certifying the image under its final label and descriptor."""
     if center.ambient != v.amb:
         raise ValueError("center lives in a different ambient space")
     center.validate(v.field)
@@ -983,7 +997,7 @@ def project(v: ParamVariety, center: ProjectionCenter) -> ParamVariety:
         if _poly_deg(gcd) > 0 or all(t == 0 for t in tops):
             raise ProjectionError(f"{v.label}: projection center meets the curve")
     out = ParamVariety(
-        label=f"{v.label}/proj{center.dim}",
+        label=label,
         n=v.n,
         amb=new_amb,
         d=v.d,
@@ -992,12 +1006,7 @@ def project(v: ParamVariety, center: ProjectionCenter) -> ParamVariety:
         coords=new_coords,
         domain=v.domain,
         linearly_normal=False,
-        construction={
-            "name": "project",
-            "base": v.construction,
-            "center": [[int(x) if fld.is_prime_field else str(x) for x in b] for b in center.basis],
-            "seed": v.construction.get("seed", 0),
-        },
+        construction=construction,
     )
     try:
         return _certify(out, seed=13)
@@ -1075,8 +1084,11 @@ def multisecant_projection(
         ):
             last = ConstructionError("a secant point fell into the center")
             continue
+        construction = {"name": "multisecant", "c": c, "k": k, "g": g, "p": p,
+                        "seed": seed, "attempt": attempt}
         try:
-            out = project(source, ProjectionCenter(source.amb, tuple(basis)))
+            out = _project(source, ProjectionCenter(source.amb, tuple(basis)),
+                           f"multisecant(c={c},k={k},g={g})", construction)
         except ConstructionError as err:
             last = err
             continue
@@ -1092,16 +1104,6 @@ def multisecant_projection(
         if len(keys) != npts or img_rank != 2:
             last = ConstructionError("secant-line certificate failed")
             continue
-        out.label = f"multisecant(c={c},k={k},g={g})"
-        out.construction = {
-            "name": "multisecant",
-            "c": c,
-            "k": k,
-            "g": g,
-            "p": p,
-            "seed": seed,
-            "attempt": attempt,
-        }
         return out
     raise ConstructionError(
         f"multisecant_projection(c={c},k={k},g={g}) failed after retries: {last}"

@@ -19,13 +19,20 @@ per-row loop (every rational parameter evaluated through the coordinates,
 each image scaled to lead entry 1, then the rank of the whole table), and
 weierstrass_points_by_sqrt enumerates the points of y^2 = f(x) with one
 Tonelli-Shanks square root per x; the library does both on arrays.
+
+secant_dims_by_rank is Terracini's lemma one k at a time: it multiplies the
+coordinates out into the C(r+2, 2) product polynomials, differentiates
+those, and takes the rank of the stacked tangent rows at k+1 fresh points
+for every k and trial.  The library reads every s_k from one nested pass
+with chain-rule rows instead.
 """
 
 import itertools
 import operator
+import random
 from fractions import Fraction
 
-from hypersurfaces.exactcore import Matrix, MPoly, monomials, rank
+from hypersurfaces.exactcore import Matrix, MPoly, monomials, poly_diff, rank
 from hypersurfaces.pointconfig import (
     ExtractionError,
     NuVector,
@@ -273,3 +280,32 @@ def _row_by_row_rank(rows, p: int) -> int:
             if len(basis) == len(row):
                 break
     return len(basis)
+
+
+def secant_dims_by_rank(y, k_max: int, trials: int = 3, seed: int = 0) -> list:
+    """[s_0, .., s_{k_max}] of the quadratic embedding `y`: for each k, the
+    largest rank, minus 1, over `trials` stacked matrices of tangent rows of
+    the product polynomials at k+1 points drawn afresh."""
+    v = y.base
+    fld = v.field
+    products = [v.coords[i] * v.coords[j]
+                for i in range(v.amb + 1) for j in range(i, v.amb + 1)]
+    jac = [[poly_diff(f, var) for f in products] for var in range(v.domain.nvars)]
+    top = fld.p if fld.is_prime_field else 1000
+    dims = []
+    for k in range(k_max + 1):
+        best = -1
+        for trial in range(trials):
+            rng = random.Random(repr(("secant oracle", v.label, k, seed, trial)))
+            rows = []
+            while len(rows) < (k + 1) * (len(jac) + 1):
+                params = []
+                for b in v.domain.blocks:
+                    params += [1] + [rng.randrange(1, top) for _ in range(b - 1)]
+                cone = [f.eval(params) for f in products]
+                if any(cone):
+                    rows.append(cone)
+                    rows += [[df.eval(params) for df in row] for row in jac]
+            best = max(best, rank(Matrix.from_rows(fld, rows)) - 1)
+        dims.append(best)
+    return dims

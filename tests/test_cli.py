@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hypersurfaces import cohomology
+from hypersurfaces import cohomology, secants
 from hypersurfaces.cli import main, table1_rows
 
 
@@ -177,6 +177,28 @@ def test_secants_json(capsys):
     assert payload["summary"]["k2"] == 3
     assert payload["summary"]["zak4_ok"] is True
     assert payload["summary"]["zak5_ok"] is True
+
+
+@pytest.mark.parametrize("argv", [["secants", "--construction", "rnc"], ["table2"]])
+def test_trials_below_one_is_a_usage_error(capsys, argv):
+    code = main(argv + ["--trials", "0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: --trials must be at least 1, got 0\n"
+
+
+def test_secants_zak_failure_exits_1_without_traceback(capsys, monkeypatch):
+    # every trial loses one rank at k = 1 and 2, so Zak's identity fails twice
+    real = secants._tangent_ranks
+    monkeypatch.setattr(
+        secants, "_tangent_ranks",
+        lambda y, seed, trial: [r - (k in (1, 2)) for k, r in enumerate(real(y, seed, trial))],
+    )
+    code = main(["secants", "--construction", "rnc", "--r", "3"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("secant run failed: rnc(3): span-count checks failed")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_verify_main(capsys):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from helpers import secant_dims_by_rank
+from hypersurfaces import secants
 from hypersurfaces.exactcore import QQ, PrimeField, binomial
 from hypersurfaces.secants import (
     TerraciniError,
@@ -15,6 +17,7 @@ from hypersurfaces.varieties import (
     elliptic_normal_curve,
     project_from_general_point,
     rational_normal_curve,
+    scroll_section_curve,
     scroll_surface,
     veronese_surface,
 )
@@ -28,7 +31,7 @@ BIGP = PrimeField(1000003)
 def test_square_twisted_cubic():
     y = veronese_square(rational_normal_curve(3, BIGP))
     assert y.N == 9
-    assert len(y.coords2) == binomial(5, 2) == 10
+    assert y.N + 1 == binomial(3 + 2, 2) == 10
     assert y.span_dim == 9 - 3 == 6
 
 
@@ -75,6 +78,89 @@ def test_secant_dim_small_prime_rejected():
 def test_secant_dim_deterministic():
     y = veronese_square(veronese_surface(BIGP))
     assert secant_dim(y, 3, seed=4) == secant_dim(y, 3, seed=4)
+    v = project_from_general_point(rational_normal_curve(4, BIGP), seed=3)
+    assert zak_invariants(v, seed=5) == zak_invariants(v, seed=5)
+
+
+def test_trials_below_one_rejected():
+    v = rational_normal_curve(3, BIGP)
+    with pytest.raises(ValueError, match="need trials >= 1"):
+        zak_invariants(v, trials=0)
+    with pytest.raises(ValueError, match="need trials >= 1"):
+        secant_dim(veronese_square(v), 1, trials=0)
+
+
+ORACLE_WITNESSES = [
+    *(lambda f, r=r: rational_normal_curve(r, f) for r in range(3, 9)),
+    lambda f: scroll_surface(1, 2, f),
+    lambda f: scroll_surface(2, 2, f),
+    lambda f: scroll_surface(2, 3, f),
+    veronese_surface,
+    lambda f: project_from_general_point(rational_normal_curve(4, f), seed=3),
+    lambda f: project_from_general_point(scroll_surface(1, 4, f), seed=11),
+    lambda f: scroll_section_curve(2, 4, 5, f, seed=0),
+]
+
+
+@pytest.mark.parametrize("fld", [BIGP, QQ], ids=["GF(1000003)", "Q"])
+def test_nested_pass_matches_rank_oracle(fld):
+    # one pass gives every s_k up to k2, equal to the stacked rank per k
+    for make in ORACLE_WITNESSES:
+        v = make(fld)
+        inv = zak_invariants(v)
+        s = [inv.s[k] for k in range(inv.k2 + 1)]
+        assert sorted(inv.s) == list(range(inv.k2 + 1)), v.label
+        assert s[-1] == inv.span_dim > s[-2], v.label
+        assert s == secant_dims_by_rank(veronese_square(v), inv.k2, trials=1), v.label
+        assert all(0 <= b - a <= v.n + 1 for a, b in zip(s, s[1:])), v.label
+
+
+def _recording(monkeypatch, lower=lambda trial: False):
+    """Record the trials zak_invariants samples; runs of the trials picked
+    by `lower` lose one rank at k = 1 and 2 (rnc(3): 1,3,5,6 -> 1,2,4,6),
+    which breaks Zak's identity but not the rank-sequence check."""
+    calls = []
+    real = secants._tangent_ranks
+
+    def fake(y, seed, trial):
+        run = real(y, seed, trial)
+        calls.append((trial, run))
+        if lower(trial):
+            run = [r - (k in (1, 2)) for k, r in enumerate(run)]
+        return run
+
+    monkeypatch.setattr(secants, "_tangent_ranks", fake)
+    return calls
+
+
+def test_each_trial_sampled_once_and_stops_when_filled(monkeypatch):
+    calls = _recording(monkeypatch)
+    inv = zak_invariants(veronese_surface(BIGP), trials=3, seed=2)
+    assert [t for t, _ in calls] == [0, 1, 2]
+    for _, run in calls:
+        assert run == [inv.s[k] for k in range(inv.k2 + 1)]
+
+
+def test_retry_reuses_the_first_trials(monkeypatch):
+    calls = _recording(monkeypatch, lower=lambda trial: trial < 3)
+    inv = zak_invariants(rational_normal_curve(3, BIGP), trials=3)
+    assert [t for t, _ in calls] == [0, 1, 2, 3, 4, 5]
+    assert inv.trials == 6 and [inv.s[k] for k in range(4)] == [1, 3, 5, 6]
+
+
+def test_retry_gives_up_after_one_doubling(monkeypatch):
+    calls = _recording(monkeypatch, lower=lambda trial: True)
+    with pytest.raises(TerraciniError, match="span-count checks failed"):
+        zak_invariants(rational_normal_curve(3, BIGP), trials=2)
+    assert [t for t, _ in calls] == [0, 1, 2, 3]
+
+
+def test_secant_dim_carries_a_filled_run_forward(monkeypatch):
+    # trial 0 fills the span of rnc(3)^2 at k = 3, trial 1 lags behind
+    runs = {0: [1, 3, 5, 6], 1: [1, 2, 3, 4, 5, 6]}
+    monkeypatch.setattr(secants, "_tangent_ranks", lambda y, seed, trial: runs[trial])
+    y = veronese_square(rational_normal_curve(3, BIGP))
+    assert [secant_dim(y, k, trials=2) for k in range(8)] == [1, 3, 5, 6, 6, 6, 6, 6]
 
 
 # ---------------------------------------------------------------- invariants
