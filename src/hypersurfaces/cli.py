@@ -1,10 +1,12 @@
 """Batch command-line front end.
 
 Subcommands: formula, curve, points, table1, table2, secants, verify-main.
-Every run is driven by an explicit RunConfig (field, seed, format); all
+Every run is driven by an explicit configuration (field, seed, format); all
 randomness is seed-derived, so identical configurations produce identical
-output bytes.  Exit codes: 0 success, 1 verification/construction failure,
-2 usage or file-format error.
+output bytes.  `curve` and `secants` build the entries of
+`varieties.CONSTRUCTIONS` that they offer.  Exit codes: 0 success, 1
+verification/construction failure, 2 usage or file-format error (such as
+construction parameters out of range, in `secants` too).
 """
 
 from __future__ import annotations
@@ -184,31 +186,47 @@ def cmd_formula(args) -> int:
 # ------------------------------------------------------------------ curve
 
 
-def _build_curve(args, fld: Field):
-    kind = args.kind
-    if kind == "rnc":
-        return varieties.rational_normal_curve(args.r, fld)
-    if kind == "elliptic":
-        return varieties.elliptic_normal_curve(args.c, fld.p, (args.wa, args.wb))
-    if kind == "genus2":
-        coeffs = [int(x) for x in args.f.split(",")] if args.f else (1, 1, 0, 0, 0, 1)
-        return varieties.hyperelliptic_g2_curve(args.c, fld.p, coeffs)
-    if kind == "scroll-section":
-        return varieties.scroll_section_curve(args.a, args.b, args.k, fld, args.seed)
-    if kind == "multisecant":
-        return varieties.multisecant_projection(args.c, args.k, args.g, fld.p, args.seed)
-    if kind == "projected-rnc":
-        base = varieties.rational_normal_curve(args.r, fld)
+def _offered(command: str) -> dict:
+    """{spelling: construction name} of the table entries that `command`
+    offers, in the order of its choices."""
+    entries = sorted(
+        (getattr(e, command), e.spelling, name)
+        for name, e in varieties.CONSTRUCTIONS.items()
+        if getattr(e, command) is not None
+    )
+    return {spelling: name for _, spelling, name in entries}
+
+
+# descriptor fields that are not read from the flag of the same name
+_FIELD_FLAGS = {
+    "p": lambda args, fld: fld.p,
+    "weierstrass": lambda args, fld: [args.wa, args.wb],
+    "f_coeffs": lambda args, fld: (
+        [int(x) for x in args.f.split(",")] if args.f else varieties.GENUS2_DEFAULT_F
+    ),
+}
+
+
+def _variety(args, fld: Field, command: str, spelling: str):
+    """Build what `command` offers as `spelling`, from the construction
+    table with the descriptor fields read off the flags; `projected-rnc`
+    is the `rnc` curve projected from a general point."""
+    name = _offered(command)[spelling]
+    if name == "project":
+        base = _variety(args, fld, command, "rnc")
         return varieties.project_from_general_point(base, seed=args.seed)
-    raise ValueError(f"unknown curve kind {kind!r}")
+    entry = varieties.CONSTRUCTIONS[name]
+    if entry.prime_only and not fld.is_prime_field:
+        raise ValueError("this construction needs a prime field")
+    cons = {"name": name}
+    for f in entry.fields:
+        cons[f] = _FIELD_FLAGS[f](args, fld) if f in _FIELD_FLAGS else getattr(args, f)
+    return varieties.from_descriptor({"field": _field_spec(fld), "construction": cons})
 
 
 def cmd_curve(args) -> int:
     fld = _field_from_args(args)
-    if args.kind in ("elliptic", "genus2", "multisecant") and not fld.is_prime_field:
-        print("error: this construction needs a prime field", file=sys.stderr)
-        return 2
-    v = _build_curve(args, fld)
+    v = _variety(args, fld, "curve", args.kind)
     summary = [
         ("label", v.label),
         ("n", v.n),
@@ -217,7 +235,6 @@ def cmd_curve(args) -> int:
         ("g", v.g),
     ]
     tables = []
-    profile = None
     if v.d <= 2 * v.c + 1:
         profile = cohomology.deficiency_profile(v)
         summary += [
@@ -335,6 +352,14 @@ def cmd_points(args) -> int:
 # ------------------------------------------------------------------ table1
 
 
+def _tally(rows: list) -> list:
+    """Summary of a table whose last column is PASS, SKIPPED (...) or FAIL (...)."""
+    n_pass = sum(1 for r in rows if r[-1] == "PASS")
+    n_skip = sum(1 for r in rows if str(r[-1]).startswith("SKIPPED"))
+    return [("rows", len(rows)), ("pass", n_pass), ("skipped", n_skip),
+            ("fail", len(rows) - n_pass - n_skip)]
+
+
 def table1_rows(c: int):
     """The (k, g, d) region of non-linearly-normal curves attaining the
     k-th largest quadric count, with the predicted deficiency pair."""
@@ -352,34 +377,28 @@ def table1_rows(c: int):
 def cmd_table1(args) -> int:
     fld = _field_from_args(args)
     if not fld.is_prime_field:
-        print("error: table1 needs a prime field", file=sys.stderr)
-        return 2
+        raise ValueError("table1 needs a prime field")
     rows = []
     any_fail = False
     for k, g, d, want1, want2 in table1_rows(args.c):
         c = args.c
-        if g == 0:
-            a, b = c + k - d, d - k
-            witness = f"scroll-section({a},{b};k={d - c})"
-            try:
+        try:
+            if g == 0:
+                a, b = c + k - d, d - k
+                witness = f"scroll-section({a},{b};k={d - c})"
                 v = varieties.scroll_section_curve(a, b, d - c, fld, seed=args.seed)
-            except varieties.ConstructionError as err:
-                rows.append((k, g, f"c+{d - c}", want1, want2, "-", "-", f"FAIL ({err})"))
-                any_fail = True
-                continue
-        elif d == c + k - 1 and g <= 2:
-            witness = f"multisecant(c={c},k={k},g={g})"
-            try:
+            elif d == c + k - 1 and g <= 2:
+                witness = f"multisecant(c={c},k={k},g={g})"
                 v = varieties.multisecant_projection(c, k, g, fld.p, seed=args.seed)
-            except varieties.ConstructionError as err:
-                rows.append((k, g, f"c+{d - c}", want1, want2, "-", "-", f"FAIL ({err})"))
-                any_fail = True
+            else:
+                reason = (
+                    "curve-scroll source out of scope" if g <= 2 else "source genus > 2"
+                )
+                rows.append((k, g, f"c+{d - c}", want1, want2, "-", "-", f"SKIPPED ({reason})"))
                 continue
-        else:
-            reason = (
-                "curve-scroll source out of scope" if g <= 2 else "source genus > 2"
-            )
-            rows.append((k, g, f"c+{d - c}", want1, want2, "-", "-", f"SKIPPED ({reason})"))
+        except varieties.ConstructionError as err:
+            rows.append((k, g, f"c+{d - c}", want1, want2, "-", "-", f"FAIL ({err})"))
+            any_fail = True
             continue
         got1 = cohomology.h1_ideal(v, 1)
         got2 = cohomology.h1_ideal(v, 2)
@@ -388,16 +407,9 @@ def cmd_table1(args) -> int:
         rows.append(
             (k, g, f"c+{d - c}", want1, want2, got1, got2, "PASS" if ok else f"FAIL ({witness})")
         )
-    n_pass = sum(1 for r in rows if r[-1] == "PASS")
-    n_skip = sum(1 for r in rows if str(r[-1]).startswith("SKIPPED"))
     report = Report(
         config=_config(args, "table1", fld, c=args.c),
-        summary=[
-            ("rows", len(rows)),
-            ("pass", n_pass),
-            ("skipped", n_skip),
-            ("fail", len(rows) - n_pass - n_skip),
-        ],
+        summary=_tally(rows),
         tables=[
             (
                 "table1",
@@ -462,16 +474,9 @@ def cmd_table2(args) -> int:
         ("linearly normal genus-2 curve", "c+3", "n+1", "-", "-",
          "SKIPPED (point-enumerator curve: no parametrization to differentiate)")
     )
-    n_pass = sum(1 for r in rows if r[-1] == "PASS")
-    n_skip = sum(1 for r in rows if str(r[-1]).startswith("SKIPPED"))
     report = Report(
         config=_config(args, "table2", fld, trials=args.trials),
-        summary=[
-            ("rows", len(rows)),
-            ("pass", n_pass),
-            ("skipped", n_skip),
-            ("fail", len(rows) - n_pass - n_skip),
-        ],
+        summary=_tally(rows),
         tables=[
             (
                 "table2",
@@ -490,23 +495,9 @@ def cmd_table2(args) -> int:
 def cmd_secants(args) -> int:
     fld = _terracini_field(args)
     try:
-        if args.construction == "rnc":
-            v = varieties.rational_normal_curve(args.r, fld)
-        elif args.construction == "scroll":
-            v = varieties.scroll_surface(args.a, args.b, fld)
-        elif args.construction == "veronese":
-            v = varieties.veronese_surface(fld)
-        elif args.construction == "projected-rnc":
-            v = varieties.project_from_general_point(
-                varieties.rational_normal_curve(args.r, fld), seed=args.seed
-            )
-        elif args.construction == "scroll-section":
-            v = varieties.scroll_section_curve(args.a, args.b, args.k, fld, args.seed)
-        else:
-            print(f"unknown construction {args.construction!r}", file=sys.stderr)
-            return 2
+        v = _variety(args, fld, "secants", args.construction)
         inv = secants.zak_invariants(v, trials=args.trials, seed=args.seed)
-    except (varieties.ConstructionError, secants.TerraciniError, ValueError) as err:
+    except (varieties.ConstructionError, secants.TerraciniError) as err:
         print(f"secant run failed: {err}", file=sys.stderr)
         return 1
     report = Report(
@@ -542,8 +533,7 @@ def cmd_secants(args) -> int:
 def cmd_verify_main(args) -> int:
     fld = _field_from_args(args)
     if not fld.is_prime_field:
-        print("error: verify-main needs a prime field", file=sys.stderr)
-        return 2
+        raise ValueError("verify-main needs a prime field")
     p = fld.p
     rows = []
     any_fail = False
@@ -628,8 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
         pf.set_defaults(handler=cmd_formula, func_name=name)
 
     c = sub.add_parser("curve", help="build a curve and report its deficiency profile")
-    c.add_argument("kind", choices=["rnc", "elliptic", "genus2", "scroll-section",
-                                    "multisecant", "projected-rnc"])
+    c.add_argument("kind", choices=list(_offered("curve")))
     c.add_argument("--r", type=int, default=3)
     c.add_argument("--c", type=int, default=3)
     c.add_argument("--a", type=int, default=1)
@@ -674,8 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     t2.set_defaults(handler=cmd_table2)
 
     sc = sub.add_parser("secants", help="secant invariants of one construction")
-    sc.add_argument("--construction", required=True,
-                    choices=["rnc", "scroll", "veronese", "projected-rnc", "scroll-section"])
+    sc.add_argument("--construction", required=True, choices=list(_offered("secants")))
     sc.add_argument("--r", type=int, default=3)
     sc.add_argument("--a", type=int, default=1)
     sc.add_argument("--b", type=int, default=2)

@@ -105,17 +105,6 @@ class DeficiencyProfile:
     h1: dict
     reg: int
 
-    def h1_values(self) -> tuple:
-        return tuple(self.h1[m] for m in sorted(self.h1))
-
-    def nonzero_h1(self) -> tuple:
-        vals = []
-        for m in sorted(self.h1):
-            if self.h1[m] == 0:
-                break
-            vals.append(self.h1[m])
-        return tuple(vals)
-
 
 def deficiency_profile(v: ParamVariety, seed: int = 0) -> DeficiencyProfile:
     """Compute h^1(I(m)) for m = 1, 2, ... until it vanishes (it is

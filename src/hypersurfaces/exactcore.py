@@ -480,21 +480,6 @@ class MPoly:
     def constant(cls, field: Field, nvars: int, c) -> "MPoly":
         return cls(field, nvars, {(0,) * nvars: c})
 
-    @classmethod
-    def variable(cls, field: Field, nvars: int, i: int) -> "MPoly":
-        if not 0 <= i < nvars:
-            raise ValueError("variable index out of range")
-        exp = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(field, nvars, {exp: 1})
-
-    @classmethod
-    def monomial(cls, field: Field, exp: Sequence[int], coeff=1) -> "MPoly":
-        exp = tuple(exp)
-        return cls(field, len(exp), {exp: coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
@@ -551,14 +536,8 @@ class MPoly:
 
     __rmul__ = __mul__
 
-    def scale(self, c) -> "MPoly":
-        return self * c
-
     def eval(self, point: Sequence):
         return poly_eval(self, point)
-
-    def diff(self, var: int) -> "MPoly":
-        return poly_diff(self, var)
 
     def __eq__(self, other) -> bool:
         return (

@@ -261,12 +261,6 @@ def evaluation_matrix(field: Field, points, m: int) -> Matrix:
     return Matrix(field, len(points), ncols, flat)
 
 
-def coordinate_simplex(field: Field, c: int) -> PointConfig:
-    """The c+1 coordinate points of P^c."""
-    vecs = [[1 if j == i else 0 for j in range(c + 1)] for i in range(c + 1)]
-    return PointConfig(field, vecs)
-
-
 def extract_three_regular(config: PointConfig) -> PointConfig:
     """Certified spanning 3-regular subset of 2c+1 points.
 

@@ -20,11 +20,12 @@ happen to lie in a hyperplane.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -60,6 +61,7 @@ __all__ = [
     "multisecant_projection",
     "sample_points",
     "linear_section_curve",
+    "CONSTRUCTIONS",
     "from_descriptor",
 ]
 
@@ -783,12 +785,17 @@ def _random_coprime_forms(fld: Field, deg_beta: int, deg_alpha: int, rng: random
     raise ConstructionError("could not draw coprime section forms")
 
 
-def _homogenize(fld: Field, coeffs: list, deg: int) -> MPoly:
-    terms = {}
-    for j, c in enumerate(coeffs):
-        if c != 0:
-            terms[(deg - j, j)] = c
-    return MPoly(fld, 2, terms)
+def _section_coords(fld: Field, a: int, b: int, beta: list, alpha: list) -> list:
+    """Coordinates of the curve [u : v] = [beta(s,t) : alpha(s,t)] on S(a, b):
+    beta s^(a-i) t^i for i = 0..a, then alpha s^(b-j) t^j for j = 0..b, each
+    form homogenised at the degree of its coefficient list (low degree first)."""
+    bpoly, apoly = (
+        MPoly(fld, 2, {(len(f) - 1 - j, j): c for j, c in enumerate(f) if c != 0})
+        for f in (beta, alpha)
+    )
+    return [bpoly * MPoly(fld, 2, {(a - i, i): 1}) for i in range(a + 1)] + [
+        apoly * MPoly(fld, 2, {(b - j, j): 1}) for j in range(b + 1)
+    ]
 
 
 def scroll_section_curve(
@@ -807,13 +814,7 @@ def scroll_section_curve(
         rng = random.Random(("scroll-section", a, b, k, seed, attempt).__repr__())
         try:
             beta, alpha = _random_coprime_forms(fld, b + k, a + k, rng)
-            bpoly = _homogenize(fld, beta, b + k)
-            apoly = _homogenize(fld, alpha, a + k)
-            coords = []
-            for i in range(a + 1):
-                coords.append(bpoly * MPoly(fld, 2, {(a - i, i): 1}))
-            for j in range(b + 1):
-                coords.append(apoly * MPoly(fld, 2, {(b - j, j): 1}))
+            coords = _section_coords(fld, a, b, beta, alpha)
             amb = a + b + 1
             if k == 0:
                 # the minimal-class section spans only a hyperplane: a+b+2
@@ -908,7 +909,11 @@ def elliptic_normal_curve(
     return _certify(v, seed=1)
 
 
-def hyperelliptic_g2_curve(c: int, p: int, f_coeffs: Sequence[int] = (1, 1, 0, 0, 0, 1)) -> ParamVariety:
+# f(x) = 1 + x + x^5, low degree first: the genus-2 model used by default
+GENUS2_DEFAULT_F = (1, 1, 0, 0, 0, 1)
+
+
+def hyperelliptic_g2_curve(c: int, p: int, f_coeffs: Sequence[int] = GENUS2_DEFAULT_F) -> ParamVariety:
     """Degree-(c+3) embedding of the genus-2 curve y^2 = f(x) (deg f = 5,
     squarefree) into P^{c+1} by the complete system of pole order c+3 at the
     infinity place."""
@@ -1135,13 +1140,7 @@ def linear_section_curve(v: ParamVariety, seed: int = 0) -> ParamVariety:
                 continue
             beta = [fld.raw(x) for x in bcoef]
             alpha = [fld.neg(fld.raw(x)) for x in acoef]
-            coords = []
-            bpoly = _homogenize(fld, beta, b)
-            apoly = _homogenize(fld, alpha, a)
-            for i in range(a + 1):
-                coords.append(bpoly * MPoly(fld, 2, {(a - i, i): 1}))
-            for j in range(b + 1):
-                coords.append(apoly * MPoly(fld, 2, {(b - j, j): 1}))
+            coords = _section_coords(fld, a, b, beta, alpha)
             # drop a coordinate with nonzero hyperplane coefficient: an iso
             # from the hyperplane onto P^{amb-1}
             drop = next(i for i, x in enumerate(h) if x != 0)
@@ -1201,37 +1200,83 @@ def linear_section_curve(v: ParamVariety, seed: int = 0) -> ParamVariety:
 # ------------------------------------------------------------------ descriptors
 
 
+@dataclass(frozen=True)
+class Construction:
+    """A construction name of the descriptors.  `build` takes its fields by
+    keyword, and `fld` unless it takes the prime `p` (prime-only).  The
+    `curve` and `secants` commands offer it as `spelling`; the `curve` and
+    `secants` numbers are its place in their choices (None: not offered)."""
+
+    build: Callable[..., ParamVariety]
+    spelling: Optional[str] = None
+    curve: Optional[int] = None
+    secants: Optional[int] = None
+
+    @property
+    def fields(self) -> tuple:
+        """The descriptor fields `build` reads."""
+        return tuple(n for n in inspect.signature(self.build).parameters if n != "fld")
+
+    @property
+    def prime_only(self) -> bool:
+        return "fld" not in inspect.signature(self.build).parameters
+
+
+def _rebuild_projection(fld: Field, base: dict, center: list) -> ParamVariety:
+    source = _construct(base, fld)
+    coerce = int if fld.is_prime_field else (lambda x: Fraction(str(x)))
+    basis = tuple(tuple(coerce(x) for x in b) for b in center)
+    return project(source, ProjectionCenter(source.amb, basis))
+
+
+# Builders call the public constructors by name, so a wrapper installed on
+# the module (a tracer, a test double) sees the call.  The CLI offers the
+# `project` entry as the projection of `rnc` from a general point.
+CONSTRUCTIONS = {
+    "rnc": Construction(lambda fld, r: rational_normal_curve(r, fld), "rnc", curve=0, secants=0),
+    "scroll": Construction(lambda fld, a, b: scroll_surface(a, b, fld), "scroll", secants=1),
+    "veronese": Construction(lambda fld: veronese_surface(fld), "veronese", secants=2),
+    "scroll_section": Construction(
+        lambda fld, a, b, k, seed: scroll_section_curve(a, b, k, fld, seed),
+        "scroll-section", curve=3, secants=4,
+    ),
+    "elliptic": Construction(
+        lambda c, p, weierstrass: elliptic_normal_curve(c, p, tuple(weierstrass)),
+        "elliptic", curve=1,
+    ),
+    "genus2": Construction(
+        lambda c, p, f_coeffs: hyperelliptic_g2_curve(c, p, f_coeffs), "genus2", curve=2
+    ),
+    "multisecant": Construction(
+        lambda c, k, g, p, seed: multisecant_projection(c, k, g, p, seed), "multisecant", curve=4
+    ),
+    "project": Construction(_rebuild_projection, "projected-rnc", curve=5, secants=3),
+    "scroll_hyperplane_section": Construction(
+        lambda fld, a, b, seed: linear_section_curve(scroll_surface(a, b, fld), seed)
+    ),
+    "veronese_conic_section": Construction(
+        lambda fld, seed: linear_section_curve(veronese_surface(fld), seed)
+    ),
+}
+
+
 def from_descriptor(desc: dict) -> ParamVariety:
     """Deterministically rebuild a variety from its descriptor JSON."""
+    for key in ("field", "construction"):
+        if key not in desc:
+            raise ValueError(f"descriptor lacks field {key!r}")
     fld: Field = QQ if desc["field"] == "Q" else PrimeField(int(desc["field"]))
-    return _build(desc["construction"], fld)
+    return _construct(desc["construction"], fld)
 
 
-def _build(cons: dict, fld: Field) -> ParamVariety:
-    name = cons["name"]
-    if name == "rnc":
-        return rational_normal_curve(cons["r"], fld)
-    if name == "scroll":
-        return scroll_surface(cons["a"], cons["b"], fld)
-    if name == "veronese":
-        return veronese_surface(fld)
-    if name == "scroll_section":
-        return scroll_section_curve(cons["a"], cons["b"], cons["k"], fld, cons.get("seed", 0))
-    if name == "elliptic":
-        return elliptic_normal_curve(cons["c"], cons["p"], tuple(cons["weierstrass"]))
-    if name == "genus2":
-        return hyperelliptic_g2_curve(cons["c"], cons["p"], cons["f_coeffs"])
-    if name == "multisecant":
-        return multisecant_projection(cons["c"], cons["k"], cons["g"], cons["p"], cons.get("seed", 0))
-    if name == "project":
-        base = _build(cons["base"], fld)
-        basis = tuple(
-            tuple(int(x) if fld.is_prime_field else Fraction(str(x)) for x in b)
-            for b in cons["center"]
-        )
-        return project(base, ProjectionCenter(base.amb, basis))
-    if name == "scroll_hyperplane_section":
-        return linear_section_curve(scroll_surface(cons["a"], cons["b"], fld), cons["seed"])
-    if name == "veronese_conic_section":
-        return linear_section_curve(veronese_surface(fld), cons["seed"])
-    raise ValueError(f"unknown construction {name!r}")
+def _construct(cons: dict, fld: Field) -> ParamVariety:
+    if not isinstance(cons, dict):
+        raise ValueError(f"a construction is an object with a name, got {cons!r}")
+    entry = CONSTRUCTIONS.get(cons.get("name"))
+    if entry is None:
+        raise ValueError(f"unknown construction {cons.get('name')!r}")
+    missing = [f for f in entry.fields if f not in cons]
+    if missing:
+        raise ValueError(f"construction {cons['name']!r} lacks field {missing[0]!r}")
+    kwargs = {f: cons[f] for f in entry.fields}
+    return entry.build(**kwargs) if entry.prime_only else entry.build(fld=fld, **kwargs)

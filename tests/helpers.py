@@ -20,6 +20,9 @@ each image scaled to lead entry 1, then the rank of the whole table), and
 weierstrass_points_by_sqrt enumerates the points of y^2 = f(x) with one
 Tonelli-Shanks square root per x; the library does both on arrays.
 
+coordinate_simplex is the c+1 coordinate points of P^c, a configuration
+whose Hilbert function and regularity are known by hand.
+
 secant_dims_by_rank is Terracini's lemma one k at a time: it multiplies the
 coordinates out into the C(r+2, 2) product polynomials, differentiates
 those, and takes the rank of the stacked tangent rows at k+1 fresh points
@@ -309,3 +312,9 @@ def secant_dims_by_rank(y, k_max: int, trials: int = 3, seed: int = 0) -> list:
             best = max(best, rank(Matrix.from_rows(fld, rows)) - 1)
         dims.append(best)
     return dims
+
+
+def coordinate_simplex(field, c: int) -> PointConfig:
+    """The c+1 coordinate points of P^c."""
+    vecs = [[1 if j == i else 0 for j in range(c + 1)] for i in range(c + 1)]
+    return PointConfig(field, vecs)

@@ -1,11 +1,26 @@
 """Tests for the command-line front end: outputs, formats, exit codes, determinism."""
 
 import json
+import pathlib
+import shlex
 
 import pytest
 
 from hypersurfaces import cohomology, secants
-from hypersurfaces.cli import main, table1_rows
+from hypersurfaces.cli import build_parser, main, table1_rows
+from hypersurfaces.exactcore import PrimeField
+from hypersurfaces.varieties import (
+    CONSTRUCTIONS,
+    elliptic_normal_curve,
+    from_descriptor,
+    hyperelliptic_g2_curve,
+    multisecant_projection,
+    project_from_general_point,
+    rational_normal_curve,
+    scroll_section_curve,
+)
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -81,8 +96,6 @@ def test_curve_multisecant(capsys):
 
 
 def test_curve_descriptor_rebuilds_curve(capsys):
-    from hypersurfaces.varieties import from_descriptor
-
     code, out = run_cli(capsys, "curve", "multisecant", "--c", "4", "--k", "3",
                         "--g", "0", "--seed", "9", "--format", "json")
     assert code == 0
@@ -187,6 +200,87 @@ def test_trials_below_one_is_a_usage_error(capsys, argv):
     assert err == "error: --trials must be at least 1, got 0\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--construction", "scroll", "--a", "3", "--b", "2"], "need 1 <= a <= b"),
+    (["--construction", "rnc", "--r", "1"], "need r >= 2"),
+    (["--construction", "scroll-section", "--k", "-1"], "need k >= 0"),
+    (["--construction", "rnc", "--p", "7"], "Terracini sampling needs the rationals"),
+])
+def test_secants_usage_error_exits_2(capsys, flags, message):
+    code = main(["secants"] + flags)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+    assert len(err.strip().splitlines()) == 1
+
+
+# small flags for every `curve` kind and `secants` construction the table offers
+OFFER_FLAGS = {
+    ("curve", "rnc"): [],
+    ("curve", "elliptic"): ["--c", "2"],
+    ("curve", "genus2"): ["--c", "2"],
+    ("curve", "scroll-section"): [],
+    ("curve", "multisecant"): ["--c", "3", "--k", "3"],
+    ("curve", "projected-rnc"): ["--r", "4"],
+    ("secants", "rnc"): [],
+    ("secants", "scroll"): [],
+    ("secants", "veronese"): [],
+    ("secants", "projected-rnc"): ["--r", "4"],
+    ("secants", "scroll-section"): [],
+}
+OFFERS = sorted(
+    (command, e.spelling)
+    for e in CONSTRUCTIONS.values()
+    for command in ("curve", "secants")
+    if getattr(e, command) is not None
+)
+
+
+@pytest.mark.parametrize("command, spelling", OFFERS)
+def test_every_offered_construction_runs(capsys, command, spelling):
+    assert set(OFFER_FLAGS) == set(OFFERS)
+    argv = [command, spelling] if command == "curve" else [command, "--construction", spelling]
+    code, out = run_cli(capsys, *argv, *OFFER_FLAGS[command, spelling], "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    if command == "curve":
+        desc = payload["config"]["descriptor"]
+        assert from_descriptor(desc).descriptor() == desc
+    else:
+        assert payload["summary"]["zak4_ok"] is True
+
+
+def test_offered_choices_keep_their_order(capsys):
+    for argv, choices in [
+        (["curve", "--help"], "{rnc,elliptic,genus2,scroll-section,multisecant,projected-rnc}"),
+        (["secants", "--help"], "{rnc,scroll,veronese,projected-rnc,scroll-section}"),
+    ]:
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert choices in capsys.readouterr().out
+
+
+GF = PrimeField(10007)
+
+
+@pytest.mark.parametrize("flags, build", [
+    (["elliptic", "--c", "2", "--wa", "2", "--wb", "3"],
+     lambda: elliptic_normal_curve(2, 10007, (2, 3))),
+    (["genus2", "--c", "2", "--f", "1,0,2,0,0,1"],
+     lambda: hyperelliptic_g2_curve(2, 10007, (1, 0, 2, 0, 0, 1))),
+    (["scroll-section", "--a", "1", "--b", "2", "--k", "2", "--seed", "3"],
+     lambda: scroll_section_curve(1, 2, 2, GF, 3)),
+    (["multisecant", "--c", "3", "--k", "3", "--seed", "4"],
+     lambda: multisecant_projection(3, 3, 0, 10007, 4)),
+    (["projected-rnc", "--r", "4", "--seed", "5"],
+     lambda: project_from_general_point(rational_normal_curve(4, GF), seed=5)),
+])
+def test_curve_flags_reach_the_constructor(capsys, flags, build):
+    code, out = run_cli(capsys, "curve", *flags, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["config"]["descriptor"] == json.loads(json.dumps(build().descriptor()))
+
+
 def test_secants_zak_failure_exits_1_without_traceback(capsys, monkeypatch):
     # every trial loses one rank at k = 1 and 2, so Zak's identity fails twice
     real = secants._tangent_ranks
@@ -234,3 +328,35 @@ def test_seed_recorded_in_output(capsys):
     _, out = run_cli(capsys, "formula", "F", "--n", "1", "--c", "2", "--m", "2",
                      "--seed", "123")
     assert '"seed": 123' in out
+
+
+# ---------------------------------------------------------------- README
+
+
+def _readme_cli_lines():
+    text = README.read_text()
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    return [
+        shlex.split(line.split("#", 1)[0])[1:]
+        for line in block.splitlines()
+        if line.startswith("hypersurfaces ")
+    ]
+
+
+README_CLI = _readme_cli_lines()
+
+
+def test_readme_cli_block_covers_every_command():
+    assert {argv[0] for argv in README_CLI} == {
+        "formula", "curve", "points", "table1", "table2", "secants", "verify-main"
+    }
+
+
+@pytest.mark.parametrize("argv", README_CLI, ids=" ".join)
+def test_readme_cli_line_exits_0(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    if "--in" in argv:  # a point-file line reads what the `points sample` line writes
+        sample = next(a for a in README_CLI if a[:2] == ["points", "sample"])
+        assert main(sample + ["--out", "sample.txt"]) == 0
+    assert main(argv + ["--out", "report.txt"]) == 0
+    assert (tmp_path / "report.txt").stat().st_size > 0

@@ -181,7 +181,7 @@ def test_profile_scroll_sharpness_example():
         v = scroll_section_curve(1, c - 1, c + 1, GF, seed=7)
         prof = deficiency_profile(v)
         expected = (c, c) + tuple(c - m + 1 for m in range(3, c + 1))
-        assert prof.nonzero_h1() == expected
+        assert prof.h1 == dict(enumerate(expected + (0,), start=1))
         assert prof.reg == c + 2
         assert prof.h1[1] == prof.h1[2]  # the non-strict step at d = 2c+1
 
@@ -189,7 +189,7 @@ def test_profile_scroll_sharpness_example():
 def test_profile_multisecant_extremal():
     v = multisecant_projection(4, 4, 0, 10007, seed=5)
     prof = deficiency_profile(v)
-    assert prof.nonzero_h1() == (2, 1)
+    assert prof.h1 == {1: 2, 2: 1, 3: 0}
     assert prof.reg == 4 == v.d - v.c + 1 - v.g
     assert verify_monotonic(prof)
     assert verify_reg_bound(prof)
@@ -197,7 +197,7 @@ def test_profile_multisecant_extremal():
 
 def test_profile_linearly_normal_zero():
     prof = deficiency_profile(hyperelliptic_g2_curve(3, 10007))
-    assert prof.nonzero_h1() == ()
+    assert prof.h1 == {1: 0}
     assert prof.linearly_normal
     assert prof.reg == 3  # genus forces the structure-sheaf term
     prof0 = deficiency_profile(rational_normal_curve(4, GF))

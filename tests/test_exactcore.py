@@ -91,7 +91,7 @@ def test_scalar_division_by_zero():
 
 def test_rational_inverse_of_an_int_stays_exact():
     assert QQ.inv(2) == Fraction(1, 2) and isinstance(QQ.inv(2), Fraction)
-    half = MPoly.variable(QQ, 1, 0).scale(QQ.inv(2))
+    half = MPoly(QQ, 1, {(1,): 1}) * QQ.inv(2)
     assert half.terms == {(1,): Fraction(1, 2)}
 
 
@@ -365,7 +365,7 @@ def test_monomial_values_alignment():
 
 
 def test_poly_eval_product_of_variables():
-    f = MPoly.variable(QQ, 2, 0) * MPoly.variable(QQ, 2, 1)
+    f = MPoly(QQ, 2, {(1, 0): 1}) * MPoly(QQ, 2, {(0, 1): 1})
     assert poly_eval(f, [2, 3]) == 6
 
 
@@ -376,21 +376,21 @@ def test_poly_eval_zero_poly():
 
 def test_poly_eval_mod_p():
     # x0^2 + x1^2 at (3,4) over GF(7): 25 mod 7 = 4 (hand arithmetic)
-    x0 = MPoly.variable(GF7, 2, 0)
-    x1 = MPoly.variable(GF7, 2, 1)
+    x0 = MPoly(GF7, 2, {(1, 0): 1})
+    x1 = MPoly(GF7, 2, {(0, 1): 1})
     f = x0 * x0 + x1 * x1
     assert poly_eval(f, [3, 4]) == 4
 
 
 def test_poly_diff_power():
-    x0 = MPoly.variable(QQ, 1, 0)
+    x0 = MPoly(QQ, 1, {(1,): 1})
     cube = x0 * x0 * x0
     assert poly_diff(cube, 0) == MPoly(QQ, 1, {(2,): 3})
 
 
 def test_poly_diff_absent_variable():
     f = MPoly(QQ, 2, {(2, 0): 1})  # x0^2
-    assert poly_diff(f, 1).is_zero()
+    assert not poly_diff(f, 1).terms
 
 
 def test_poly_diff_mixed():
@@ -403,7 +403,7 @@ def test_zero_coefficients_dropped():
     f = MPoly(QQ, 2, {(1, 0): 0, (0, 1): 2})
     assert (1, 0) not in f.terms
     g = MPoly(GF7, 1, {(1,): 7})
-    assert g.is_zero()
+    assert not g.terms
 
 
 @st.composite
@@ -437,11 +437,11 @@ def test_diff_product_rule(f, g, var):
 
 
 def test_poly_eval_point_length_mismatch():
-    f = MPoly.variable(QQ, 2, 0)
+    f = MPoly(QQ, 2, {(1, 0): 1})
     with pytest.raises(ValueError):
         poly_eval(f, [1])
 
 
 def test_poly_field_mismatch():
     with pytest.raises(FieldMismatchError):
-        MPoly.variable(QQ, 1, 0) + MPoly.variable(GF7, 1, 0)
+        MPoly(QQ, 1, {(1,): 1}) + MPoly(GF7, 1, {(1,): 1})

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from helpers import extract_three_regular_by_scan, nu_vector_by_rank
+from helpers import coordinate_simplex, extract_three_regular_by_scan, nu_vector_by_rank
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +11,6 @@ from hypersurfaces.exactcore import QQ, Matrix, PrimeField, binomial, rank
 from hypersurfaces.pointconfig import (
     ExtractionError,
     PointConfig,
-    coordinate_simplex,
     evaluation_matrix,
     extract_three_regular,
 )

@@ -1,5 +1,6 @@
 """Tests for variety constructions, projections and their certificates."""
 
+import hashlib
 import json
 from itertools import islice
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from hypersurfaces.exactcore import QQ, Matrix, MPoly, PrimeField, rank
 from hypersurfaces.varieties import (
+    CONSTRUCTIONS,
     ConstructionError,
     FieldTooSmallError,
     ParamVariety,
@@ -302,14 +304,54 @@ ROUND_TRIP_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ROUND_TRIP_CASES))
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
 def test_descriptor_round_trip_every_construction(name):
+    assert set(ROUND_TRIP_CASES) == set(CONSTRUCTIONS)
     v = ROUND_TRIP_CASES[name]()
     desc = json.loads(json.dumps(v.descriptor()))
     assert desc["construction"]["name"] == name
     again = from_descriptor(desc)
     assert again.coords == v.coords
     assert again.descriptor() == v.descriptor()
+
+
+@pytest.mark.parametrize(
+    "desc, message",
+    [
+        ({"field": 10007, "construction": {"name": "rnc"}},
+         "construction 'rnc' lacks field 'r'"),
+        ({"field": 10007, "construction": {"name": "scroll", "a": 1}},
+         "construction 'scroll' lacks field 'b'"),
+        ({"field": 10007, "construction": {"name": "klein", "r": 3}},
+         "unknown construction 'klein'"),
+        ({"construction": {"name": "rnc", "r": 3}}, "descriptor lacks field 'field'"),
+        ({"field": 10007, "construction": "rnc"},
+         "a construction is an object with a name, got 'rnc'"),
+    ],
+)
+def test_malformed_descriptor_names_the_missing_field(desc, message):
+    with pytest.raises(ValueError) as exc:
+        from_descriptor(desc)
+    assert str(exc.value) == message
+
+
+def test_descriptor_extra_keys_are_accepted():
+    desc = rational_normal_curve(3, GF).descriptor()
+    desc["construction"].update(attempt=0, note="hand-written")
+    assert from_descriptor(desc).coords == rational_normal_curve(3, GF).coords
+
+
+@pytest.mark.parametrize("build, digest", [
+    (lambda: scroll_section_curve(2, 3, 4, GF, seed=3), "603266bc487e558e"),
+    (lambda: scroll_section_curve(1, 3, 0, GF, seed=1), "4cbbaec7a40818cd"),
+    (lambda: scroll_section_curve(1, 2, 1, QQ, seed=2), "4e29b6ff08b4dd93"),
+    (lambda: linear_section_curve(scroll_surface(2, 3, GF), seed=4), "aff9d057c3877bab"),
+])
+def test_section_curve_coordinates_are_pinned(build, digest):
+    # digests of the exact coordinate terms, in order, as first released;
+    # a reordered or rescaled coordinate keeps every count but changes these
+    terms = repr([sorted(c.terms.items()) for c in build().coords])
+    assert hashlib.sha256(terms.encode()).hexdigest()[:16] == digest
 
 
 def test_descriptor_fields():
