@@ -7,8 +7,10 @@ residues in [0, p) over GF(p)); the field objects do the arithmetic.
 There is one pure-Python elimination, the incremental `Echelon`: monic rows
 over GF(p), and fraction-free primitive integer rows over Q.  `rank` uses it
 for Q and for 62-bit primes, and a vectorised int64 numpy elimination for
-p < 2^31; `null_space` back-substitutes in it.  Pivoting is deterministic
-(first nonzero) and no floating point is used anywhere.
+p < 2^31, which also ranks int64 arrays directly (such as a
+`monomial_table`, the monomial values at an array of points); `null_space`
+back-substitutes in the echelon.  Pivoting is deterministic (first nonzero)
+and no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "Matrix",
     "MPoly",
     "monomials",
+    "monomial_table",
     "binomial",
     "rank",
     "Echelon",
@@ -232,29 +235,40 @@ class Matrix:
         return f"Matrix({self.field!r}, {self.rows}x{self.cols})"
 
 
-def _rank_modp_numpy(rows: list, p: int) -> int:
-    """Row rank over GF(p) by vectorised elimination; needs p < 2^31."""
-    if not rows or not rows[0]:
+def _rank_modp_numpy(rows, p: int) -> int:
+    """Row rank over GF(p) by vectorised elimination; needs p < 2^31.
+
+    `rows` is a list of integer rows or an int64 array; the array is read,
+    never written.  The loop runs over the shorter side (the rank of the
+    transpose is the same).  Each step subtracts less than p^2 from an
+    entry, so the trailing block is reduced mod p only when `slack` more
+    steps could leave int64; the pivot column and row are reduced as they
+    are used.
+    """
+    a = np.asarray(rows, dtype=np.int64) % p
+    if a.size == 0:
         return 0
-    a = np.array(rows, dtype=np.int64) % p
+    if a.shape[1] > a.shape[0]:
+        a = np.ascontiguousarray(a.T)
     nrows, ncols = a.shape
+    steps = slack = (np.iinfo(np.int64).max - p) // (p - 1) ** 2
     r = 0
     for c in range(ncols):
+        if steps == 0:
+            a[r:, c:] %= p
+            steps = slack
         col = a[r:, c]
-        nz = np.nonzero(col)[0]
+        col %= p
+        nz = np.flatnonzero(col)
         if nz.size == 0:
             continue
         piv = r + int(nz[0])  # first nonzero in column order
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
         inv = pow(int(a[r, c]), p - 2, p)
-        a[r, c:] = (a[r, c:] * inv) % p
-        below = a[r + 1 :, c]
-        mask = below != 0
-        if mask.any():
-            a[r + 1 :, c:][mask] = (
-                a[r + 1 :, c:][mask] - np.outer(below[mask], a[r, c:])
-            ) % p
+        a[r, c:] = a[r, c:] % p * inv % p
+        a[r + 1 :, c:] -= np.outer(a[r + 1 :, c], a[r, c:])
+        steps -= 1
         r += 1
         if r == nrows:
             break
@@ -433,6 +447,28 @@ def _monomial_plan(v: int, m: int) -> tuple:
         plan.append(tuple(steps))
         prev = {e: k for k, e in enumerate(level)}
     return tuple(plan)
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_index_plan(v: int, m: int) -> tuple:
+    """`_monomial_plan` as (parent, variable) index arrays per level."""
+    levels = []
+    for steps in _monomial_plan(v, m):
+        parents, variables = np.array(steps, dtype=np.intp).T
+        parents.setflags(write=False)  # cached and shared
+        variables.setflags(write=False)
+        levels.append((parents, variables))
+    return tuple(levels)
+
+
+def monomial_table(points: np.ndarray, m: int, p: int) -> np.ndarray:
+    """Values of all degree-m monomials at every row of the int64 residue
+    array `points` over GF(p), p < 2^31: a row per point, columns aligned
+    with monomials().  Each level of the plan is one indexed product."""
+    vals = np.ones((len(points), 1), dtype=np.int64)
+    for parents, variables in _monomial_index_plan(points.shape[1], m):
+        vals = vals[:, parents] * points[:, variables] % p
+    return vals
 
 
 def monomial_values(field: Field, point: Sequence, m: int) -> list:

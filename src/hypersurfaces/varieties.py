@@ -338,8 +338,10 @@ class ParamVariety:
 
     Immutable after construction; the coordinate table over GF(p) (all
     rational parameter points evaluated through the coordinates) is built
-    lazily and cached as a read-only int64 array, and backs sampling and
-    the injectivity scan.
+    lazily and cached as a read-only int64 array, and backs sampling, the
+    injectivity scan and the counts.  `counts` memoises the exact a_m by m
+    (filled by `cohomology.a_m`): a count depends on nothing but the
+    variety and m.
     """
 
     def __init__(
@@ -366,6 +368,7 @@ class ParamVariety:
         self.linearly_normal = linearly_normal
         self.construction = dict(construction)
         self._table: Optional[np.ndarray] = None
+        self.counts: dict = {}
         if len(self.coords) != amb + 1:
             raise ValueError("need amb+1 coordinate polynomials")
         for c in self.coords:
@@ -379,6 +382,13 @@ class ParamVariety:
     @property
     def is_curve(self) -> bool:
         return self.n == 1
+
+    @property
+    def has_table(self) -> bool:
+        """A curve over GF(p), p <= FULL_SCAN_LIMIT: certified and sampled
+        on its whole coordinate table, and counted on its first rows."""
+        fld = self.field
+        return self.is_curve and fld.is_prime_field and fld.p <= FULL_SCAN_LIMIT
 
     def __repr__(self) -> str:
         return (
@@ -469,6 +479,8 @@ class ParamVariety:
 
 def sample_points(v: ParamVariety, count: int, seed: int = 0) -> PointConfig:
     """Deterministic-from-seed list of `count` distinct points on `v`."""
+    if count < 1:
+        raise ValueError("need count >= 1")
     avail = v.domain.count_available(v.field)
     if avail is not None and count > avail:
         raise FieldTooSmallError(
@@ -479,7 +491,7 @@ def sample_points(v: ParamVariety, count: int, seed: int = 0) -> PointConfig:
     vecs = []
     seen = set()
     budget = count * 4 + 64
-    if fld.is_prime_field and v.is_curve and fld.p <= FULL_SCAN_LIMIT:
+    if v.has_table:
         table = v.coordinate_table()
         order = list(range(len(table)))
         random.Random(("sample", v.label, seed).__repr__()).shuffle(order)
@@ -559,7 +571,7 @@ def _coefficient_rank(v: ParamVariety) -> int:
 
 def _verify_injective_and_nondegenerate(v: ParamVariety, sample_size: int = 0) -> None:
     fld = v.field
-    if fld.is_prime_field and v.is_curve and fld.p <= FULL_SCAN_LIMIT:
+    if v.has_table:
         table = v.coordinate_table()
         if len(table) < v.amb + 1:
             raise FieldTooSmallError(
@@ -1223,7 +1235,7 @@ class Construction:
 
 
 def _rebuild_projection(fld: Field, base: dict, center: list) -> ParamVariety:
-    source = _construct(base, fld)
+    source = _construct(_entry(base), base, fld)
     coerce = int if fld.is_prime_field else (lambda x: Fraction(str(x)))
     basis = tuple(tuple(coerce(x) for x in b) for b in center)
     return project(source, ProjectionCenter(source.amb, basis))
@@ -1260,23 +1272,57 @@ CONSTRUCTIONS = {
 }
 
 
+# descriptor fields whose value is not one integer: integer lists, and the
+# source construction and center of a projection (read by `_rebuild_projection`)
+_INTEGER_LIST_FIELDS = ("weierstrass", "f_coeffs")
+_PROJECTION_FIELDS = ("base", "center")
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def from_descriptor(desc: dict) -> ParamVariety:
     """Deterministically rebuild a variety from its descriptor JSON."""
     for key in ("field", "construction"):
         if key not in desc:
             raise ValueError(f"descriptor lacks field {key!r}")
-    fld: Field = QQ if desc["field"] == "Q" else PrimeField(int(desc["field"]))
-    return _construct(desc["construction"], fld)
+    cons, spec = desc["construction"], desc["field"]
+    entry = _entry(cons)
+    if spec != "Q" and not _is_integer(spec):
+        raise ValueError(
+            f"construction {cons['name']!r} field 'field' must be 'Q' or an integer, "
+            f"got {spec!r}"
+        )
+    return _construct(entry, cons, QQ if spec == "Q" else PrimeField(spec))
 
 
-def _construct(cons: dict, fld: Field) -> ParamVariety:
+def _entry(cons: dict) -> Construction:
+    """The table entry of a construction object, once its fields are all
+    present and of the right type."""
     if not isinstance(cons, dict):
         raise ValueError(f"a construction is an object with a name, got {cons!r}")
-    entry = CONSTRUCTIONS.get(cons.get("name"))
+    name = cons.get("name")
+    entry = CONSTRUCTIONS.get(name)
     if entry is None:
-        raise ValueError(f"unknown construction {cons.get('name')!r}")
-    missing = [f for f in entry.fields if f not in cons]
-    if missing:
-        raise ValueError(f"construction {cons['name']!r} lacks field {missing[0]!r}")
+        raise ValueError(f"unknown construction {name!r}")
+    for f in entry.fields:
+        if f not in cons:
+            raise ValueError(f"construction {name!r} lacks field {f!r}")
+        value = cons[f]
+        if f in _INTEGER_LIST_FIELDS:
+            if not (isinstance(value, (list, tuple)) and all(map(_is_integer, value))):
+                raise ValueError(
+                    f"construction {name!r} field {f!r} must be a list of integers, "
+                    f"got {value!r}"
+                )
+        elif f not in _PROJECTION_FIELDS and not _is_integer(value):
+            raise ValueError(
+                f"construction {name!r} field {f!r} must be an integer, got {value!r}"
+            )
+    return entry
+
+
+def _construct(entry: Construction, cons: dict, fld: Field) -> ParamVariety:
     kwargs = {f: cons[f] for f in entry.fields}
     return entry.build(**kwargs) if entry.prime_only else entry.build(fld=fld, **kwargs)

@@ -20,6 +20,11 @@ each image scaled to lead entry 1, then the rank of the whole table), and
 weierstrass_points_by_sqrt enumerates the points of y^2 = f(x) with one
 Tonelli-Shanks square root per x; the library does both on arrays.
 
+a_m_by_point_evaluation is the count on the polynomial path: every point
+of the unisolvent grid evaluated through the coordinate polynomials, then
+the rank of the monomial evaluation matrix.  The library counts a curve
+with a coordinate table on the table's first rows instead.
+
 coordinate_simplex is the c+1 coordinate points of P^c, a configuration
 whose Hilbert function and regularity are known by hand.
 
@@ -35,7 +40,7 @@ import operator
 import random
 from fractions import Fraction
 
-from hypersurfaces.exactcore import Matrix, MPoly, monomials, poly_diff, rank
+from hypersurfaces.exactcore import Matrix, MPoly, binomial, monomials, poly_diff, rank
 from hypersurfaces.pointconfig import (
     ExtractionError,
     NuVector,
@@ -93,6 +98,14 @@ def symbolic_a_m(v, m: int) -> int:
             flat.append(t.terms.get(e, zero))
     mat = Matrix(fld, len(param_monos), len(composed), flat)
     return mat.cols - rank(mat)
+
+
+def a_m_by_point_evaluation(v, m: int) -> int:
+    """a_m as the corank of the degree-m evaluation matrix at the grid's
+    images, each computed by evaluating the coordinate polynomials."""
+    params = v.domain.unisolvent_params(v.field, v.coords, m)
+    vecs = [v.eval_params(q) for q in params]
+    return binomial(v.amb + m, m) - rank(evaluation_matrix(v.field, vecs, m))
 
 
 def _rref(rows, inv, mul, sub):

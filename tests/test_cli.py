@@ -152,6 +152,15 @@ def test_points_round_trip(tmp_path, capsys):
     assert "span_dim = 3" in out
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_points_sample_needs_a_positive_count(tmp_path, capsys, count):
+    out = tmp_path / "pts.txt"
+    code = main(["points", "sample", "--count", count, "--out-points", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: need count >= 1\n"
+    assert not out.exists()
+
+
 def test_points_bad_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("field Q\n2 1\n1 2\n")

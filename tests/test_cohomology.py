@@ -1,9 +1,9 @@
 """Tests for hypersurface counts, deficiency profiles and classifications."""
 
 import pytest
-from helpers import symbolic_a_m
+from helpers import a_m_by_point_evaluation, symbolic_a_m
 
-from hypersurfaces import formulas
+from hypersurfaces import cohomology, formulas
 from hypersurfaces.cohomology import (
     a_m,
     classify_a2_curve,
@@ -17,7 +17,9 @@ from hypersurfaces.cohomology import (
 )
 from hypersurfaces.exactcore import QQ, PrimeField, binomial
 from hypersurfaces.varieties import (
+    CONSTRUCTIONS,
     FieldTooSmallError,
+    WeierstrassDomain,
     elliptic_normal_curve,
     hyperelliptic_g2_curve,
     linear_section_curve,
@@ -139,6 +141,102 @@ def test_am_veronese_over_gf5():
 def test_am_validates_degree():
     with pytest.raises(ValueError):
         a_m(rational_normal_curve(3, GF), 0)
+
+
+# ---------------------------------------------------------------- table path
+
+# one curve of every curve construction of the descriptor table, over GF(p)
+CURVE_CASES = {
+    "rnc": lambda p: rational_normal_curve(4, PrimeField(p)),
+    "scroll_section": lambda p: scroll_section_curve(2, 3, 4, PrimeField(p), seed=3),
+    "elliptic": lambda p: elliptic_normal_curve(3, p),
+    "genus2": lambda p: hyperelliptic_g2_curve(4, p),
+    "multisecant": lambda p: multisecant_projection(5, 5, 2, p, seed=2),
+    "project": lambda p: project_from_general_point(rational_normal_curve(5, PrimeField(p)), seed=1),
+    "scroll_hyperplane_section": lambda p: linear_section_curve(
+        scroll_surface(1, 3, PrimeField(p)), seed=4
+    ),
+    "veronese_conic_section": lambda p: linear_section_curve(
+        veronese_surface(PrimeField(p)), seed=2
+    ),
+}
+
+
+def test_curve_cases_cover_every_curve_construction():
+    assert set(CURVE_CASES) == set(CONSTRUCTIONS) - {"scroll", "veronese"}
+
+
+@pytest.mark.parametrize("p", [10007, 101])
+@pytest.mark.parametrize("name", sorted(CURVE_CASES))
+def test_table_counts_match_point_evaluation(name, p):
+    v = CURVE_CASES[name](p)
+    assert v.has_table and v.construction["name"] == name
+    for m in (1, 2, 3, 4):
+        assert a_m(v, m) == a_m_by_point_evaluation(v, m), (v.label, m)
+    fresh = CURVE_CASES[name](p)  # no counts memoised yet
+    prof = deficiency_profile(fresh)
+    assert prof.a == {m: a_m_by_point_evaluation(fresh, m) for m in prof.a}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: rational_normal_curve(4, GF),
+    lambda: elliptic_normal_curve(3, 10007),
+    lambda: hyperelliptic_g2_curve(4, 10007),
+], ids=["P1", "elliptic", "genus2"])
+def test_unisolvent_grid_is_the_head_of_the_table(build, monkeypatch):
+    # the table path counts on table[:len(grid)]: the grid must be the first
+    # parameters in the table's order, each row the image of its point, and
+    # those rows exactly what the count evaluates (any other rows that are
+    # also unisolvent would give the same count)
+    evaluated = []
+    table_of = cohomology.monomial_table
+    monkeypatch.setattr(cohomology, "monomial_table",
+                        lambda rows, m, p: evaluated.append(rows.tolist()) or table_of(rows, m, p))
+    v = build()
+    table = v.coordinate_table()
+    if isinstance(v.domain, WeierstrassDomain):
+        order = v.domain.points()
+    else:
+        order = v.domain.line_parameters(v.field)
+    for m in (1, 2, 3, 4):
+        grid = v.domain.unisolvent_params(v.field, v.coords, m)
+        images = [list(v.eval_params(q)) for q in grid]
+        assert [tuple(q) for q in grid] == order[: len(grid)]
+        assert table[: len(grid)].tolist() == images
+        a_m(v, m)
+        assert evaluated.pop() == images
+
+
+def _count_calls(monkeypatch) -> list:
+    """Record the degree of every count that is computed, not memoised."""
+    calls = []
+    count = cohomology._count
+    monkeypatch.setattr(cohomology, "_count", lambda v, m: calls.append(m) or count(v, m))
+    return calls
+
+
+def test_counts_are_computed_once_per_variety(monkeypatch):
+    calls = _count_calls(monkeypatch)
+    v = multisecant_projection(4, 4, 1, 10007, seed=5)
+    prof = deficiency_profile(v)
+    cls = classify_a2_curve(v)
+    top = max(prof.a)
+    assert h1_ideal(v, 2) == cls.h1_2 and a_m(v, top, seed=9) == prof.a[top]
+    assert len(calls) == len(set(calls))
+    assert set(calls) == set(prof.a) | {1, 2}
+    assert v.counts == prof.a and cls.a2 == prof.a[2]
+    # the memo belongs to the variety: an equal one counts afresh
+    assert a_m(multisecant_projection(4, 4, 1, 10007, seed=5), 2) == cls.a2
+    assert calls.count(2) == 2
+
+
+def test_failed_count_is_not_memoised(monkeypatch):
+    calls = _count_calls(monkeypatch)
+    v = rational_normal_curve(3, PrimeField(11))
+    for _ in range(2):
+        with pytest.raises(FieldTooSmallError, match=r"^rnc\(3\): .*p > 12"):
+            a_m(v, 4)
+    assert calls == [4, 4] and 4 not in v.counts
 
 
 # ---------------------------------------------------------------- h1

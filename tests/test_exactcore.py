@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,9 @@ from hypersurfaces.exactcore import (
     Matrix,
     MPoly,
     PrimeField,
+    _rank_modp_numpy,
     binomial,
+    monomial_table,
     monomial_values,
     monomials,
     null_space,
@@ -29,6 +32,7 @@ from helpers import fraction_elimination_rank, null_space_by_rref, rank_mod_p
 GF101 = PrimeField(101)
 GF7 = PrimeField(7)
 GF_BIGNUMPY = PrimeField(1000003)  # still on the vectorised path
+GF_M31 = PrimeField((1 << 31) - 1)  # the largest prime on the vectorised path
 
 
 # ---------------------------------------------------------------- fields
@@ -190,6 +194,27 @@ def test_rank_large_prime_python_path():
     assert rank(m) == 2
 
 
+@pytest.mark.parametrize("p", [101, 10007, (1 << 31) - 1])
+@pytest.mark.parametrize("shape", [(12, 12), (30, 7), (7, 30)])
+def test_vectorised_rank_of_low_rank_products(p, shape):
+    # B C with B n x k and C k x m has rank k for generic entries; near
+    # p = 2^31 every elimination step moves an entry by almost 2^62, so the
+    # trailing block must be reduced after every couple of steps, and a
+    # missed reduction overflows int64 and breaks the dependencies
+    rng = random.Random(p + shape[0])
+    n, m = shape
+    for k in (1, 3, 5):
+        b = [[rng.randrange(p) for _ in range(k)] for _ in range(n)]
+        c = [[rng.randrange(p) for _ in range(m)] for _ in range(k)]
+        rows = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*c)] for row in b]
+        want = rank_mod_p(rows, p)
+        assert want == k
+        assert rank(Matrix.from_rows(PrimeField(p), rows)) == want
+        table = np.array(rows, dtype=np.int64)
+        table.setflags(write=False)  # read, never written
+        assert _rank_modp_numpy(table, p) == want
+
+
 def test_rank_engines_agree_on_random_matrices():
     # the echelon over QQ, the vectorised and pure-Python mod-p eliminations
     # and a Fraction-based oracle must agree wherever they are comparable
@@ -212,7 +237,7 @@ def test_rank_engines_agree_on_random_matrices():
 # ---------------------------------------------------------------- echelon
 
 GF_M61 = PrimeField((1 << 61) - 1, trust_prime=True)  # pure-Python rank path
-ECHELON_FIELDS = [PrimeField(5), GF101, GF_BIGNUMPY, GF_M61, QQ]
+ECHELON_FIELDS = [PrimeField(5), GF101, GF_BIGNUMPY, GF_M31, GF_M61, QQ]
 
 
 def oracle_rank(fld, rows) -> int:
@@ -359,6 +384,16 @@ def test_monomial_values_alignment():
     assert [v for v in vals] == [8, 12, 18, 27]
     vals7 = monomial_values(GF7, [3, 4], 2)
     assert vals7 == [2, 5, 2]  # 9, 12, 16 mod 7
+
+
+@pytest.mark.parametrize("fld", [GF7, GF101, GF_M31], ids=repr)
+@pytest.mark.parametrize("nvars, m", [(1, 3), (2, 1), (3, 4), (5, 3), (9, 2)])
+def test_monomial_table_rows_are_monomial_values(fld, nvars, m):
+    rng = random.Random(nvars * 10 + m)
+    points = [[rng.randrange(fld.p) for _ in range(nvars)] for _ in range(6)]
+    table = monomial_table(np.array(points, dtype=np.int64), m, fld.p)
+    assert table.dtype == np.int64
+    assert table.tolist() == [monomial_values(fld, pt, m) for pt in points]
 
 
 # ---------------------------------------------------------------- polynomials

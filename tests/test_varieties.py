@@ -62,6 +62,14 @@ def test_rnc_sampling_small_field():
     assert len(cfg) == 12  # 11 affine parameters plus the one at infinity
 
 
+@pytest.mark.parametrize("count", [0, -2])
+@pytest.mark.parametrize("fld", [GF, PrimeField(1000003), QQ], ids=repr)
+def test_sampling_needs_a_positive_count(fld, count):
+    # on the table path and on the parameter stream alike
+    with pytest.raises(ValueError, match=r"^need count >= 1$"):
+        sample_points(rational_normal_curve(3, fld), count)
+
+
 def test_rnc_sampling_exhausts_field():
     v = rational_normal_curve(3, PrimeField(7))
     with pytest.raises(FieldTooSmallError):
@@ -332,6 +340,41 @@ def test_descriptor_round_trip_every_construction(name):
 def test_malformed_descriptor_names_the_missing_field(desc, message):
     with pytest.raises(ValueError) as exc:
         from_descriptor(desc)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "field, cons, message",
+    [
+        (10007, {"name": "rnc", "r": "3"},
+         "construction 'rnc' field 'r' must be an integer, got '3'"),
+        (10007, {"name": "rnc", "r": 3.0},
+         "construction 'rnc' field 'r' must be an integer, got 3.0"),
+        (10007, {"name": "scroll", "a": True, "b": 2},
+         "construction 'scroll' field 'a' must be an integer, got True"),
+        (10007, {"name": "scroll_section", "a": 1, "b": 2, "k": 1, "seed": None},
+         "construction 'scroll_section' field 'seed' must be an integer, got None"),
+        (10007, {"name": "elliptic", "c": 2, "p": 10007, "weierstrass": "11"},
+         "construction 'elliptic' field 'weierstrass' must be a list of integers, got '11'"),
+        (10007, {"name": "genus2", "c": 2, "p": 10007, "f_coeffs": [1, 1, 0, 0, 0, "1"]},
+         "construction 'genus2' field 'f_coeffs' must be a list of integers, "
+         "got [1, 1, 0, 0, 0, '1']"),
+        (10007, {"name": "project", "center": [[1, 2, 3, 5]],
+                 "base": {"name": "rnc", "r": [3]}},
+         "construction 'rnc' field 'r' must be an integer, got [3]"),
+        ("10007", {"name": "rnc", "r": 3},
+         "construction 'rnc' field 'field' must be 'Q' or an integer, got '10007'"),
+        (10007.0, {"name": "rnc", "r": 3},
+         "construction 'rnc' field 'field' must be 'Q' or an integer, got 10007.0"),
+        (True, {"name": "veronese"},
+         "construction 'veronese' field 'field' must be 'Q' or an integer, got True"),
+        ("QQ", {"name": "veronese"},
+         "construction 'veronese' field 'field' must be 'Q' or an integer, got 'QQ'"),
+    ],
+)
+def test_descriptor_field_of_the_wrong_type_is_named(field, cons, message):
+    with pytest.raises(ValueError) as exc:
+        from_descriptor({"field": field, "construction": cons})
     assert str(exc.value) == message
 
 
