@@ -8,15 +8,17 @@ models with coordinates of pole order <= N), so a_m is the corank of one
 evaluation matrix at the images of those points.  Prime fields too small
 to hold the point set raise FieldTooSmallError.
 
-A curve with a coordinate table (over GF(p), p <= FULL_SCAN_LIMIT) is
-counted on the table it was certified on: the grid is (1, t) for
-t = 0..top on P^1 and the first points of y^2 = f(x), which are the first
-rows of the table in the domain's order.  The evaluation matrix is then
-one int64 array, built level by level from the monomial plan and ranked in
-numpy.  Surfaces, curves over Q and over larger primes, and
-`PointConfig.hilbert` evaluate the coordinate polynomials point by point.
-Each count is computed once per variety and memoised on it (a failure is
-not), so the ledger, the profile and the classification share it.
+The count itself is `ParamVariety.count` in `varieties`, because the
+certificate of a curve is one of these counts.  A curve with a coordinate
+table (over GF(p), p <= TABLE_LIMIT), and a curve on P^1 over any prime
+below 2^31, evaluates only the grid, which is the table's first rows:
+(1, t) for t = 0..top on P^1 and the first points of y^2 = f(x).  The
+evaluation matrix is then one int64 array, built level by level from the
+monomial plan and ranked in numpy.  Surfaces, curves over Q, y^2 = f(x)
+curves over larger primes and `PointConfig.hilbert` evaluate the
+coordinate polynomials point by point.  Each count is computed once per variety and
+memoised on it (a failure is not), so the certificate, the ledger, the
+profile and the classification share it.
 
 The deficiency numbers h^1(I(m)) then come from the Riemann-Roch ledger
 a_m = u(c, g, d, m) + h^1(I(m)), valid whenever d <= 2c+1 (the twist
@@ -29,13 +31,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .exactcore import Matrix, _rank_modp_numpy, binomial, monomial_table, null_space, rank
+from .exactcore import Matrix, binomial, null_space
 from .formulas import H as H_bound
 from .formulas import u as u_count
-from .pointconfig import PointConfig, evaluation_matrix
+from .pointconfig import PointConfig
 from .varieties import (
     ConstructionError,
-    FieldTooSmallError,
     ParamVariety,
     VerificationError,
     linear_section_curve,
@@ -64,24 +65,7 @@ def a_m(v: ParamVariety, m: int, seed: int = 0) -> int:
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    count = v.counts.get(m)
-    if count is None:
-        count = v.counts[m] = _count(v, m)
-    return count
-
-
-def _count(v: ParamVariety, m: int) -> int:
-    try:
-        params = v.domain.unisolvent_params(v.field, v.coords, m)
-    except FieldTooSmallError as err:
-        raise FieldTooSmallError(f"{v.label}: {err}") from None
-    total = binomial(v.amb + m, m)
-    if v.has_table:
-        # the grid is the first len(params) parameters in the table's order
-        rows, p = v.coordinate_table()[: len(params)], v.field.p
-        return total - _rank_modp_numpy(monomial_table(rows, m, p), p)
-    vecs = [v.eval_params(q) for q in params]
-    return total - rank(evaluation_matrix(v.field, vecs, m))
+    return v.count(m)
 
 
 def _derive(seed: int, tag: str, extra: int) -> int:

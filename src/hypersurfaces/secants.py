@@ -29,7 +29,6 @@ __all__ = [
     "QuadraticEmbedding",
     "ZakInvariants",
     "veronese_square",
-    "secant_dim",
     "zak_invariants",
     "expected_table2_deltas",
     "Table2Comparison",
@@ -111,21 +110,6 @@ def _secant_dims(runs: list) -> list:
     if not runs:
         raise ValueError("need trials >= 1")
     return [max(r[min(k, len(r) - 1)] for r in runs) for k in range(max(map(len, runs)))]
-
-
-def secant_dim(y: QuadraticEmbedding, k: int, trials: int = 3, seed: int = 0) -> int:
-    """dim S^k Y by Terracini: span of tangent spaces at k+1 generic points.
-
-    The rank at any specific sample never exceeds the generic rank, so the
-    maximum over trials is a lower bound that equals the true dimension
-    once one sample is generic; the ambient field must be exact rationals
-    or a prime field with p > 10^6 to make rank loss negligible.  This is
-    entry k of the nested pass that zak_invariants reads in full.
-    """
-    if k < 0:
-        raise ValueError("need k >= 0")
-    dims = _secant_dims([_tangent_ranks(y, seed, t) for t in range(trials)])
-    return dims[min(k, len(dims) - 1)]
 
 
 @dataclass(frozen=True)

@@ -7,15 +7,20 @@ rational parametrizations (rational normal curves, scrolls, Veronese,
 scroll sections and their projections) or a plane-curve point enumerator
 for elliptic and genus-2 curves presented by y^2 = f(x).
 
-Claimed metadata is never trusted: constructions are certified (distinct
-images over all rational parameters, a hyperplane degree count, and a
-nondegeneracy rank) and fail loudly instead of returning a variety whose
-invariants might silently be wrong.  Over GF(p), p <= FULL_SCAN_LIMIT, a
-curve's images are checked on its whole coordinate table as one int64
-array.  Nondegeneracy is the exact rank of the coordinates' coefficient
-matrix, that is the span over the algebraic closure: a curve whose
-coordinates are independent forms is accepted even when its GF(p)-points
-happen to lie in a hyperplane.
+Claimed metadata is never trusted: constructions are certified and fail
+loudly instead of returning a variety whose invariants might silently be
+wrong.  Nondegeneracy is the exact rank of the coordinates' coefficient
+matrix, that is the span over the algebraic closure.  A curve is then
+certified by one exact count.  Its coordinates are sections of a line
+bundle L of degree D (the forms' degree on P^1, the top pole order on
+y^2 = f(x)) on a smooth source of genus g, and (D, g) must be the claimed
+(d, g).  For some m with dm >= 2g+1, up to the Gruson-Lazarsfeld-Peskine
+bound m = d - amb + 1, the degree-m forms must reach rank dm + 1 - g on
+the curve: they then restrict onto H^0(L^m), which is very ample, so the
+coordinates embed the source as a smooth curve of degree d.  The counts
+a_m are exact (`ParamVariety.count`) and memoised, so certification and
+the ledgers share them.  Surfaces are checked for distinct images on a
+sample.
 """
 
 from __future__ import annotations
@@ -31,15 +36,20 @@ import numpy as np
 
 from .exactcore import (
     QQ,
+    _NUMPY_PRIME_LIMIT,
     Field,
     Matrix,
     MPoly,
     PrimeField,
+    _integer_row,
+    _rank_modp_numpy,
+    binomial,
+    monomial_table,
     monomials,
     null_space,
     rank,
 )
-from .pointconfig import PointConfig
+from .pointconfig import PointConfig, evaluation_matrix
 
 __all__ = [
     "ConstructionError",
@@ -71,8 +81,8 @@ class ConstructionError(RuntimeError):
 
 
 class FieldTooSmallError(ConstructionError):
-    """The base field has too few points for the requested sample, for the
-    point set of an exact count, or for a full-scan certificate."""
+    """The base field has too few points for the requested sample or for
+    the point set of an exact count (the certificate of a curve included)."""
 
 
 class ProjectionError(ConstructionError):
@@ -83,8 +93,8 @@ class VerificationError(ConstructionError):
     """Numeric verification of claimed metadata or of a count ledger failed."""
 
 
-# above this modulus, exhaustive rational-point scans give way to sampling
-FULL_SCAN_LIMIT = 1 << 16
+# curves over GF(p) up to this modulus keep an int64 coordinate table
+TABLE_LIMIT = 1 << 16
 
 
 # ------------------------------------------------------------------ univariate helpers
@@ -127,23 +137,8 @@ def _poly_gcd(f: Field, a: list, b: list) -> list:
     return a
 
 
-def _poly_mul(f: Field, a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [f.raw(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] = f.add(out[i + j], f.mul(ca, cb))
-    return _poly_trim(out)
-
-
-def _distinct_root_count(f: Field, coeffs: list) -> int:
-    """Number of distinct roots in the algebraic closure: deg(h / gcd(h, h'))."""
-    coeffs = _poly_trim(list(coeffs))
-    if _poly_deg(coeffs) < 1:
-        return 0
-    g = _poly_gcd(f, coeffs, _poly_deriv(f, coeffs))
-    return _poly_deg(coeffs) - _poly_deg(g)
+def _is_squarefree(f: Field, coeffs: list) -> bool:
+    return _poly_deg(_poly_gcd(f, coeffs, _poly_deriv(f, coeffs))) == 0
 
 
 # ------------------------------------------------------------------ parameter domains
@@ -205,7 +200,7 @@ class ProjectiveDomain:
 
     def parameter_stream(self, field: Field, seed: int) -> Iterator[tuple]:
         rng = random.Random(("domain", self.blocks, seed).__repr__())
-        if self.is_curve_line() and field.is_prime_field and field.p <= FULL_SCAN_LIMIT:
+        if self.is_curve_line() and field.is_prime_field and field.p <= TABLE_LIMIT:
             order = list(range(field.p + 1))
             rng.shuffle(order)
             params = self.line_parameters(field)
@@ -242,7 +237,8 @@ class ProjectiveDomain:
 
 
 class WeierstrassDomain:
-    """Rational points (x, y) of y^2 = f(x) over GF(p), cached once.
+    """Rational points (x, y) of y^2 = f(x) over GF(p), enumerated once into
+    a read-only int64 array; tuples are built only for the points taken.
 
     Serves both elliptic (deg f = 3) and genus-2 (deg f = 5) models; the
     point at infinity is deliberately not represented, since coordinate
@@ -259,11 +255,12 @@ class WeierstrassDomain:
             raise ValueError("p = 2 not supported for y^2 = f(x) models")
         self.field = field
         self.f_coeffs = tuple(field.raw(c) for c in f_coeffs)
-        self._points: Optional[list] = None
+        self._points: Optional[np.ndarray] = None
 
-    def points(self) -> list:
-        """Affine points with x ascending; for each x, (x, y) with the smaller
-        square root y first, then (x, p - y) when y != 0."""
+    def point_array(self) -> np.ndarray:
+        """Affine points, one (x, y) row each, with x ascending; for each x,
+        (x, y) with the smaller square root y first, then (x, p - y) when
+        y != 0."""
         if self._points is None:
             p = self.field.p
             xs = np.arange(p, dtype=np.int64)
@@ -279,11 +276,17 @@ class WeierstrassDomain:
             x, y = xs[ys >= 0], ys[ys >= 0]
             pairs = np.stack([x, y, x, p - y], axis=1).reshape(-1, 2, 2)
             keep = np.stack([np.ones(len(y), dtype=bool), y != 0], axis=1)
-            self._points = [tuple(pt) for pt in pairs[keep].tolist()]
+            points = pairs[keep]
+            points.setflags(write=False)  # the cache is shared: keep it read-only
+            self._points = points
         return self._points
 
+    def points(self) -> list:
+        """`point_array` as (x, y) tuples."""
+        return [tuple(pt) for pt in self.point_array().tolist()]
+
     def count_available(self, field: Field) -> int:
-        return len(self.points())
+        return len(self.point_array())
 
     def unisolvent_params(self, field: Field, coords: Sequence[MPoly], m: int) -> list:
         """The first m*N + 1 affine points, N the top pole order of `coords`
@@ -292,20 +295,20 @@ class WeierstrassDomain:
         fdeg = len(self.f_coeffs) - 1
         top = max(_section_pole_order(*_weierstrass_split(c), fdeg) for c in coords)
         need = m * top + 1
-        pts = self.points()
+        pts = self.point_array()
         if len(pts) < need:
             raise FieldTooSmallError(
                 f"exact degree-{m} counts need {need} affine points, "
                 f"y^2 = f(x) over {field!r} has {len(pts)}"
             )
-        return pts[:need]
+        return [tuple(pt) for pt in pts[:need].tolist()]
 
     def parameter_stream(self, field: Field, seed: int) -> Iterator[tuple]:
-        pts = self.points()
+        pts = self.point_array()
         order = list(range(len(pts)))
         random.Random(("weierstrass", self.f_coeffs, seed).__repr__()).shuffle(order)
         for i in order:
-            yield pts[i]
+            yield tuple(pts[i].tolist())
 
 
 # ------------------------------------------------------------------ the variety object
@@ -336,12 +339,12 @@ class ProjectionCenter:
 class ParamVariety:
     """A parametrised variety with verified degree/genus metadata.
 
-    Immutable after construction; the coordinate table over GF(p) (all
-    rational parameter points evaluated through the coordinates) is built
-    lazily and cached as a read-only int64 array, and backs sampling, the
-    injectivity scan and the counts.  `counts` memoises the exact a_m by m
-    (filled by `cohomology.a_m`): a count depends on nothing but the
-    variety and m.
+    Immutable after construction; the coordinate table of a curve over
+    GF(p) (all rational parameter points evaluated through the coordinates)
+    is built lazily for sampling and cached as a read-only int64 array, and
+    a count evaluates only its first rows.  `counts` memoises the exact a_m
+    by m (filled by `count`, for certification and `cohomology.a_m` alike):
+    a count depends on nothing but the variety and m.
     """
 
     def __init__(
@@ -385,10 +388,10 @@ class ParamVariety:
 
     @property
     def has_table(self) -> bool:
-        """A curve over GF(p), p <= FULL_SCAN_LIMIT: certified and sampled
-        on its whole coordinate table, and counted on its first rows."""
+        """A curve over GF(p), p <= TABLE_LIMIT: sampled on its whole
+        coordinate table, and counted on its first rows."""
         fld = self.field
-        return self.is_curve and fld.is_prime_field and fld.p <= FULL_SCAN_LIMIT
+        return self.is_curve and fld.is_prime_field and fld.p <= TABLE_LIMIT
 
     def __repr__(self) -> str:
         return (
@@ -416,48 +419,57 @@ class ParamVariety:
 
     def coordinate_table(self) -> np.ndarray:
         """Coordinate vectors at every rational parameter point, one int64
-        row each, in the domain's canonical order (GF(p) curves only)."""
-        if self._table is not None:
-            return self._table
-        fld = self.field
-        if not fld.is_prime_field:
-            raise ValueError("coordinate tables exist only over prime fields")
-        p = fld.p
-        if isinstance(self.domain, ProjectiveDomain) and self.domain.is_curve_line():
-            cm, deg = self._line_coeff_matrix()
-            coeff = np.array([[int(v) for v in row] for row in cm], dtype=np.int64)
-            ts = np.arange(p, dtype=np.int64)
-            powers = np.ones((p + 1, deg + 1), dtype=np.int64)
-            for j in range(1, deg + 1):
-                powers[:p, j] = powers[:p, j - 1] * ts % p
-            powers[p, :deg] = 0  # the parameter at infinity picks the t^deg row
-            table = powers @ coeff % p
-        elif isinstance(self.domain, WeierstrassDomain):
-            xs, ys = np.array(self.domain.points(), dtype=np.int64).reshape(-1, 2).T
+        row each, in the domain's canonical order (curves with a table)."""
+        if self._table is None:
+            if not self.has_table:
+                raise ValueError(f"coordinate tables need a curve over GF(p), p <= {TABLE_LIMIT}")
+            table = self._table_rows(self.domain.count_available(self.field))
+            table.setflags(write=False)  # the cache is shared: keep it read-only
+            self._table = table
+        return self._table
+
+    def _table_rows(self, n: int) -> np.ndarray:
+        """The first n rows of the coordinate table over GF(p), p < 2^31,
+        evaluated without the rest; on P^1, row t < p is the parameter
+        (1, t) and row p is (0, 1)."""
+        p = self.field.p
+        if isinstance(self.domain, WeierstrassDomain):
+            xs, ys = self.domain.point_array()[:n].T
+            xpow = [np.ones_like(xs)]
             cols = []
-            xpow_cache = {0: np.ones_like(xs)}
-
-            def xpow(k):
-                if k not in xpow_cache:
-                    xpow_cache[k] = xpow_cache[k - 1] * xs % p
-                return xpow_cache[k]
-
             for c in self.coords:
                 col = np.zeros_like(xs)
                 for (ex, ey), coeff in c.terms.items():
-                    term = xpow(ex) * int(coeff) % p
+                    while len(xpow) <= ex:
+                        xpow.append(xpow[-1] * xs % p)
+                    term = xpow[ex] * int(coeff) % p
                     if ey == 1:
                         term = term * ys % p
                     elif ey > 1:
                         raise ValueError("Weierstrass coordinates must have y-degree <= 1")
                     col = (col + term) % p
                 cols.append(col)
-            table = np.stack(cols, axis=1)
-        else:
-            raise ValueError("coordinate tables are only built for curves")
-        table.setflags(write=False)  # the cache is shared: keep it read-only
-        self._table = table
-        return table
+            return np.stack(cols, axis=1)
+        cm, deg = self._line_coeff_matrix()
+        ts = np.arange(min(n, p), dtype=np.int64)
+        powers = np.ones((n, deg + 1), dtype=np.int64)
+        for j in range(1, deg + 1):
+            powers[: len(ts), j] = powers[: len(ts), j - 1] * ts % p
+        powers[p:, :deg] = 0  # the parameter at infinity picks the t^deg row
+        cm = np.array(cm, dtype=np.int64)
+        if p > TABLE_LIMIT:  # split the coefficients so each sum stays in int64
+            return ((powers @ (cm >> 16) % p << 16) + powers @ (cm & 0xFFFF)) % p
+        return powers @ cm % p
+
+    # -------------------------------------------------------- counts
+
+    def count(self, m: int) -> int:
+        """a_m, the number of independent degree-m forms vanishing on the
+        variety; exact, and memoised in `counts` (a failure is not)."""
+        count = self.counts.get(m)
+        if count is None:
+            count = self.counts[m] = _count(self, m)
+        return count
 
     # -------------------------------------------------------- sampling
 
@@ -534,22 +546,44 @@ def _normalize_key(fld: Field, vec) -> tuple:
     return tuple(fld.mul(x, inv) for x in vec)
 
 
-# ------------------------------------------------------------------ verification
+# ------------------------------------------------------------------ counts and certificates
 
 
-def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Elementwise a^(p-2) mod p by square and multiply: the inverse of each
-    nonzero residue.  Products stay below p^2, so int64 is exact for
-    p < 2^31."""
-    out = np.ones_like(a)
-    base = a % p
-    e = p - 2
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return out
+def _count(v: ParamVariety, m: int) -> int:
+    """a_m as the corank of the degree-m monomials at the images of the
+    domain's unisolvent grid; a curve with a table, and a curve on P^1 over
+    GF(p), p < 2^31, evaluate the grid as the table's first rows."""
+    try:
+        params = v.domain.unisolvent_params(v.field, v.coords, m)
+    except FieldTooSmallError as err:
+        raise FieldTooSmallError(f"{v.label}: {err}") from None
+    total = binomial(v.amb + m, m)
+    fld = v.field
+    on_line = isinstance(v.domain, ProjectiveDomain) and v.domain.is_curve_line()
+    if v.has_table or (on_line and fld.is_prime_field and fld.p < _NUMPY_PRIME_LIMIT):
+        p = fld.p
+        return total - _rank_modp_numpy(monomial_table(v._table_rows(len(params)), m, p), p)
+    vecs = [v.eval_params(q) for q in params]
+    return total - rank(evaluation_matrix(v.field, vecs, m))
+
+
+# a prime below 2^31: over Q the grid is ranked modulo it first
+_LEDGER_PRIME = (1 << 31) - 1
+
+
+def _rank_mod_ledger_prime(v: ParamVariety, m: int) -> int:
+    """Rank modulo _LEDGER_PRIME of the degree-m monomials at the grid's
+    images over Q: a lower bound on the rank over Q.  The coefficients are
+    cleared of one common denominator, so each row is an integer multiple
+    of its image, which keeps the rank; the reduced curve is counted by
+    `_count` on the same grid."""
+    fq = PrimeField(_LEDGER_PRIME)
+    scaled = iter(_integer_row([c for poly in v.coords for c in poly.terms.values()]))
+    coords = [MPoly(fq, poly.nvars, {e: next(scaled) for e in poly.terms}) for poly in v.coords]
+    reduced = ParamVariety(
+        v.label, v.n, v.amb, v.d, v.g, fq, coords, v.domain, v.linearly_normal, v.construction
+    )
+    return binomial(v.amb + m, m) - _count(reduced, m)
 
 
 def _coefficient_rank(v: ParamVariety) -> int:
@@ -567,41 +601,6 @@ def _coefficient_rank(v: ParamVariety) -> int:
     monos = sorted({e for c in v.coords for e in c.terms})
     rows = [[c.terms.get(e, zero) for c in v.coords] for e in monos]
     return rank(Matrix.from_rows(v.field, rows))
-
-
-def _verify_injective_and_nondegenerate(v: ParamVariety, sample_size: int = 0) -> None:
-    fld = v.field
-    if v.has_table:
-        table = v.coordinate_table()
-        if len(table) < v.amb + 1:
-            raise FieldTooSmallError(
-                f"{v.label}: {fld!r} has {len(table)} rational parameters, "
-                f"spanning P^{v.amb} needs {v.amb + 1}"
-            )
-        nonzero = table != 0
-        if not nonzero.any(axis=1).all():
-            raise VerificationError(f"{v.label}: parametrization has a base point")
-        # scale each row to lead entry 1 and count the distinct rows; the
-        # residues are below p <= 2^16, so a row packs into uint16 bytes
-        lead = table[np.arange(len(table)), nonzero.argmax(axis=1)]
-        keys = table * _inverse_mod(lead, fld.p)[:, None] % fld.p
-        keys = np.ascontiguousarray(keys, dtype=np.uint16)
-        images = len(np.unique(keys.view(np.dtype((np.void, keys.strides[0])))))
-        if images != len(table):
-            raise VerificationError(
-                f"{v.label}: parameter points collide in the image "
-                f"({len(table)} parameters, {images} images)"
-            )
-    else:
-        size = sample_size or 3 * (v.amb + 1)
-        cfg = sample_points(v, size, seed=987)
-        if len(set(cfg.points)) != size:
-            raise VerificationError(f"{v.label}: sampled images not distinct")
-    span = _coefficient_rank(v)
-    if span != v.amb + 1:
-        raise VerificationError(
-            f"{v.label}: image is degenerate (span rank {span} < {v.amb + 1})"
-        )
 
 
 def _weierstrass_split(poly: MPoly) -> tuple:
@@ -629,69 +628,82 @@ def _section_pole_order(A: list, B: list, fdeg: int) -> int:
     return pole
 
 
-def _verify_degree_curve(v: ParamVariety, seed: int, trials: int = 5) -> None:
-    """Exact distinct-intersection count against random hyperplanes.
-
-    A trial computes the number of distinct geometric intersection points of
-    the curve with a random hyperplane (squarefree-part degree of the
-    pulled-back form).  Some trial must reach d and none may exceed it.
-    """
-    fld = v.field
-    rng = random.Random(("degree", v.label, seed).__repr__())
-    best = -1
-    for _ in range(trials):
-        h = [_rand_scalar(fld, rng) for _ in range(v.amb + 1)]
-        if all(x == 0 for x in h):
-            continue
-        if isinstance(v.domain, ProjectiveDomain) and v.domain.is_curve_line():
-            cm, deg = v._line_coeff_matrix()
-            hpoly = [
-                _dot(fld, row, h)
-                for row in cm
-            ]
-            _poly_trim(hpoly)
-            if not hpoly:
-                continue  # hyperplane contains the curve: impossible post-span check
-            count = _distinct_root_count(fld, hpoly)
-            if _poly_deg(hpoly) < deg:
-                count += 1  # the parameter at infinity lies on the hyperplane
-        elif isinstance(v.domain, WeierstrassDomain):
-            section = MPoly.zero(fld, 2)
-            for hi, c in zip(h, v.coords):
-                section = section + c * hi
-            A, B = _weierstrass_split(section)
-            if not B or not A or _poly_deg(_poly_gcd(fld, A, B)) > 0:
-                continue  # degenerate trial
-            fdeg = _poly_deg(list(v.domain.f_coeffs))
-            n_max = max(
-                _section_pole_order(*_weierstrass_split(c), fdeg) for c in v.coords
-            )
-            r = _poly_sub(fld, _poly_mul(fld, A, A),
-                          _poly_mul(fld, _poly_mul(fld, B, B), list(v.domain.f_coeffs)))
-            count = _distinct_root_count(fld, r)
-            if _section_pole_order(A, B, fdeg) < n_max:
-                count += 1  # hyperplane through the image of the infinity place
-        else:
-            return  # degree checks are defined for curves only
-        if count > v.d:
-            raise VerificationError(
-                f"{v.label}: hyperplane meets the curve in {count} > d = {v.d} points"
-            )
-        best = max(best, count)
-        if best == v.d:
-            return
-    raise VerificationError(
-        f"{v.label}: degree check reached only {best} of d = {v.d} intersection points"
-    )
+def _degree_and_genus(v: ParamVariety) -> tuple:
+    """(D, g) of a curve's coordinates: the degree D of the line bundle L
+    they are sections of, and the genus g of their smooth source."""
+    if isinstance(v.domain, WeierstrassDomain):
+        f = _poly_trim(list(v.domain.f_coeffs))
+        fdeg = _poly_deg(f)
+        if fdeg % 2 == 0 or not _is_squarefree(v.field, f):
+            raise VerificationError(f"{v.label}: y^2 = f(x) needs f squarefree of odd degree")
+        top = max(_section_pole_order(*_weierstrass_split(c), fdeg) for c in v.coords)
+        return top, (fdeg - 1) // 2
+    if isinstance(v.domain, ProjectiveDomain) and v.domain.is_curve_line():
+        return v._line_coeff_matrix()[1], 0
+    raise ValueError("curves are certified on P^1 or on y^2 = f(x)")
 
 
-def _poly_sub(fld: Field, a: list, b: list) -> list:
-    out = [fld.raw(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = fld.sub(out[i], c)
-    return _poly_trim(out)
+def _restricts_onto(v: ParamVariety, m: int, last: bool) -> bool:
+    """Whether the degree-m forms reach rank dm + 1 - g on the curve, which
+    is h^0(L^m) and so the most they can reach.  At m = 1 the rank is the
+    coefficient rank, amb + 1.  Over Q a hit of the rank modulo
+    _LEDGER_PRIME proves it; the exact count is the fallback at the `last`
+    degree only."""
+    target = v.d * m + 1 - v.g
+    total = binomial(v.amb + m, m)
+    if m == 1:
+        return v.amb + 1 == target
+    if total < target:
+        return False
+    if v.field.is_prime_field:
+        return total - v.count(m) == target
+    if _rank_mod_ledger_prime(v, m) == target:
+        v.counts[m] = total - target
+        return True
+    return last and total - v.count(m) == target
+
+
+def _certify_curve(v: ParamVariety) -> None:
+    """The Riemann-Roch certificate of a closed embedding of degree d.
+
+    The claimed (d, g) must be the coordinates' (D, g).  Then for the first
+    m >= 1 with dm >= 2g+1, up to the Gruson-Lazarsfeld-Peskine bound
+    m = d - amb + 1 (a smooth curve has h^1(I(m)) = 0 from there on), the
+    degree-m forms must restrict onto H^0(L^m).  L^m is very ample
+    (Hartshorne IV.3.2), so the coordinates, composed with the degree-m
+    Veronese map, give a closed embedding of the source.  Ranks do not
+    change under field extension, so the certificate holds over the
+    algebraic closure."""
+    D, genus = _degree_and_genus(v)
+    if (v.d, v.g) != (D, genus):
+        raise VerificationError(
+            f"{v.label}: claims degree {v.d} and genus {v.g}, its coordinates "
+            f"have degree {D} on a source of genus {genus}"
+        )
+    lo = max(1, -(-(2 * v.g + 1) // v.d))
+    hi = max(lo, v.d - v.amb + 1)
+    if not any(_restricts_onto(v, m, m == hi) for m in range(lo, hi + 1)):
+        raise VerificationError(
+            f"{v.label}: not a smooth curve of degree {v.d} and genus {v.g}: the "
+            f"degree-m forms fall short of rank dm + 1 - g for m = {lo}..{hi}"
+        )
+
+
+def _certify(v: ParamVariety) -> ParamVariety:
+    """Certify `v`: its coefficient rank, then the certificate of a curve or
+    distinct images on a sample of a surface."""
+    span = _coefficient_rank(v)
+    if span != v.amb + 1:
+        raise VerificationError(
+            f"{v.label}: image is degenerate (span rank {span} < {v.amb + 1})"
+        )
+    if v.is_curve:
+        _certify_curve(v)
+        return v
+    size = 3 * (v.amb + 1)
+    if len(set(sample_points(v, size, seed=987).points)) != size:
+        raise VerificationError(f"{v.label}: sampled images not distinct")
+    return v
 
 
 def _dot(fld: Field, row, h):
@@ -705,13 +717,6 @@ def _rand_scalar(fld: Field, rng: random.Random):
     if fld.is_prime_field:
         return fld.raw(rng.randrange(fld.p))
     return fld.raw(rng.randint(-99, 99))
-
-
-def _certify(v: ParamVariety, seed: int) -> ParamVariety:
-    _verify_injective_and_nondegenerate(v)
-    if v.is_curve:
-        _verify_degree_curve(v, seed)
-    return v
 
 
 # ------------------------------------------------------------------ constructors
@@ -734,7 +739,7 @@ def rational_normal_curve(r: int, fld: Field) -> ParamVariety:
         linearly_normal=True,
         construction={"name": "rnc", "r": r},
     )
-    return _certify(v, seed=0)
+    return _certify(v)
 
 
 def scroll_surface(a: int, b: int, fld: Field) -> ParamVariety:
@@ -758,8 +763,7 @@ def scroll_surface(a: int, b: int, fld: Field) -> ParamVariety:
         linearly_normal=True,
         construction={"name": "scroll", "a": a, "b": b},
     )
-    _verify_injective_and_nondegenerate(v)
-    return v
+    return _certify(v)
 
 
 def veronese_surface(fld: Field) -> ParamVariety:
@@ -777,8 +781,7 @@ def veronese_surface(fld: Field) -> ParamVariety:
         linearly_normal=True,
         construction={"name": "veronese"},
     )
-    _verify_injective_and_nondegenerate(v)
-    return v
+    return _certify(v)
 
 
 def _random_coprime_forms(fld: Field, deg_beta: int, deg_alpha: int, rng: random.Random):
@@ -861,7 +864,9 @@ def scroll_section_curve(
                     "seed": seed,
                 },
             )
-            return _certify(v, seed=seed + attempt)
+            return _certify(v)
+        except FieldTooSmallError:
+            raise  # a field too small for the certificate is so for every draw
         except ConstructionError as err:
             last_err = err
     raise ConstructionError(
@@ -918,7 +923,7 @@ def elliptic_normal_curve(
             "weierstrass": [int(A), int(B)],
         },
     )
-    return _certify(v, seed=1)
+    return _certify(v)
 
 
 # f(x) = 1 + x + x^5, low degree first: the genus-2 model used by default
@@ -937,7 +942,7 @@ def hyperelliptic_g2_curve(c: int, p: int, f_coeffs: Sequence[int] = GENUS2_DEFA
     f_raw = [fld.raw(x) for x in f_coeffs]
     if len(f_raw) != 6 or f_raw[5] == 0:
         raise ValueError("f must have degree exactly 5")
-    if _poly_deg(_poly_gcd(fld, list(f_raw), _poly_deriv(fld, list(f_raw)))) > 0:
+    if not _is_squarefree(fld, f_raw):
         raise ConstructionError(f"f is not squarefree mod {p}")
     n = c + 3
     domain = WeierstrassDomain(fld, [int(x) for x in f_raw])
@@ -960,7 +965,7 @@ def hyperelliptic_g2_curve(c: int, p: int, f_coeffs: Sequence[int] = GENUS2_DEFA
             "f_coeffs": [int(x) for x in f_raw],
         },
     )
-    return _certify(v, seed=2)
+    return _certify(v)
 
 
 # ------------------------------------------------------------------ projections
@@ -999,20 +1004,6 @@ def _project(
             if coeff != 0:
                 acc = acc + cpoly * coeff
         new_coords.append(acc)
-    if isinstance(v.domain, ProjectiveDomain) and v.domain.is_curve_line():
-        # a common factor of the composed coordinates means the center meets
-        # the curve (degree would silently drop)
-        gcd = []
-        for cpoly in new_coords:
-            unis = [fld.raw(0)] * (max(cpoly.degree(), 0) + 1)
-            for (es, et), coeff in cpoly.terms.items():
-                unis[et] = coeff
-            gcd = _poly_gcd(fld, gcd, _poly_trim(unis)) if gcd else _poly_trim(list(unis))
-        tops = [
-            cpoly.terms.get((0, cpoly.degree()), fld.raw(0)) for cpoly in new_coords
-        ]
-        if _poly_deg(gcd) > 0 or all(t == 0 for t in tops):
-            raise ProjectionError(f"{v.label}: projection center meets the curve")
     out = ParamVariety(
         label=label,
         n=v.n,
@@ -1026,7 +1017,7 @@ def _project(
         construction=construction,
     )
     try:
-        return _certify(out, seed=13)
+        return _certify(out)
     except VerificationError as err:
         raise ProjectionError(
             f"{v.label}: center meets the secant locus ({err})"
@@ -1043,6 +1034,8 @@ def project_from_general_point(v: ParamVariety, seed: int = 0) -> ParamVariety:
             continue
         try:
             return project(v, ProjectionCenter(v.amb, (tuple(int(x) if v.field.is_prime_field else x for x in vec),)))
+        except FieldTooSmallError:
+            raise  # a field too small for the certificate is so for every center
         except ConstructionError as err:
             last = err
     raise ProjectionError(f"no usable general projection point found: {last}")
@@ -1106,6 +1099,8 @@ def multisecant_projection(
         try:
             out = _project(source, ProjectionCenter(source.amb, tuple(basis)),
                            f"multisecant(c={c},k={k},g={g})", construction)
+        except FieldTooSmallError:
+            raise  # a field too small for the certificate is so for every center
         except ConstructionError as err:
             last = err
             continue
@@ -1170,7 +1165,9 @@ def linear_section_curve(v: ParamVariety, seed: int = 0) -> ParamVariety:
                     linearly_normal=True,
                     construction={"name": "scroll_hyperplane_section", "a": a, "b": b, "seed": seed, "attempt": attempt},
                 )
-                return _certify(out, seed=seed + attempt)
+                return _certify(out)
+            except FieldTooSmallError:
+                raise  # a field too small for the certificate is so for every draw
             except ConstructionError:
                 continue
         raise ConstructionError(f"no transverse hyperplane section found for {v.label}")
@@ -1205,7 +1202,7 @@ def linear_section_curve(v: ParamVariety, seed: int = 0) -> ParamVariety:
             linearly_normal=True,
             construction={"name": "veronese_conic_section", "seed": seed},
         )
-        return _certify(out, seed=seed)
+        return _certify(out)
     raise ValueError(f"no section recipe for construction {name!r}")
 
 

@@ -8,7 +8,6 @@ from hypersurfaces.exactcore import QQ, PrimeField, binomial
 from hypersurfaces.secants import (
     TerraciniError,
     expected_table2_deltas,
-    secant_dim,
     table2_row,
     veronese_square,
     zak_invariants,
@@ -56,28 +55,26 @@ def test_square_rejects_enumerator_curves():
 
 
 def test_secant_dims_twisted_cubic():
-    y = veronese_square(rational_normal_curve(3, BIGP))
-    assert [secant_dim(y, k) for k in range(4)] == [1, 3, 5, 6]
+    assert zak_invariants(rational_normal_curve(3, BIGP)).s == {0: 1, 1: 3, 2: 5, 3: 6}
 
 
 def test_secant_dims_veronese():
+    s = zak_invariants(veronese_surface(BIGP)).s
+    assert (s[3], s[4], s[5]) == (11, 13, 14)
     y = veronese_square(veronese_surface(BIGP))
-    assert secant_dim(y, 3) == 11
-    assert secant_dim(y, 4) == 13
-    assert secant_dim(y, 5) == 14
+    assert secant_dims_by_rank(y, 5, trials=1)[3:] == [11, 13, 14]
 
 
 def test_secant_dim_small_prime_rejected():
-    y = veronese_square(rational_normal_curve(3, BIGP))
     small = rational_normal_curve(3, PrimeField(10007))
     with pytest.raises(ValueError):
-        secant_dim(veronese_square(small), 1)
-    assert secant_dim(y, 0) == 1
+        zak_invariants(small)
+    assert zak_invariants(rational_normal_curve(3, BIGP)).s[0] == 1
 
 
 def test_secant_dim_deterministic():
-    y = veronese_square(veronese_surface(BIGP))
-    assert secant_dim(y, 3, seed=4) == secant_dim(y, 3, seed=4)
+    y = veronese_surface(BIGP)
+    assert zak_invariants(y, seed=4) == zak_invariants(y, seed=4)
     v = project_from_general_point(rational_normal_curve(4, BIGP), seed=3)
     assert zak_invariants(v, seed=5) == zak_invariants(v, seed=5)
 
@@ -86,8 +83,6 @@ def test_trials_below_one_rejected():
     v = rational_normal_curve(3, BIGP)
     with pytest.raises(ValueError, match="need trials >= 1"):
         zak_invariants(v, trials=0)
-    with pytest.raises(ValueError, match="need trials >= 1"):
-        secant_dim(veronese_square(v), 1, trials=0)
 
 
 ORACLE_WITNESSES = [
@@ -156,11 +151,12 @@ def test_retry_gives_up_after_one_doubling(monkeypatch):
 
 
 def test_secant_dim_carries_a_filled_run_forward(monkeypatch):
-    # trial 0 fills the span of rnc(3)^2 at k = 3, trial 1 lags behind
+    # trial 0 fills the span of rnc(3)^2 at k = 3, trial 1 lags behind: the
+    # filled run keeps its rank at every later k, so s_k reaches the span at 3
     runs = {0: [1, 3, 5, 6], 1: [1, 2, 3, 4, 5, 6]}
     monkeypatch.setattr(secants, "_tangent_ranks", lambda y, seed, trial: runs[trial])
-    y = veronese_square(rational_normal_curve(3, BIGP))
-    assert [secant_dim(y, k, trials=2) for k in range(8)] == [1, 3, 5, 6, 6, 6, 6, 6]
+    inv = zak_invariants(rational_normal_curve(3, BIGP), trials=2)
+    assert inv.s == {0: 1, 1: 3, 2: 5, 3: 6} and inv.k2 == 3 and inv.trials == 2
 
 
 # ---------------------------------------------------------------- invariants
