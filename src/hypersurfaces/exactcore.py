@@ -7,8 +7,10 @@ residues in [0, p) over GF(p)); the field objects do the arithmetic.
 There is one pure-Python elimination, the incremental `Echelon`: monic rows
 over GF(p), and fraction-free primitive integer rows over Q.  `rank` uses it
 for Q and for 62-bit primes, and a vectorised int64 numpy elimination for
-p < 2^31, which also ranks int64 arrays directly (such as a
-`monomial_table`, the monomial values at an array of points); `null_space`
+p < 2^31.  That elimination also takes int64 arrays directly, and reports
+which columns it found independent: a `monomial_table` (every degree-m
+monomial at an array of points) or a `monomial_products` array (the
+products of chosen degree-(m-1) monomials with a variable).  `null_space`
 back-substitutes in the echelon.  Pivoting is deterministic (first nonzero)
 and no floating point is used anywhere.
 """
@@ -31,6 +33,7 @@ __all__ = [
     "MPoly",
     "monomials",
     "monomial_table",
+    "monomial_products",
     "binomial",
     "rank",
     "Echelon",
@@ -235,22 +238,28 @@ class Matrix:
         return f"Matrix({self.field!r}, {self.rows}x{self.cols})"
 
 
-def _rank_modp_numpy(rows, p: int) -> int:
-    """Row rank over GF(p) by vectorised elimination; needs p < 2^31.
+def _pivots_modp_numpy(rows, p: int) -> np.ndarray:
+    """Pivot columns of a row echelon form over GF(p), by vectorised
+    elimination; needs p < 2^31.  The columns it returns are independent
+    and their number is the rank.
 
     `rows` is a list of integer rows or an int64 array; the array is read,
-    never written.  The loop runs over the shorter side (the rank of the
-    transpose is the same).  Each step subtracts less than p^2 from an
-    entry, so the trailing block is reduced mod p only when `slack` more
-    steps could leave int64; the pivot column and row are reduced as they
-    are used.
+    never written.  The loop runs over the shorter side: a wide matrix is
+    eliminated as its transpose, and the rows that become pivots there,
+    tracked through the row swaps, are the independent columns.  Each step
+    subtracts less than p^2 from an entry, so the trailing block is reduced
+    mod p only when `slack` more steps could leave int64; the pivot column
+    and row are reduced as they are used.
     """
     a = np.asarray(rows, dtype=np.int64) % p
     if a.size == 0:
-        return 0
-    if a.shape[1] > a.shape[0]:
+        return np.zeros(0, dtype=np.intp)
+    wide = a.shape[1] > a.shape[0]
+    if wide:
         a = np.ascontiguousarray(a.T)
     nrows, ncols = a.shape
+    order = list(range(nrows))  # order[i]: the input row now at row i
+    pivots = []
     steps = slack = (np.iinfo(np.int64).max - p) // (p - 1) ** 2
     r = 0
     for c in range(ncols):
@@ -259,20 +268,30 @@ def _rank_modp_numpy(rows, p: int) -> int:
             steps = slack
         col = a[r:, c]
         col %= p
-        nz = np.flatnonzero(col)
+        nz = col.nonzero()[0]
         if nz.size == 0:
             continue
         piv = r + int(nz[0])  # first nonzero in column order
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r, c:] = a[r, c:] % p * inv % p
-        a[r + 1 :, c:] -= np.outer(a[r + 1 :, c], a[r, c:])
+            order[r], order[piv] = order[piv], order[r]
+        row = a[r, c:]
+        row %= p
+        row *= pow(int(row[0]), p - 2, p)
+        row %= p
+        a[r + 1 :, c:] -= a[r + 1 :, c, None] * row
         steps -= 1
+        pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return r
+    # the first r rows span what input rows order[:r] span, and are independent
+    return np.array(sorted(order[:r]) if wide else pivots, dtype=np.intp)
+
+
+def _rank_modp_numpy(rows, p: int) -> int:
+    """Row rank over GF(p), p < 2^31: the number of pivot columns."""
+    return len(_pivots_modp_numpy(rows, p))
 
 
 def rank(m: Matrix) -> int:
@@ -469,6 +488,46 @@ def monomial_table(points: np.ndarray, m: int, p: int) -> np.ndarray:
     for parents, variables in _monomial_index_plan(points.shape[1], m):
         vals = vals[:, parents] * points[:, variables] % p
     return vals
+
+
+@functools.lru_cache(maxsize=None)
+def _product_plan(v: int, m: int) -> tuple:
+    """(exponents, products) for degree m >= 1 in v variables: the exponent
+    vectors of the degree-(m-1) monomials, a row each in monomials() order,
+    and at [j, i] the index in monomials(v, m) of x_i times monomial j."""
+    lower = monomials(v, m - 1)
+    where = {e: k for k, e in enumerate(monomials(v, m))}
+    products = np.array(
+        [[where[e[:i] + (e[i] + 1,) + e[i + 1 :]] for i in range(v)] for e in lower],
+        dtype=np.intp,
+    )
+    exponents = np.array(lower, dtype=np.intp)
+    exponents.setflags(write=False)  # cached and shared
+    products.setflags(write=False)
+    return exponents, products
+
+
+def monomial_products(points: np.ndarray, basis: np.ndarray, m: int, p: int) -> tuple:
+    """Values of the distinct products x_i * mu, for every variable x_i and
+    every degree-(m-1) monomial mu in `basis` (indices into monomials()),
+    at every row of the int64 residue array `points` over GF(p), p < 2^31.
+
+    Returns (values, index): a row per point and a column per product, and
+    the products' indices into monomials(v, m), ascending.  Each mu is
+    evaluated as a product of powers, each x_i * mu as one product more.
+    """
+    exponents, products = _product_plan(points.shape[1], m)
+    index, first = np.unique(products[basis].ravel(), return_index=True)
+    mu, var = np.divmod(first, points.shape[1])
+    exps = exponents[basis]
+    powers = [np.ones_like(points)]
+    for _ in range(int(exps.max(initial=0))):
+        powers.append(powers[-1] * points % p)
+    powers = np.stack(powers)  # powers[k, :, i] = x_i^k at every point
+    vals = powers[exps[:, 0], :, 0]  # vals[j] = basis monomial j at every point
+    for i in range(1, points.shape[1]):
+        vals = vals * powers[exps[:, i], :, i] % p
+    return (vals[mu] * points.T[var] % p).T, index
 
 
 def monomial_values(field: Field, point: Sequence, m: int) -> list:

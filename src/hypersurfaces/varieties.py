@@ -19,8 +19,9 @@ bound m = d - amb + 1, the degree-m forms must reach rank dm + 1 - g on
 the curve: they then restrict onto H^0(L^m), which is very ample, so the
 coordinates embed the source as a smooth curve of degree d.  The counts
 a_m are exact (`ParamVariety.count`) and memoised, so certification and
-the ledgers share them.  Surfaces are checked for distinct images on a
-sample.
+the ledgers share them; a curve counted on its table keeps each degree's
+independent monomials, and the next degree ranks only their products
+with a variable.  Surfaces are checked for distinct images on a sample.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ from .exactcore import (
     MPoly,
     PrimeField,
     _integer_row,
-    _rank_modp_numpy,
+    _pivots_modp_numpy,
     binomial,
+    monomial_products,
     monomial_table,
     monomials,
     null_space,
@@ -144,6 +146,16 @@ def _is_squarefree(f: Field, coeffs: list) -> bool:
 # ------------------------------------------------------------------ parameter domains
 
 
+def _draw_order(n: int, rng: random.Random) -> Iterator[int]:
+    """range(n) in uniformly random order, drawn lazily: Fisher-Yates that
+    keeps only the positions it has swapped, so k draws cost O(k)."""
+    swapped: dict = {}
+    for k in range(n):
+        j = rng.randrange(k, n)
+        yield swapped.get(j, j)
+        swapped[j] = swapped.pop(k, k)
+
+
 class ProjectiveDomain:
     """Product of projective parameter spaces; blocks list the homogeneous
     coordinate counts of the factors, e.g. (2,) for P^1, (2, 2) for P^1 x P^1,
@@ -168,11 +180,6 @@ class ProjectiveDomain:
             pts = sum(field.p**i for i in range(b))
             total *= pts
         return total
-
-    def line_parameters(self, field: Field) -> list:
-        """Canonical order of all P^1 parameters over GF(p): (1, t) then (0, 1)."""
-        assert self.is_curve_line() and field.is_prime_field
-        return [(1, t) for t in range(field.p)] + [(0, 1)]
 
     def unisolvent_params(self, field: Field, coords: Sequence[MPoly], m: int) -> list:
         """Parameter points on which no nonzero composed degree-m form vanishes.
@@ -201,11 +208,9 @@ class ProjectiveDomain:
     def parameter_stream(self, field: Field, seed: int) -> Iterator[tuple]:
         rng = random.Random(("domain", self.blocks, seed).__repr__())
         if self.is_curve_line() and field.is_prime_field and field.p <= TABLE_LIMIT:
-            order = list(range(field.p + 1))
-            rng.shuffle(order)
-            params = self.line_parameters(field)
-            for i in order:
-                yield params[i]
+            # the table's order: (1, t) for t < p, then (0, 1)
+            for t in _draw_order(field.p + 1, rng):
+                yield (1, t) if t < field.p else (0, 1)
             return
         seen = set()
         if field.is_prime_field:
@@ -281,10 +286,6 @@ class WeierstrassDomain:
             self._points = points
         return self._points
 
-    def points(self) -> list:
-        """`point_array` as (x, y) tuples."""
-        return [tuple(pt) for pt in self.point_array().tolist()]
-
     def count_available(self, field: Field) -> int:
         return len(self.point_array())
 
@@ -305,9 +306,8 @@ class WeierstrassDomain:
 
     def parameter_stream(self, field: Field, seed: int) -> Iterator[tuple]:
         pts = self.point_array()
-        order = list(range(len(pts)))
-        random.Random(("weierstrass", self.f_coeffs, seed).__repr__()).shuffle(order)
-        for i in order:
+        rng = random.Random(("weierstrass", self.f_coeffs, seed).__repr__())
+        for i in _draw_order(len(pts), rng):
             yield tuple(pts[i].tolist())
 
 
@@ -344,7 +344,10 @@ class ParamVariety:
     is built lazily for sampling and cached as a read-only int64 array, and
     a count evaluates only its first rows.  `counts` memoises the exact a_m
     by m (filled by `count`, for certification and `cohomology.a_m` alike):
-    a count depends on nothing but the variety and m.
+    a count depends on nothing but the variety and m.  Beside it, `bases`
+    keeps by m the degree-m monomials that a count on the table's rows
+    found independent on the variety (indices into `monomials()` order), so
+    the count of degree m + 1 needs only their products with a variable.
     """
 
     def __init__(
@@ -372,6 +375,7 @@ class ParamVariety:
         self.construction = dict(construction)
         self._table: Optional[np.ndarray] = None
         self.counts: dict = {}
+        self.bases: dict = {}
         if len(self.coords) != amb + 1:
             raise ValueError("need amb+1 coordinate polynomials")
         for c in self.coords:
@@ -505,9 +509,7 @@ def sample_points(v: ParamVariety, count: int, seed: int = 0) -> PointConfig:
     budget = count * 4 + 64
     if v.has_table:
         table = v.coordinate_table()
-        order = list(range(len(table)))
-        random.Random(("sample", v.label, seed).__repr__()).shuffle(order)
-        for i in order:
+        for i in _draw_order(len(table), random.Random(("sample", v.label, seed).__repr__())):
             vec = tuple(table[i].tolist())
             if all(x == 0 for x in vec):
                 continue
@@ -550,9 +552,18 @@ def _normalize_key(fld: Field, vec) -> tuple:
 
 
 def _count(v: ParamVariety, m: int) -> int:
-    """a_m as the corank of the degree-m monomials at the images of the
-    domain's unisolvent grid; a curve with a table, and a curve on P^1 over
-    GF(p), p < 2^31, evaluate the grid as the table's first rows."""
+    """a_m = C(amb+m, m) - dim W_m, where W_m is the space of degree-m forms
+    restricted to the variety, and dim W_m is the rank of degree-m forms at
+    the images of the domain's unisolvent grid (a form vanishes there
+    exactly when it vanishes on the variety).
+
+    A curve with a table, and a curve on P^1 over GF(p), p < 2^31, evaluate
+    the grid as the table's first rows, and count degree by degree.  W_m is
+    spanned by the products x_i * mu of the variables with a basis mu of
+    W_{m-1}, so when `v.bases` holds degree m-1 and those products are
+    fewer than the degree-m monomials, only they are ranked; otherwise every
+    degree-m monomial is.  Either set spans W_m, so its rank on the grid is
+    dim W_m, and its independent members are kept as the basis of degree m."""
     try:
         params = v.domain.unisolvent_params(v.field, v.coords, m)
     except FieldTooSmallError as err:
@@ -562,7 +573,15 @@ def _count(v: ParamVariety, m: int) -> int:
     on_line = isinstance(v.domain, ProjectiveDomain) and v.domain.is_curve_line()
     if v.has_table or (on_line and fld.is_prime_field and fld.p < _NUMPY_PRIME_LIMIT):
         p = fld.p
-        return total - _rank_modp_numpy(monomial_table(v._table_rows(len(params)), m, p), p)
+        rows = v._table_rows(len(params))
+        basis = v.bases.get(m - 1)
+        if basis is not None and len(basis) * (v.amb + 1) < total:
+            values, index = monomial_products(rows, basis, m, p)
+            pivots = index[_pivots_modp_numpy(values, p)]
+        else:
+            pivots = _pivots_modp_numpy(monomial_table(rows, m, p), p)
+        v.bases[m] = pivots
+        return total - len(pivots)
     vecs = [v.eval_params(q) for q in params]
     return total - rank(evaluation_matrix(v.field, vecs, m))
 

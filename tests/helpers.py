@@ -248,6 +248,15 @@ def weierstrass_points_by_sqrt(p: int, f_coeffs) -> list:
     return pts
 
 
+def table_parameters(v) -> list:
+    """The parameters of a curve's coordinate table in row order: the affine
+    points of y^2 = f(x) as `point_array` lists them, or on P^1 over GF(p)
+    (1, t) for t < p and then (0, 1)."""
+    if v.domain.kind == "weierstrass":
+        return [tuple(pt) for pt in v.domain.point_array().tolist()]
+    return [(1, t) for t in range(v.field.p)] + [(0, 1)]
+
+
 def certify_by_row_scan(v) -> None:
     """Raise what full-scan certification of the curve `v` over GF(p) must
     raise: FieldTooSmallError for fewer rational parameters than amb+1,

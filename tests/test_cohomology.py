@@ -1,7 +1,7 @@
 """Tests for hypersurface counts, deficiency profiles and classifications."""
 
 import pytest
-from helpers import a_m_by_point_evaluation, symbolic_a_m
+from helpers import a_m_by_point_evaluation, symbolic_a_m, table_parameters
 
 from hypersurfaces import formulas, varieties
 from hypersurfaces.cohomology import (
@@ -15,11 +15,11 @@ from hypersurfaces.cohomology import (
     verify_monotonic,
     verify_reg_bound,
 )
-from hypersurfaces.exactcore import QQ, PrimeField, binomial
+from hypersurfaces.exactcore import QQ, Matrix, PrimeField, binomial, rank
+from hypersurfaces.pointconfig import evaluation_matrix
 from hypersurfaces.varieties import (
     CONSTRUCTIONS,
     FieldTooSmallError,
-    WeierstrassDomain,
     elliptic_normal_curve,
     hyperelliptic_g2_curve,
     linear_section_curve,
@@ -192,6 +192,42 @@ def test_line_counts_above_the_table_limit_match_point_evaluation(name, p):
         assert a_m(v, m) == a_m_by_point_evaluation(v, m), (v.label, m)
 
 
+@pytest.mark.parametrize("name, p", [
+    ("rnc", 10007), ("scroll_section", 10007), ("elliptic", 10007), ("genus2", 10007),
+    ("multisecant", 10007), ("project", 10007), ("scroll_section", 1000003),
+])
+def test_degree_by_degree_counts_match_point_evaluation(name, p, monkeypatch):
+    # degree m ranks the products of degree m-1's basis with a variable when
+    # that basis is known and they are fewer than the degree-m monomials,
+    # and every monomial otherwise: asked in decreasing order with no basis
+    # kept, every degree ranks every monomial; asked again, or in increasing
+    # order, the high degrees rank products
+    ranked = []
+    for kind, attr in (("all", "monomial_table"), ("products", "monomial_products")):
+        evaluate = getattr(varieties, attr)
+        monkeypatch.setattr(varieties, attr, lambda rows, *args, kind=kind, evaluate=evaluate:
+                            ranked.append((args[-2], kind)) or evaluate(rows, *args))
+    v = CURVE_CASES[name](p)
+    want = {m: a_m_by_point_evaluation(v, m) for m in range(1, 7)}
+    for degrees, fresh in ((range(6, 0, -1), True), (range(6, 0, -1), False), (range(1, 7), False)):
+        if fresh:
+            v.bases.clear()
+        v.counts.clear()
+        ranked.clear()
+        assert {m: a_m(v, m) for m in degrees} == want, (v.label, list(degrees))
+        assert [m for m, _ in ranked] == list(degrees)
+        products = {m for m, kind in ranked if kind == "products"}
+        assert not products if fresh else {5, 6} <= products
+        # each basis is independent on the curve and as large as W_m
+        for m in degrees:
+            grid = v.domain.unisolvent_params(v.field, v.coords, m)
+            values = evaluation_matrix(v.field, [v.eval_params(q) for q in grid], m).raw_rows()
+            basis = v.bases[m].tolist()
+            assert len(basis) == binomial(v.amb + m, m) - want[m]
+            assert rank(Matrix.from_rows(v.field, [[row[j] for j in basis] for row in values])) \
+                == len(basis)
+
+
 @pytest.mark.parametrize("build", [
     lambda: rational_normal_curve(4, GF),
     lambda: elliptic_normal_curve(3, 10007),
@@ -203,16 +239,14 @@ def test_unisolvent_grid_is_the_head_of_the_table(build, monkeypatch):
     # point, and those rows exactly what the count evaluates (any other
     # rows that are also unisolvent would give the same count)
     evaluated = []
-    table_of = varieties.monomial_table
-    monkeypatch.setattr(varieties, "monomial_table",
-                        lambda rows, m, p: evaluated.append(rows.tolist()) or table_of(rows, m, p))
+    for name in ("monomial_table", "monomial_products"):  # whichever the count ranks
+        evaluate = getattr(varieties, name)
+        monkeypatch.setattr(varieties, name, lambda rows, *args, evaluate=evaluate:
+                            evaluated.append(rows.tolist()) or evaluate(rows, *args))
     v = build()
     v.counts.clear()  # count afresh what certification may have counted
     table = v.coordinate_table()
-    if isinstance(v.domain, WeierstrassDomain):
-        order = v.domain.points()
-    else:
-        order = v.domain.line_parameters(v.field)
+    order = table_parameters(v)
     for m in (1, 2, 3, 4):
         grid = v.domain.unisolvent_params(v.field, v.coords, m)
         images = [list(v.eval_params(q)) for q in grid]

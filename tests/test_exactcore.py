@@ -16,8 +16,10 @@ from hypersurfaces.exactcore import (
     Matrix,
     MPoly,
     PrimeField,
+    _pivots_modp_numpy,
     _rank_modp_numpy,
     binomial,
+    monomial_products,
     monomial_table,
     monomial_values,
     monomials,
@@ -234,6 +236,32 @@ def test_rank_engines_agree_on_random_matrices():
         assert rank(Matrix.from_rows(f_big, rows)) == oracle
 
 
+@pytest.mark.parametrize("p", [2, 10007, 1000003, (1 << 31) - 1])
+@pytest.mark.parametrize("shape, inner", [
+    ((14, 6), 9), ((6, 14), 9), ((14, 9), 4), ((9, 14), 4), ((11, 11), 7),
+], ids=["tall", "wide", "tall-deficient", "wide-deficient", "square-deficient"])
+def test_pivot_columns_are_independent(p, shape, inner):
+    # a wide matrix is eliminated as its transpose: its pivot columns are
+    # the input rows that become pivots there, tracked through the swaps
+    rng = random.Random(p + 100 * shape[0] + inner)
+    n, m = shape
+    fld = PrimeField(p)
+    for _ in range(4):
+        b = [[rng.randrange(p) for _ in range(inner)] for _ in range(n)]
+        c = [[rng.randrange(p) for _ in range(m)] for _ in range(inner)]
+        rows = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*c)] for row in b]
+        # a zero column and a repeated one, which no set of pivots may hold
+        rows = [[0, row[-1]] + row for row in rows]
+        table = np.array(rows, dtype=np.int64)
+        table.setflags(write=False)  # read, never written
+        pivots = _pivots_modp_numpy(table, p).tolist()
+        want = len(Echelon(fld, rows))
+        assert len(pivots) == want == _rank_modp_numpy(table, p)
+        assert pivots == sorted(set(pivots)) and all(0 < j < m + 2 for j in pivots)
+        columns = [[row[j] for row in rows] for j in pivots]
+        assert len(Echelon(fld, columns)) == want
+
+
 # ---------------------------------------------------------------- echelon
 
 GF_M61 = PrimeField((1 << 61) - 1, trust_prime=True)  # pure-Python rank path
@@ -394,6 +422,28 @@ def test_monomial_table_rows_are_monomial_values(fld, nvars, m):
     table = monomial_table(np.array(points, dtype=np.int64), m, fld.p)
     assert table.dtype == np.int64
     assert table.tolist() == [monomial_values(fld, pt, m) for pt in points]
+
+
+@pytest.mark.parametrize("fld", [GF7, GF101, GF_M31], ids=repr)
+@pytest.mark.parametrize("nvars, m", [(1, 3), (2, 1), (3, 4), (5, 3), (9, 2)])
+def test_monomial_products_are_monomial_values(fld, nvars, m):
+    # every product x_i * mu of a variable and a chosen degree-(m-1)
+    # monomial, once each, in monomials() order
+    rng = random.Random(nvars * 10 + m)
+    points = [[rng.randrange(fld.p) for _ in range(nvars)] for _ in range(6)]
+    lower = monomials(nvars, m - 1)
+    level = monomials(nvars, m)
+    for size in (1, len(lower) // 2 + 1, len(lower)):
+        basis = sorted(rng.sample(range(len(lower)), size))
+        values, index = monomial_products(
+            np.array(points, dtype=np.int64), np.array(basis, dtype=np.intp), m, fld.p)
+        products = {
+            level.index(tuple(e + (i == k) for k, e in enumerate(lower[j])))
+            for j in basis for i in range(nvars)
+        }
+        assert index.tolist() == sorted(products)
+        assert values.tolist() == [
+            [monomial_values(fld, pt, m)[k] for k in index.tolist()] for pt in points]
 
 
 # ---------------------------------------------------------------- polynomials

@@ -6,7 +6,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from helpers import certify_by_row_scan, weierstrass_points_by_sqrt
+from helpers import certify_by_row_scan, table_parameters, weierstrass_points_by_sqrt
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -699,10 +699,10 @@ def test_coordinate_table_rows_are_the_images():
     table = v.coordinate_table()
     assert table.dtype == np.int64 and not table.flags.writeable
     assert table is v.coordinate_table()
-    images = [tuple(v.eval_params(q)) for q in v.domain.points()]
+    images = [tuple(v.eval_params(q)) for q in table_parameters(v)]
     assert [tuple(row) for row in table.tolist()] == images
     rnc = rational_normal_curve(3, PrimeField(7))
-    params = rnc.domain.line_parameters(rnc.field)
+    params = table_parameters(rnc)
     assert rnc.coordinate_table().tolist() == [list(rnc.eval_params(q)) for q in params]
 
 
@@ -712,4 +712,5 @@ def test_weierstrass_points_match_tonelli_shanks(p, f):
     # 10007 is 3 mod 4 (one exponentiation), 13 and 10009 are 1 mod 4
     fld = PrimeField(p)
     f = tuple(x % p for x in f)
-    assert WeierstrassDomain(fld, f).points() == weierstrass_points_by_sqrt(p, f)
+    points = WeierstrassDomain(fld, f).point_array().tolist()
+    assert [tuple(pt) for pt in points] == weierstrass_points_by_sqrt(p, f)
