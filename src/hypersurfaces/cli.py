@@ -6,7 +6,8 @@ randomness is seed-derived, so identical configurations produce identical
 output bytes.  `curve` and `secants` build the entries of
 `varieties.CONSTRUCTIONS` that they offer.  Exit codes: 0 success, 1
 verification/construction failure, 2 usage or file-format error (such as
-construction parameters out of range, in `secants` too).
+construction parameters out of range, in `secants` too, or a prime up to
+10^6 for `secants` and `table2`).
 """
 
 from __future__ import annotations
@@ -79,10 +80,13 @@ def _field_from_args(args, default_prime: int = DEFAULT_PRIME) -> Field:
 
 
 def _terracini_field(args) -> Field:
-    """Field of a Terracini run; a --trials below 1 is a usage error."""
+    """Field of a Terracini run; a --trials below 1 or a prime up to 10^6
+    is a usage error."""
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    return _field_from_args(args, default_prime=DEFAULT_TERRACINI_PRIME)
+    fld = _field_from_args(args, default_prime=DEFAULT_TERRACINI_PRIME)
+    secants.check_terracini_field(fld)
+    return fld
 
 
 def _field_spec(fld: Field):

@@ -9,10 +9,13 @@ over GF(p), and fraction-free primitive integer rows over Q.  `rank` uses it
 for Q and for 62-bit primes, and a vectorised int64 numpy elimination for
 p < 2^31.  That elimination also takes int64 arrays directly, and reports
 which columns it found independent: a `monomial_table` (every degree-m
-monomial at an array of points) or a `monomial_products` array (the
-products of chosen degree-(m-1) monomials with a variable).  `null_space`
-back-substitutes in the echelon.  Pivoting is deterministic (first nonzero)
-and no floating point is used anywhere.
+monomial at an array of points), a `monomial_products` array (the
+products of chosen degree-(m-1) monomials with a variable), or the
+transposed tangent rows of a Terracini trial, whose pivots are the rows
+independent of all earlier ones.  `MPolyArray` evaluates a list of MPolys
+on an int64 array of points over GF(p), p < 2^31, as `poly_eval` does at
+one point.  `null_space` back-substitutes in the echelon.  Pivoting is
+deterministic (first nonzero) and no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
     "RationalField",
     "Matrix",
     "MPoly",
+    "MPolyArray",
     "monomials",
     "monomial_table",
     "monomial_products",
@@ -45,6 +49,9 @@ __all__ = [
 _NUMPY_PRIME_LIMIT = 1 << 31
 _PRIME_LIMIT = 1 << 62
 _PRIMALITY_CHECK_LIMIT = 1 << 31
+# MPolyArray sums products of residues below 2^31 with 16-bit halves of the
+# coefficients: up to 2^15 terms keep each sum below 2^63
+_MONOMIAL_LIMIT = 1 << 15
 
 
 class FieldMismatchError(ValueError):
@@ -241,7 +248,12 @@ class Matrix:
 def _pivots_modp_numpy(rows, p: int) -> np.ndarray:
     """Pivot columns of a row echelon form over GF(p), by vectorised
     elimination; needs p < 2^31.  The columns it returns are independent
-    and their number is the rank.
+    and their number is the rank.  On an input that is not wide (no more
+    columns than rows) they are the column rank profile: each returned
+    column is independent of the columns before it, and each skipped one
+    depends on them.  On a wide input they are only some independent set:
+    the columns (0,1), (0,2), (1,0), (1,1) give [1, 2], not the profile
+    [0, 2].
 
     `rows` is a list of integer rows or an int64 array; the array is read,
     never written.  The loop runs over the shorter side: a wide matrix is
@@ -692,3 +704,59 @@ def poly_diff(f: MPoly, var: int) -> MPoly:
     out = MPoly.zero(fld, f.nvars)
     out.terms = {e: c for e, c in terms.items() if c != 0}
     return out
+
+
+class MPolyArray:
+    """MPolys over one GF(p), p < 2^31, evaluated together on an int64 array
+    of points: the column-wise counterpart of `poly_eval`.
+
+    The distinct monomials of all the polynomials are evaluated once per
+    point from per-variable power tables, and their values are combined by
+    one product with the coefficient matrix.  The coefficients are split
+    into 16-bit halves, so each sum stays in int64 for up to
+    `_MONOMIAL_LIMIT` distinct monomials.
+    """
+
+    __slots__ = ("p", "nvars", "exponents", "high", "low")
+
+    def __init__(self, polys: Sequence[MPoly]):
+        if not polys:
+            raise ValueError("need at least one polynomial")
+        fld, nvars = polys[0].field, polys[0].nvars
+        if not (fld.is_prime_field and fld.p < _NUMPY_PRIME_LIMIT):
+            raise ValueError(f"array evaluation needs GF(p), p < 2^31, got {fld!r}")
+        for f in polys:
+            _same_field(fld, f.field)
+            if f.nvars != nvars:
+                raise ValueError("polynomial variable counts differ")
+        exps = sorted({e for f in polys for e in f.terms})
+        if len(exps) > _MONOMIAL_LIMIT:
+            raise ValueError(
+                f"array evaluation takes at most {_MONOMIAL_LIMIT} distinct monomials, "
+                f"got {len(exps)}"
+            )
+        where = {e: k for k, e in enumerate(exps)}
+        coeffs = np.zeros((len(exps), len(polys)), dtype=np.int64)
+        for j, f in enumerate(polys):
+            for e, c in f.terms.items():
+                coeffs[where[e], j] = c
+        self.p = fld.p
+        self.nvars = nvars
+        self.exponents = np.array(exps, dtype=np.intp).reshape(len(exps), nvars)
+        self.high = coeffs >> 16
+        self.low = coeffs & 0xFFFF
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        """Values at every row of the int64 residue array `points`: a row
+        per point, a column per polynomial."""
+        if points.ndim != 2 or points.shape[1] != self.nvars:
+            raise ValueError(f"points must be an array of {self.nvars}-vectors")
+        p = self.p
+        mono = np.ones((len(self.exponents), len(points)), dtype=np.int64)
+        for i, x in enumerate(points.T):
+            powers = [np.ones_like(x)]
+            for _ in range(int(self.exponents[:, i].max(initial=0))):
+                powers.append(powers[-1] * x % p)
+            mono = mono * np.stack(powers)[self.exponents[:, i]] % p
+        vals = mono.T
+        return ((vals @ self.high % p << 16) + vals @ self.low) % p

@@ -5,10 +5,15 @@ of X under all C(r+2, 2) pairwise coordinate products.  The dimension s_k
 of its k-th secant variety is the rank, minus 1, of the affine tangent
 spaces of Y at k+1 generic points (Terracini).  One nested pass gives every
 s_k: each trial draws one point sequence, builds each point's tangent rows
-by the chain rule from the base coordinates and their partials, and feeds
-them to one echelon basis; s_k is the maximum over the trials.  The derived
-data are the deficiencies delta_k = s_{k-1} + n + 1 - s_k, the last
-deficiency-free index ell_2, the filling index k_2, and the total delta^2.
+by the chain rule from the base coordinates and their partials (both
+computed once per embedding), and reads the rank of the rows of its first
+k+1 points; s_k is the maximum over the trials.  Over GF(p), p < 2^31, the
+points are evaluated in batches as int64 arrays and the rows are ranked in
+chunks by the numpy kernel, whose pivots on the transposed rows are the
+rows independent of all rows before them; over Q and larger primes each
+row goes into one `Echelon`.  The derived data are the deficiencies
+delta_k = s_{k-1} + n + 1 - s_k, the last deficiency-free index ell_2, the
+filling index k_2, and the total delta^2.
 
 Zak's span-count identity a_2(X) = delta^2 - (k_2+1)(n+1) + C(c+n+2, 2)
 and its companion inequalities are consistency checks: a failure means the
@@ -19,10 +24,22 @@ positive deficiencies, so they do not certify every s_k.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
+
+import numpy as np
+
 from .cohomology import a_m
-from .exactcore import Echelon, binomial, poly_diff
+from .exactcore import (
+    _NUMPY_PRIME_LIMIT,
+    Echelon,
+    Field,
+    MPolyArray,
+    _pivots_modp_numpy,
+    binomial,
+    poly_diff,
+)
 from .varieties import ParamVariety, ProjectiveDomain
 
 __all__ = [
@@ -34,6 +51,7 @@ __all__ = [
     "Table2Comparison",
     "table2_row",
     "TerraciniError",
+    "check_terracini_field",
 ]
 
 _MIN_TERRACINI_PRIME = 10**6
@@ -52,6 +70,21 @@ class QuadraticEmbedding:
     base: ParamVariety
     N: int
     span_dim: int
+
+    @functools.cached_property
+    def tangent_polys(self) -> tuple:
+        """The base coordinates, then their partial derivatives by each
+        parameter variable: nvars + 1 rows of amb + 1 polynomials."""
+        v = self.base
+        return (tuple(v.coords),) + tuple(
+            tuple(poly_diff(c, var) for c in v.coords) for var in range(v.domain.nvars)
+        )
+
+    @functools.cached_property
+    def tangent_values(self) -> MPolyArray:
+        """`tangent_polys`, flattened row by row, as one array evaluator
+        over GF(p), p < 2^31."""
+        return MPolyArray([f for row in self.tangent_polys for f in row])
 
 
 def veronese_square(v: ParamVariety) -> QuadraticEmbedding:
@@ -73,35 +106,116 @@ def _random_params(domain: ProjectiveDomain, fld, rng: random.Random) -> tuple:
     return tuple(out)
 
 
+def check_terracini_field(fld: Field) -> None:
+    """Refuse a prime field too small for sampled Terracini ranks."""
+    if fld.is_prime_field and fld.p <= _MIN_TERRACINI_PRIME:
+        raise ValueError(
+            f"Terracini sampling needs the rationals or p > 10^6, got {fld!r}"
+        )
+
+
+def _draw(v: ParamVariety, rng: random.Random, count: int, evaluate) -> list:
+    """The values at the next `count` points of a trial's parameter stream
+    whose image is nonzero.  `evaluate` maps a list of parameter points to
+    their values and whether each image is nonzero; a zero image is
+    skipped, and 8 in a row end the trial."""
+    out: list = []
+    misses = 0
+    while len(out) < count:
+        drawn = [_random_params(v.domain, v.field, rng) for _ in range(count - len(out))]
+        values, nonzero = evaluate(drawn)
+        for row, ok in zip(values, nonzero):
+            if ok:
+                out.append(row)
+                misses = 0
+            else:
+                misses += 1
+                if misses == 8:
+                    raise TerraciniError(f"{v.label}: could not sample a nonzero point")
+    return out
+
+
 def _tangent_ranks(y: QuadraticEmbedding, seed: int, trial: int) -> list:
     """One Terracini trial: entry k is the rank, minus 1, of the tangent
     spaces of Y at the first k+1 points the trial draws.  The run ends once
     it fills the span, or after span_dim + 2 points."""
     v, fld = y.base, y.base.field
-    if fld.is_prime_field and fld.p <= _MIN_TERRACINI_PRIME:
-        raise ValueError(
-            f"Terracini sampling needs the rationals or p > 10^6, got {fld!r}"
-        )
-    jac = [[poly_diff(c, var) for c in v.coords] for var in range(v.domain.nvars)]
-    pairs = [(i, j) for i in range(v.amb + 1) for j in range(i, v.amb + 1)]  # graded lex
+    check_terracini_field(fld)
     rng = random.Random(("terracini", v.label, seed, trial).__repr__())
+    if fld.is_prime_field and fld.p < _NUMPY_PRIME_LIMIT:
+        return _tangent_ranks_modp(y, rng)
+
+    def evaluate(drawn):
+        values = [[[f.eval(params) for f in row] for row in y.tangent_polys] for params in drawn]
+        return values, [any(xs) for xs, *_ in values]
+
+    pairs = [(i, j) for i in range(v.amb + 1) for j in range(i, v.amb + 1)]  # graded lex
     basis = Echelon(fld)
     ranks: list = []
     while len(ranks) < y.span_dim + 2 and (not ranks or ranks[-1] < y.span_dim):
-        for _attempt in range(8):
-            params = _random_params(v.domain, fld, rng)
-            xs = [c.eval(params) for c in v.coords]
-            if any(xs):
-                break
-        else:
-            raise TerraciniError(f"{v.label}: could not sample a nonzero point")
+        [[xs, *jac]] = _draw(v, rng, 1, evaluate)
         # chain rule on the products: cone point x_i x_j, partials dx_i x_j + x_i dx_j
         basis.add([xs[i] * xs[j] for i, j in pairs])
-        for partials in jac:
-            dx = [d.eval(params) for d in partials]
+        for dx in jac:
             basis.add([dx[i] * xs[j] + xs[i] * dx[j] for i, j in pairs])
         ranks.append(len(basis) - 1)
     return ranks
+
+
+def _tangent_ranks_modp(y: QuadraticEmbedding, rng: random.Random) -> list:
+    """`_tangent_ranks` over GF(p), p < 2^31, on the int64 kernel.
+
+    The rows are ranked in chunks.  A chunk asks for as many points as could
+    fill the span at n+1 new dimensions each, and the kernel gets the
+    transpose of [independent rows so far; chunk], at most N+1 rows.  That
+    transpose is not wide, so its pivots are exactly the rows independent
+    of all rows before them, and the rank after each point is a prefix
+    count of those.  A point adds at most n+1 dimensions: each block's
+    Euler relation makes a combination of its partials a multiple of the
+    cone point.  So no chunk draws a point past the one that fills the
+    span, and the run stops there as the per-point loop does.
+    """
+    v, p = y.base, y.base.field.p
+    width, per = v.amb + 1, v.domain.nvars + 1  # coordinates; tangent rows per point
+    full, limit = y.span_dim + 1, y.span_dim + 2
+    first, second = np.triu_indices(width)  # the products x_i x_j, i <= j, graded lex
+
+    def evaluate(drawn):
+        values = y.tangent_values(np.array(drawn, dtype=np.int64))
+        return values, values[:, :width].any(axis=1).tolist()
+
+    def tangent_rows(count):
+        vals = np.array(_draw(v, rng, count, evaluate)).reshape(count, per, width)
+        xs = vals[:, :1]
+        # chain rule on the products: row 0 of a point is twice its cone
+        # point x_i x_j, row 1 + var the partial dx_i x_j + x_i dx_j; built
+        # in place, so that only two arrays of rows are alive at a time
+        rows, cross = vals[:, :, first], vals[:, :, second]
+        rows *= xs[:, :, second]
+        rows %= p
+        cross *= xs[:, :, first]
+        cross %= p
+        rows += cross
+        rows %= p
+        return rows.reshape(count * per, -1)
+
+    rows = np.zeros((0, y.N + 1), dtype=np.int64)  # independent rows, then rows not yet ranked
+    known = ranked = drawn = 0  # independent rows; rows ranked and points drawn so far
+    gains: list = []  # the point of each independent row
+    while known < full and (len(rows) > known or drawn < limit):
+        points = -(-(full - known) // (v.n + 1))  # fill at n+1 new dimensions each
+        end = known + min(points * per, y.N + 1 - known)
+        if len(rows) < end and drawn < limit:
+            count = min(-(-(end - len(rows)) // per), limit - drawn)
+            rows = np.concatenate([rows, tangent_rows(count)])
+            drawn += count
+        end = min(end, len(rows))
+        pivots = _pivots_modp_numpy(rows[:end].T, p)
+        gains += ((pivots[known:] - known + ranked) // per).tolist()
+        ranked += end - known
+        rows = np.concatenate([rows[pivots], rows[end:]])
+        known = len(pivots)
+    return (np.cumsum(np.bincount(gains, minlength=drawn)) - 1).tolist()
 
 
 def _secant_dims(runs: list) -> list:

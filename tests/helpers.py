@@ -33,6 +33,11 @@ coordinates out into the C(r+2, 2) product polynomials, differentiates
 those, and takes the rank of the stacked tangent rows at k+1 fresh points
 for every k and trial.  The library reads every s_k from one nested pass
 with chain-rule rows instead.
+
+tangent_ranks_by_echelon is one trial of that nested pass as a per-point
+loop: each accepted point's chain-rule rows go into one `Echelon`, and the
+rank is read after every point.  The library ranks the rows over
+GF(p), p < 2^31, in chunks on the int64 kernel instead.
 """
 
 import itertools
@@ -40,7 +45,8 @@ import operator
 import random
 from fractions import Fraction
 
-from hypersurfaces.exactcore import Matrix, MPoly, binomial, monomials, poly_diff, rank
+from hypersurfaces import secants
+from hypersurfaces.exactcore import Echelon, Matrix, MPoly, binomial, monomials, poly_diff, rank
 from hypersurfaces.pointconfig import (
     ExtractionError,
     NuVector,
@@ -334,6 +340,34 @@ def secant_dims_by_rank(y, k_max: int, trials: int = 3, seed: int = 0) -> list:
             best = max(best, rank(Matrix.from_rows(fld, rows)) - 1)
         dims.append(best)
     return dims
+
+
+def tangent_ranks_by_echelon(y, seed: int, trial: int) -> list:
+    """One Terracini trial of `secants.zak_invariants`, point by point: the
+    same parameter stream (a zero image is skipped, 8 in a row raise), and
+    entry k is the rank, minus 1, of one `Echelon` holding the tangent rows
+    of the first k+1 points; the run ends once it fills the span, or after
+    span_dim + 2 points."""
+    v, fld = y.base, y.base.field
+    jac = [[poly_diff(c, var) for c in v.coords] for var in range(v.domain.nvars)]
+    pairs = [(i, j) for i in range(v.amb + 1) for j in range(i, v.amb + 1)]
+    rng = random.Random(("terracini", v.label, seed, trial).__repr__())
+    basis = Echelon(fld)
+    ranks = []
+    while len(ranks) < y.span_dim + 2 and (not ranks or ranks[-1] < y.span_dim):
+        for _attempt in range(8):
+            params = secants._random_params(v.domain, fld, rng)
+            xs = [c.eval(params) for c in v.coords]
+            if any(xs):
+                break
+        else:
+            raise secants.TerraciniError(f"{v.label}: could not sample a nonzero point")
+        basis.add([xs[i] * xs[j] for i, j in pairs])
+        for partials in jac:
+            dx = [d.eval(params) for d in partials]
+            basis.add([dx[i] * xs[j] + xs[i] * dx[j] for i, j in pairs])
+        ranks.append(len(basis) - 1)
+    return ranks
 
 
 def coordinate_simplex(field, c: int) -> PointConfig:

@@ -223,6 +223,20 @@ def test_secants_usage_error_exits_2(capsys, flags, message):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["secants", "--construction", "rnc", "--p", "101"],
+    ["table2", "--p", "101"],
+])
+def test_terracini_small_prime_is_a_usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: Terracini sampling needs the rationals or p > 10^6, got GF(101)\n"
+    )
+
+
 # small flags for every `curve` kind and `secants` construction the table offers
 OFFER_FLAGS = {
     ("curve", "rnc"): [],

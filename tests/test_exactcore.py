@@ -15,6 +15,7 @@ from hypersurfaces.exactcore import (
     FieldMismatchError,
     Matrix,
     MPoly,
+    MPolyArray,
     PrimeField,
     _pivots_modp_numpy,
     _rank_modp_numpy,
@@ -260,6 +261,50 @@ def test_pivot_columns_are_independent(p, shape, inner):
         assert pivots == sorted(set(pivots)) and all(0 < j < m + 2 for j in pivots)
         columns = [[row[j] for row in rows] for j in pivots]
         assert len(Echelon(fld, columns)) == want
+
+
+@st.composite
+def tall_low_rank(draw):
+    """(p, rows): a matrix with no more columns than rows over p = 1000003 or
+    2^31 - 1, of random rank, with zero and repeated columns mixed in."""
+    p = draw(st.sampled_from([1000003, (1 << 31) - 1]))
+    nrows = draw(st.integers(1, 12))
+    ncols = draw(st.integers(1, nrows))
+    inner = draw(st.integers(0, ncols))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    b = [[rng.randrange(p) for _ in range(inner)] for _ in range(nrows)]
+    c = [[rng.randrange(p) for _ in range(ncols)] for _ in range(inner)]
+    rows = [[sum(row[k] * c[k][j] for k in range(inner)) % p for j in range(ncols)]
+            for row in b]
+    for j in draw(st.lists(st.integers(0, ncols - 1), max_size=3)):
+        src = rng.randrange(ncols)  # column j becomes zero or a multiple of another
+        factor = rng.randrange(p) if rng.random() < 0.7 else 0
+        for row in rows:
+            row[j] = row[src] * factor % p
+    return p, rows
+
+
+@given(tall_low_rank())
+@settings(max_examples=150, deadline=None)
+def test_pivots_of_a_matrix_that_is_not_wide_are_its_column_rank_profile(case):
+    # each returned column is independent of the columns before it, and
+    # each skipped column depends on them
+    p, rows = case
+    fld = PrimeField(p)
+    pivots = set(_pivots_modp_numpy(np.array(rows, dtype=np.int64), p).tolist())
+    before = Echelon(fld)
+    for j in range(len(rows[0])):
+        column = [row[j] for row in rows]
+        assert (j in pivots) == (not before.contains(column)), j
+        before.add(column)
+
+
+def test_pivots_of_a_wide_matrix_need_not_be_its_column_rank_profile():
+    # the columns (0,1), (0,2), (1,0), (1,1): the profile is [0, 2], but a
+    # wide input is eliminated as its transpose and gives another basis
+    wide = np.array([[0, 1], [0, 2], [1, 0], [1, 1]], dtype=np.int64).T
+    assert _pivots_modp_numpy(wide, 1000003).tolist() == [1, 2]
+    assert _pivots_modp_numpy(np.ascontiguousarray(wide[:, [0, 2]]), 1000003).tolist() == [0, 1]
 
 
 # ---------------------------------------------------------------- echelon
@@ -519,6 +564,65 @@ def test_diff_product_rule(f, g, var):
     lhs = poly_diff(f * g, var)
     rhs = poly_diff(f, var) * g + f * poly_diff(g, var)
     assert lhs == rhs
+
+
+@st.composite
+def wide_coefficient_polys(draw, fld, nvars=3):
+    """A few MPolys over `fld` with residues from the whole range (both
+    16-bit halves in use), plus their partial derivatives."""
+    polys = []
+    for _ in range(draw(st.integers(1, 4))):
+        terms = {}
+        for _ in range(draw(st.integers(0, 6))):
+            exp = tuple(draw(st.integers(0, 5)) for _ in range(nvars))
+            terms[exp] = draw(st.integers(0, fld.p - 1))
+        polys.append(MPoly(fld, nvars, terms))
+    return polys + [poly_diff(f, var) for f in polys for var in range(nvars)]
+
+
+@pytest.mark.parametrize("fld", [GF_BIGNUMPY, GF_M31], ids=["GF(1000003)", "GF(2^31-1)"])
+def test_mpoly_array_equals_poly_eval(fld):
+    @given(wide_coefficient_polys(fld), st.integers(0, 2**32))
+    @settings(max_examples=80, deadline=None)
+    def check(polys, seed):
+        rng = random.Random(seed)
+        p = fld.p
+        points = [[rng.choice([0, 1, p - 1, rng.randrange(p)]) for _ in range(3)]
+                  for _ in range(rng.randint(1, 6))]
+        got = MPolyArray(polys)(np.array(points, dtype=np.int64))
+        assert got.dtype == np.int64 and got.shape == (len(points), len(polys))
+        assert got.tolist() == [[poly_eval(f, pt) for f in polys] for pt in points]
+
+    check()
+
+
+def test_mpoly_array_at_its_monomial_limit():
+    # 2^15 distinct monomials with coefficients p - 1 at the point (p-1, p-1):
+    # the largest sums the split coefficients allow
+    p = (1 << 31) - 1
+    fld = PrimeField(p)
+    f = MPoly(fld, 2, {(i, j): p - 1 for i in range(128) for j in range(256)})
+    pt = np.array([[p - 1, p - 1]], dtype=np.int64)
+    # (p-1)^(i+j) = (-1)^(i+j): the terms cancel in pairs, leaving 0
+    assert MPolyArray([f])(pt).tolist() == [[poly_eval(f, [p - 1, p - 1])]] == [[0]]
+    # the odd terms alone: 2^14 products (p-1)(p-1), all on one side
+    g = MPoly(fld, 2, {(i, j): p - 1 for i in range(128) for j in range(256) if (i + j) % 2})
+    assert MPolyArray([g])(pt).tolist() == [[poly_eval(g, [p - 1, p - 1])]] == [[1 << 14]]
+    with pytest.raises(ValueError, match="at most 32768 distinct monomials"):
+        MPolyArray([f, MPoly(fld, 2, {(200, 0): 1})])
+
+
+def test_mpoly_array_rejects_other_fields_and_shapes():
+    with pytest.raises(ValueError, match="p < 2"):
+        MPolyArray([MPoly(QQ, 2, {(1, 0): 1})])
+    with pytest.raises(ValueError, match="p < 2"):
+        MPolyArray([MPoly(GF_M61, 2, {(1, 0): 1})])
+    with pytest.raises(FieldMismatchError):
+        MPolyArray([MPoly(GF7, 1, {(1,): 1}), MPoly(GF101, 1, {(1,): 1})])
+    with pytest.raises(ValueError, match="variable counts"):
+        MPolyArray([MPoly(GF7, 1, {(1,): 1}), MPoly(GF7, 2, {(1, 0): 1})])
+    with pytest.raises(ValueError, match="2-vectors"):
+        MPolyArray([MPoly(GF7, 2, {(1, 0): 1})])(np.zeros((3, 3), dtype=np.int64))
 
 
 def test_poly_eval_point_length_mismatch():

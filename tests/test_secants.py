@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import secant_dims_by_rank
+from helpers import secant_dims_by_rank, tangent_ranks_by_echelon
 from hypersurfaces import secants
 from hypersurfaces.exactcore import QQ, PrimeField, binomial
 from hypersurfaces.secants import (
@@ -22,6 +22,7 @@ from hypersurfaces.varieties import (
 )
 
 BIGP = PrimeField(1000003)
+M31 = PrimeField((1 << 31) - 1)  # the largest prime on the int64 kernel
 
 
 # ---------------------------------------------------------------- embedding
@@ -97,7 +98,7 @@ ORACLE_WITNESSES = [
 ]
 
 
-@pytest.mark.parametrize("fld", [BIGP, QQ], ids=["GF(1000003)", "Q"])
+@pytest.mark.parametrize("fld", [BIGP, M31, QQ], ids=["GF(1000003)", "GF(2^31-1)", "Q"])
 def test_nested_pass_matches_rank_oracle(fld):
     # one pass gives every s_k up to k2, equal to the stacked rank per k
     for make in ORACLE_WITNESSES:
@@ -108,6 +109,82 @@ def test_nested_pass_matches_rank_oracle(fld):
         assert s[-1] == inv.span_dim > s[-2], v.label
         assert s == secant_dims_by_rank(veronese_square(v), inv.k2, trials=1), v.label
         assert all(0 <= b - a <= v.n + 1 for a, b in zip(s, s[1:])), v.label
+
+
+@pytest.mark.parametrize("fld", [BIGP, M31], ids=["GF(1000003)", "GF(2^31-1)"])
+def test_chunked_ranks_match_the_echelon_loop(monkeypatch, fld):
+    # every prefix rank, and the stop once the span is filled; the kernel
+    # sees only transposes that are not wide, whose pivots are the rows
+    # independent of all rows before them
+    shapes = []
+    kernel = secants._pivots_modp_numpy
+
+    def pivots(rows, p):
+        shapes.append(rows.shape)
+        return kernel(rows, p)
+
+    monkeypatch.setattr(secants, "_pivots_modp_numpy", pivots)
+    for make in ORACLE_WITNESSES:
+        y = veronese_square(make(fld))
+        for trial in range(3):
+            ranks = secants._tangent_ranks(y, 5, trial)
+            assert ranks == tangent_ranks_by_echelon(y, 5, trial), y.base.label
+            assert ranks[-1] == y.span_dim, y.base.label
+        assert shapes and all(cols <= rows == y.N + 1 for rows, cols in shapes), y.base.label
+        shapes.clear()
+
+
+_LIBRARY_DRAW = secants._random_params
+
+
+def _patched_draws(monkeypatch, zero):
+    """Replace the parameter points numbered in `zero` (counting every draw
+    from 0) by the origin, whose image is 0; the others are the library's
+    draws."""
+    count = iter(range(10**6))
+
+    def draw(domain, fld, rng):
+        params = _LIBRARY_DRAW(domain, fld, rng)
+        return (0,) * len(params) if zero(next(count)) else params
+
+    monkeypatch.setattr(secants, "_random_params", draw)
+
+
+@pytest.mark.parametrize("fld", [BIGP, M31, QQ], ids=["GF(1000003)", "GF(2^31-1)", "Q"])
+@pytest.mark.parametrize("make", [
+    lambda f: rational_normal_curve(5, f),
+    veronese_surface,
+    lambda f: scroll_surface(1, 2, f),
+], ids=["rnc(5)", "veronese", "scroll(1,2)"])
+def test_zero_points_are_skipped_like_the_echelon_loop(monkeypatch, fld, make):
+    # runs of up to 7 zero images, at draws that fall inside and across
+    # the library's batches; each path gets a fresh count
+    y = veronese_square(make(fld))
+    for zero in (lambda k: k % 3 == 1, lambda k: k % 10 < 7, lambda k: k in (0, 5, 6)):
+        _patched_draws(monkeypatch, zero)
+        got = secants._tangent_ranks(y, 1, 0)
+        _patched_draws(monkeypatch, zero)
+        assert got == tangent_ranks_by_echelon(y, 1, 0)
+
+
+@pytest.mark.parametrize("fld", [BIGP, QQ], ids=["GF(1000003)", "Q"])
+def test_eight_zero_points_in_a_row_end_the_trial(monkeypatch, fld):
+    y = veronese_square(rational_normal_curve(4, fld))
+    # the third point is drawn after 8 zero images
+    _patched_draws(monkeypatch, lambda k: 2 <= k < 10)
+    with pytest.raises(TerraciniError, match="could not sample a nonzero point"):
+        secants._tangent_ranks(y, 0, 0)
+    _patched_draws(monkeypatch, lambda k: 2 <= k < 10)
+    with pytest.raises(TerraciniError, match="could not sample a nonzero point"):
+        tangent_ranks_by_echelon(y, 0, 0)
+
+
+@pytest.mark.parametrize("fld", [BIGP, M31, QQ], ids=["GF(1000003)", "GF(2^31-1)", "Q"])
+def test_a_run_that_never_fills_stops_after_span_dim_plus_2_points(monkeypatch, fld):
+    # one point over and over: its tangent space is all the run ever spans
+    monkeypatch.setattr(secants, "_random_params", lambda domain, f, rng: (1, 2, 3))
+    y = veronese_square(veronese_surface(fld))
+    assert secants._tangent_ranks(y, 0, 0) == [2] * (y.span_dim + 2)
 
 
 def _recording(monkeypatch, lower=lambda trial: False):
