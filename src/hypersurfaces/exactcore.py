@@ -14,8 +14,11 @@ products of chosen degree-(m-1) monomials with a variable), or the
 transposed tangent rows of a Terracini trial, whose pivots are the rows
 independent of all earlier ones.  `MPolyArray` evaluates a list of MPolys
 on an int64 array of points over GF(p), p < 2^31, as `poly_eval` does at
-one point.  `null_space` back-substitutes in the echelon.  Pivoting is
-deterministic (first nonzero) and no floating point is used anywhere.
+one point: Terracini's tangent rows and every coordinate array of a curve
+(its table and its count grids).  It and `monomial_products` evaluate
+monomials the same way, as products of per-variable power tables.
+`null_space` back-substitutes in the echelon.  Pivoting is deterministic
+(first nonzero) and no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -531,15 +534,22 @@ def monomial_products(points: np.ndarray, basis: np.ndarray, m: int, p: int) -> 
     exponents, products = _product_plan(points.shape[1], m)
     index, first = np.unique(products[basis].ravel(), return_index=True)
     mu, var = np.divmod(first, points.shape[1])
-    exps = exponents[basis]
-    powers = [np.ones_like(points)]
-    for _ in range(int(exps.max(initial=0))):
-        powers.append(powers[-1] * points % p)
-    powers = np.stack(powers)  # powers[k, :, i] = x_i^k at every point
-    vals = powers[exps[:, 0], :, 0]  # vals[j] = basis monomial j at every point
-    for i in range(1, points.shape[1]):
-        vals = vals * powers[exps[:, i], :, i] % p
+    vals = _power_products(points, exponents[basis], p)
     return (vals[mu] * points.T[var] % p).T, index
+
+
+def _power_products(points: np.ndarray, exponents: np.ndarray, p: int) -> np.ndarray:
+    """Values of the monomials with the given exponent rows at every row of
+    the int64 residue array `points` over GF(p), p < 2^31: a row per
+    monomial, a column per point.  Each is a product of powers taken from
+    one power table per variable."""
+    vals = np.ones((len(exponents), len(points)), dtype=np.int64)
+    for i, x in enumerate(points.T):
+        powers = [np.ones_like(x)]
+        for _ in range(int(exponents[:, i].max(initial=0))):
+            powers.append(powers[-1] * x % p)
+        vals = vals * np.stack(powers)[exponents[:, i]] % p
+    return vals
 
 
 def monomial_values(field: Field, point: Sequence, m: int) -> list:
@@ -752,11 +762,5 @@ class MPolyArray:
         if points.ndim != 2 or points.shape[1] != self.nvars:
             raise ValueError(f"points must be an array of {self.nvars}-vectors")
         p = self.p
-        mono = np.ones((len(self.exponents), len(points)), dtype=np.int64)
-        for i, x in enumerate(points.T):
-            powers = [np.ones_like(x)]
-            for _ in range(int(self.exponents[:, i].max(initial=0))):
-                powers.append(powers[-1] * x % p)
-            mono = mono * np.stack(powers)[self.exponents[:, i]] % p
-        vals = mono.T
+        vals = _power_products(points, self.exponents, p).T
         return ((vals @ self.high % p << 16) + vals @ self.low) % p

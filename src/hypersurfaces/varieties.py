@@ -19,13 +19,17 @@ bound m = d - amb + 1, the degree-m forms must reach rank dm + 1 - g on
 the curve: they then restrict onto H^0(L^m), which is very ample, so the
 coordinates embed the source as a smooth curve of degree d.  The counts
 a_m are exact (`ParamVariety.count`) and memoised, so certification and
-the ledgers share them; a curve counted on its table keeps each degree's
-independent monomials, and the next degree ranks only their products
-with a variable.  Surfaces are checked for distinct images on a sample.
+the ledgers share them.  A curve over GF(p), p < 2^31, is evaluated by one
+cached `MPolyArray` of its coordinates (`ParamVariety.evaluator`): on its
+whole point list for the coordinate table, on each count's grid for the
+count.  Such a count keeps each degree's independent monomials, and the
+next degree ranks only their products with a variable.  Surfaces are
+checked for distinct images on a sample.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
 import random
@@ -41,6 +45,7 @@ from .exactcore import (
     Field,
     Matrix,
     MPoly,
+    MPolyArray,
     PrimeField,
     _integer_row,
     _pivots_modp_numpy,
@@ -244,6 +249,7 @@ class ProjectiveDomain:
 class WeierstrassDomain:
     """Rational points (x, y) of y^2 = f(x) over GF(p), enumerated once into
     a read-only int64 array; tuples are built only for the points taken.
+    The enumeration takes O(p) memory, so p is at most TABLE_LIMIT.
 
     Serves both elliptic (deg f = 3) and genus-2 (deg f = 5) models; the
     point at infinity is deliberately not represented, since coordinate
@@ -258,6 +264,8 @@ class WeierstrassDomain:
             raise ValueError("Weierstrass domains need a prime field")
         if field.p == 2:
             raise ValueError("p = 2 not supported for y^2 = f(x) models")
+        if field.p > TABLE_LIMIT:  # the points are enumerated over every x
+            raise ValueError(f"y^2 = f(x) models need p <= {TABLE_LIMIT}, got {field.p}")
         self.field = field
         self.f_coeffs = tuple(field.raw(c) for c in f_coeffs)
         self._points: Optional[np.ndarray] = None
@@ -339,15 +347,17 @@ class ProjectionCenter:
 class ParamVariety:
     """A parametrised variety with verified degree/genus metadata.
 
-    Immutable after construction; the coordinate table of a curve over
-    GF(p) (all rational parameter points evaluated through the coordinates)
-    is built lazily for sampling and cached as a read-only int64 array, and
-    a count evaluates only its first rows.  `counts` memoises the exact a_m
-    by m (filled by `count`, for certification and `cohomology.a_m` alike):
-    a count depends on nothing but the variety and m.  Beside it, `bases`
-    keeps by m the degree-m monomials that a count on the table's rows
-    found independent on the variety (indices into `monomials()` order), so
-    the count of degree m + 1 needs only their products with a variable.
+    Immutable after construction.  Over GF(p), p < 2^31, `evaluator`
+    evaluates the coordinates on int64 arrays of parameter points: a count
+    of a curve evaluates its grid with it, and the coordinate table of a
+    curve over GF(p), p <= TABLE_LIMIT (all rational parameter points), is
+    built with it lazily for sampling and cached as a read-only int64 array.
+    `counts` memoises the exact a_m by m (filled by `count`, for
+    certification and `cohomology.a_m` alike): a count depends on nothing
+    but the variety and m.  Beside it, `bases` keeps by m the degree-m
+    monomials that an array count found independent on the variety
+    (indices into `monomials()` order), so the count of degree m + 1 needs
+    only their products with a variable.
     """
 
     def __init__(
@@ -393,7 +403,7 @@ class ParamVariety:
     @property
     def has_table(self) -> bool:
         """A curve over GF(p), p <= TABLE_LIMIT: sampled on its whole
-        coordinate table, and counted on its first rows."""
+        coordinate table (every y^2 = f(x) curve is one)."""
         fld = self.field
         return self.is_curve and fld.is_prime_field and fld.p <= TABLE_LIMIT
 
@@ -408,62 +418,30 @@ class ParamVariety:
     def eval_params(self, params: Sequence) -> tuple:
         return tuple(c.eval(list(params)) for c in self.coords)
 
-    def _line_coeff_matrix(self) -> tuple:
-        """Dehomogenised coefficient matrix for a single-P^1 curve: entry
-        [j][i] is the coefficient of t^j in coord_i(1, t); also returns the
-        common homogeneous degree."""
-        deg = max(c.degree() for c in self.coords)
-        cm = [[self.field.raw(0)] * (len(self.coords)) for _ in range(deg + 1)]
-        for i, c in enumerate(self.coords):
-            for (es, et), coeff in c.terms.items():
-                if es + et != deg:
-                    raise ValueError("curve coordinates are not equi-homogeneous")
-                cm[et][i] = coeff
-        return cm, deg
+    @functools.cached_property
+    def evaluator(self) -> MPolyArray:
+        """The coordinates as one `MPolyArray` (over GF(p), p < 2^31): their
+        values on an int64 array of parameter points, a row per point."""
+        return MPolyArray(self.coords)
 
     def coordinate_table(self) -> np.ndarray:
         """Coordinate vectors at every rational parameter point, one int64
-        row each, in the domain's canonical order (curves with a table)."""
+        row each, in the domain's canonical order (curves with a table): on
+        P^1, row t < p is the parameter (1, t) and row p is (0, 1)."""
         if self._table is None:
             if not self.has_table:
                 raise ValueError(f"coordinate tables need a curve over GF(p), p <= {TABLE_LIMIT}")
-            table = self._table_rows(self.domain.count_available(self.field))
+            if isinstance(self.domain, WeierstrassDomain):
+                points = self.domain.point_array()
+            else:
+                p = self.field.p
+                points = np.ones((p + 1, 2), dtype=np.int64)
+                points[:, 1] = np.arange(p + 1)
+                points[p] = (0, 1)
+            table = self.evaluator(points)
             table.setflags(write=False)  # the cache is shared: keep it read-only
             self._table = table
         return self._table
-
-    def _table_rows(self, n: int) -> np.ndarray:
-        """The first n rows of the coordinate table over GF(p), p < 2^31,
-        evaluated without the rest; on P^1, row t < p is the parameter
-        (1, t) and row p is (0, 1)."""
-        p = self.field.p
-        if isinstance(self.domain, WeierstrassDomain):
-            xs, ys = self.domain.point_array()[:n].T
-            xpow = [np.ones_like(xs)]
-            cols = []
-            for c in self.coords:
-                col = np.zeros_like(xs)
-                for (ex, ey), coeff in c.terms.items():
-                    while len(xpow) <= ex:
-                        xpow.append(xpow[-1] * xs % p)
-                    term = xpow[ex] * int(coeff) % p
-                    if ey == 1:
-                        term = term * ys % p
-                    elif ey > 1:
-                        raise ValueError("Weierstrass coordinates must have y-degree <= 1")
-                    col = (col + term) % p
-                cols.append(col)
-            return np.stack(cols, axis=1)
-        cm, deg = self._line_coeff_matrix()
-        ts = np.arange(min(n, p), dtype=np.int64)
-        powers = np.ones((n, deg + 1), dtype=np.int64)
-        for j in range(1, deg + 1):
-            powers[: len(ts), j] = powers[: len(ts), j - 1] * ts % p
-        powers[p:, :deg] = 0  # the parameter at infinity picks the t^deg row
-        cm = np.array(cm, dtype=np.int64)
-        if p > TABLE_LIMIT:  # split the coefficients so each sum stays in int64
-            return ((powers @ (cm >> 16) % p << 16) + powers @ (cm & 0xFFFF)) % p
-        return powers @ cm % p
 
     # -------------------------------------------------------- counts
 
@@ -557,12 +535,12 @@ def _count(v: ParamVariety, m: int) -> int:
     the images of the domain's unisolvent grid (a form vanishes there
     exactly when it vanishes on the variety).
 
-    A curve with a table, and a curve on P^1 over GF(p), p < 2^31, evaluate
-    the grid as the table's first rows, and count degree by degree.  W_m is
-    spanned by the products x_i * mu of the variables with a basis mu of
-    W_{m-1}, so when `v.bases` holds degree m-1 and those products are
-    fewer than the degree-m monomials, only they are ranked; otherwise every
-    degree-m monomial is.  Either set spans W_m, so its rank on the grid is
+    A curve over GF(p), p < 2^31, evaluates the grid as one int64 array with
+    `v.evaluator`, and counts degree by degree.  W_m is spanned by the
+    products x_i * mu of the variables with a basis mu of W_{m-1}, so when
+    `v.bases` holds degree m-1 and those products are fewer than the
+    degree-m monomials, only they are ranked; otherwise every degree-m
+    monomial is.  Either set spans W_m, so its rank on the grid is
     dim W_m, and its independent members are kept as the basis of degree m."""
     try:
         params = v.domain.unisolvent_params(v.field, v.coords, m)
@@ -570,10 +548,9 @@ def _count(v: ParamVariety, m: int) -> int:
         raise FieldTooSmallError(f"{v.label}: {err}") from None
     total = binomial(v.amb + m, m)
     fld = v.field
-    on_line = isinstance(v.domain, ProjectiveDomain) and v.domain.is_curve_line()
-    if v.has_table or (on_line and fld.is_prime_field and fld.p < _NUMPY_PRIME_LIMIT):
+    if v.is_curve and fld.is_prime_field and fld.p < _NUMPY_PRIME_LIMIT:
         p = fld.p
-        rows = v._table_rows(len(params))
+        rows = v.evaluator(np.array(params, dtype=np.int64))
         basis = v.bases.get(m - 1)
         if basis is not None and len(basis) * (v.amb + 1) < total:
             values, index = monomial_products(rows, basis, m, p)
@@ -658,7 +635,10 @@ def _degree_and_genus(v: ParamVariety) -> tuple:
         top = max(_section_pole_order(*_weierstrass_split(c), fdeg) for c in v.coords)
         return top, (fdeg - 1) // 2
     if isinstance(v.domain, ProjectiveDomain) and v.domain.is_curve_line():
-        return v._line_coeff_matrix()[1], 0
+        degrees = {sum(e) for c in v.coords for e in c.terms}
+        if len(degrees) != 1:
+            raise ValueError("curve coordinates are not equi-homogeneous")
+        return degrees.pop(), 0
     raise ValueError("curves are certified on P^1 or on y^2 = f(x)")
 
 

@@ -110,6 +110,17 @@ def test_curve_construction_failure_exits_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["curve", "elliptic", "--p", "65537"],
+    ["curve", "multisecant", "--c", "4", "--k", "4", "--g", "1", "--p", "1000003"],
+], ids=["elliptic", "multisecant"])
+def test_weierstrass_model_above_the_table_limit_exits_2(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: y^2 = f(x) models need p <= 65536, got {argv[-1]}\n"
+
+
 def test_curve_field_too_small_exits_1_without_traceback(capsys):
     # a_4 of the twisted cubic needs the grid t = 0..12, more than GF(11) has
     code = main(["curve", "rnc", "--r", "3", "--p", "11", "--m-max", "4"])

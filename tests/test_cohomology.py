@@ -1,5 +1,6 @@
 """Tests for hypersurface counts, deficiency profiles and classifications."""
 
+import numpy as np
 import pytest
 from helpers import a_m_by_point_evaluation, symbolic_a_m, table_parameters
 
@@ -182,12 +183,13 @@ def test_table_counts_match_point_evaluation(name, p):
 @pytest.mark.parametrize("name", sorted(set(CURVE_CASES) - {"elliptic", "genus2", "multisecant"}))
 def test_line_counts_above_the_table_limit_match_point_evaluation(name, p):
     # a curve on P^1 over GF(p), 2^16 < p < 2^31, has no table but is still
-    # counted on its head, where the coefficients are split so that no
-    # int64 sum of products overflows
+    # counted on its grid by the shared evaluator, which splits the
+    # coefficients so that no int64 sum of products overflows
     v = CURVE_CASES[name](p)
     assert not v.has_table and v.construction["name"] == name
     grid = v.domain.unisolvent_params(v.field, v.coords, 4)
-    assert v._table_rows(len(grid)).tolist() == [list(v.eval_params(t)) for t in grid]
+    rows = v.evaluator(np.array(grid, dtype=np.int64))
+    assert rows.tolist() == [list(v.eval_params(t)) for t in grid]
     for m in (1, 2, 3, 4):
         assert a_m(v, m) == a_m_by_point_evaluation(v, m), (v.label, m)
 
@@ -234,10 +236,10 @@ def test_degree_by_degree_counts_match_point_evaluation(name, p, monkeypatch):
     lambda: hyperelliptic_g2_curve(4, 10007),
 ], ids=["P1", "elliptic", "genus2"])
 def test_unisolvent_grid_is_the_head_of_the_table(build, monkeypatch):
-    # the table path counts on the head of the table: the grid must be the
-    # first parameters in the table's order, each row the image of its
-    # point, and those rows exactly what the count evaluates (any other
-    # rows that are also unisolvent would give the same count)
+    # the count evaluates its grid, and the table evaluates every point,
+    # both with the variety's one evaluator: the grid is the first
+    # parameters in the table's order, so its images are the table's first
+    # rows, and they are exactly what the count ranks
     evaluated = []
     for name in ("monomial_table", "monomial_products"):  # whichever the count ranks
         evaluate = getattr(varieties, name)

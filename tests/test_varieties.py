@@ -197,6 +197,32 @@ def test_genus2_rejects_bad_models():
         hyperelliptic_g2_curve(3, 2)
 
 
+def _elliptic_descriptor(p):
+    desc = elliptic_normal_curve(3, 10007).descriptor()
+    return {**desc, "field": p, "construction": {**desc["construction"], "p": p}}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: WeierstrassDomain(PrimeField(65537), (1, 1, 0, 1)),
+    lambda: elliptic_normal_curve(3, 65537),
+    lambda: elliptic_normal_curve(3, (1 << 31) - 1),
+    lambda: hyperelliptic_g2_curve(3, 65537),
+    lambda: multisecant_projection(4, 4, 1, 1000003),
+    lambda: from_descriptor(_elliptic_descriptor(1000003)),
+], ids=["domain", "elliptic", "elliptic-31-bit", "genus2", "multisecant", "descriptor"])
+def test_weierstrass_models_above_the_table_limit_are_refused(build):
+    # the points of y^2 = f(x) are enumerated over every x: a model over a
+    # larger prime is refused before any such array is made
+    with pytest.raises(ValueError, match=r"y\^2 = f\(x\) models need p <= 65536, got \d+$"):
+        build()
+
+
+def test_every_weierstrass_curve_has_a_table():
+    # 65521 is the largest prime below the table limit
+    v = from_descriptor(_elliptic_descriptor(65521))
+    assert v.has_table and len(v.coordinate_table()) == v.domain.count_available(v.field)
+
+
 # ---------------------------------------------------------------- projections
 
 
@@ -695,15 +721,29 @@ def test_span_is_exact_over_the_closure():
 
 
 def test_coordinate_table_rows_are_the_images():
-    v = multisecant_projection(4, 4, 1, 101, seed=5)
-    table = v.coordinate_table()
-    assert table.dtype == np.int64 and not table.flags.writeable
-    assert table is v.coordinate_table()
-    images = [tuple(v.eval_params(q)) for q in table_parameters(v)]
-    assert [tuple(row) for row in table.tolist()] == images
-    rnc = rational_normal_curve(3, PrimeField(7))
-    params = table_parameters(rnc)
-    assert rnc.coordinate_table().tolist() == [list(rnc.eval_params(q)) for q in params]
+    # on P^1 the last row is the parameter at infinity (0, 1); the section
+    # curve's coordinates are not monomials
+    for v in (
+        multisecant_projection(4, 4, 1, 101, seed=5),
+        rational_normal_curve(3, PrimeField(7)),
+        scroll_section_curve(1, 2, 1, PrimeField(101), seed=3),
+    ):
+        table = v.coordinate_table()
+        assert table.dtype == np.int64 and not table.flags.writeable
+        assert table is v.coordinate_table()
+        images = [tuple(v.eval_params(q)) for q in table_parameters(v)]
+        assert [tuple(row) for row in table.tolist()] == images, v.label
+
+
+def test_coefficients_of_mixed_degrees_are_refused():
+    # (s^2, st, t^2, t) has coefficient rank 4, but its coordinates are not
+    # forms of one degree, so they define no map from P^1
+    fld = PrimeField(101)
+    coords = [MPoly(fld, 2, {e: 1}) for e in [(2, 0), (1, 1), (0, 2), (0, 1)]]
+    v = _drawn_curve(fld, coords, ProjectiveDomain((2,)))
+    assert _coefficient_rank(v) == 4
+    with pytest.raises(ValueError, match="not equi-homogeneous"):
+        _certify(v)
 
 
 @pytest.mark.parametrize("p", [13, 10007, 10009])
