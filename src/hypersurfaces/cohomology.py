@@ -9,16 +9,16 @@ evaluation matrix at the images of those points.  Prime fields too small
 to hold the point set raise FieldTooSmallError.
 
 The count itself is `ParamVariety.count` in `varieties`, because the
-certificate of a curve is one of these counts.  A curve over any prime
-below 2^31 evaluates its grid, (1, t) for t = 0..top on P^1 or the first
-points of y^2 = f(x), as one int64 array with the variety's `MPolyArray`
-evaluator, the one its coordinate table is built with.  The evaluation
-matrix is then one int64 array, built from the monomial plan and ranked
-in numpy.  Surfaces, curves over Q and over 62-bit primes, and
-`PointConfig.hilbert` evaluate the coordinate polynomials point by point.
-Each count is computed once per variety and memoised on it (a failure is
-not), so the certificate, the ledger, the profile and the classification
-share it.
+certificate of a curve is one of these counts.  A curve over GF(p) (every
+prime field has p < 2^31) evaluates its grid, (1, t) for t = 0..top on
+P^1 or the first points of y^2 = f(x), as one int64 array with the
+variety's `MPolyArray` evaluator, the one its coordinate table is built
+with.  The evaluation matrix is then one int64 array, built from the
+monomial plan and ranked in numpy.  Surfaces over any field, curves over
+Q, and `PointConfig.hilbert` evaluate the coordinate polynomials point by
+point.  Each count is computed once per variety and memoised on it (a
+failure is not), so the certificate, the ledger, the profile and the
+classification share it.
 
 The deficiency numbers h^1(I(m)) then come from the Riemann-Roch ledger
 a_m = u(c, g, d, m) + h^1(I(m)), valid whenever d <= 2c+1 (the twist

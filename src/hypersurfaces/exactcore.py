@@ -5,20 +5,21 @@ fields GF(p).  Field elements are raw Python values (Fractions over Q,
 residues in [0, p) over GF(p)); the field objects do the arithmetic.
 
 There is one pure-Python elimination, the incremental `Echelon`: monic rows
-over GF(p), and fraction-free primitive integer rows over Q.  `rank` uses it
-for Q and for 62-bit primes, and a vectorised int64 numpy elimination for
-p < 2^31.  That elimination also takes int64 arrays directly, and reports
-which columns it found independent: a `monomial_table` (every degree-m
-monomial at an array of points), a `monomial_products` array (the
-products of chosen degree-(m-1) monomials with a variable), or the
-transposed tangent rows of a Terracini trial, whose pivots are the rows
-independent of all earlier ones.  `MPolyArray` evaluates a list of MPolys
-on an int64 array of points over GF(p), p < 2^31, as `poly_eval` does at
-one point: Terracini's tangent rows and every coordinate array of a curve
-(its table and its count grids).  It and `monomial_products` evaluate
-monomials the same way, as products of per-variable power tables.
-`null_space` back-substitutes in the echelon.  Pivoting is deterministic
-(first nonzero) and no floating point is used anywhere.
+over GF(p), and fraction-free primitive integer rows over Q.  Prime fields
+take only p < 2^31, so `rank` ranks every one of them by a vectorised int64
+numpy elimination, and uses `Echelon` for Q.  That elimination also takes
+int64 arrays directly, and reports which columns it found independent: a
+`monomial_table` (every degree-m monomial at an array of points), a
+`monomial_products` array (the products of chosen degree-(m-1) monomials
+with a variable), or the transposed tangent rows of a Terracini trial,
+whose pivots are the rows independent of all earlier ones.  `MPolyArray`
+evaluates a list of MPolys on an int64 array of points over GF(p), as
+`poly_eval` does at one point: Terracini's tangent rows and every
+coordinate array of a curve (its table and its count grids).  It and
+`monomial_products` evaluate monomials the same way, as products of
+per-variable power tables.  `null_space` back-substitutes in the echelon.
+Pivoting is deterministic (first nonzero) and no floating point is used
+anywhere.
 """
 
 from __future__ import annotations
@@ -48,10 +49,8 @@ __all__ = [
     "poly_diff",
 ]
 
-# numpy elimination needs p*p to fit in int64.
+# the bound on prime fields: the numpy elimination needs p*p to fit in int64
 _NUMPY_PRIME_LIMIT = 1 << 31
-_PRIME_LIMIT = 1 << 62
-_PRIMALITY_CHECK_LIMIT = 1 << 31
 # MPolyArray sums products of residues below 2^31 with 16-bit halves of the
 # coefficients: up to 2^15 terms keep each sum below 2^63
 _MONOMIAL_LIMIT = 1 << 15
@@ -136,27 +135,19 @@ QQ = RationalField()
 
 
 class PrimeField:
-    """GF(p) with residues stored in [0, p).
-
-    Primality is verified at construction for p < 2^31; larger moduli (up
-    to 62 bits) must be vouched for with ``trust_prime=True``.
+    """GF(p) with residues stored in [0, p), for a prime p < 2^31 (checked
+    at construction), so that every prime field runs on the int64 kernel.
     """
 
     is_prime_field = True
 
-    def __init__(self, p: int, trust_prime: bool = False):
+    def __init__(self, p: int):
         if not isinstance(p, int) or p < 2:
             raise ValueError(f"modulus must be an integer >= 2, got {p!r}")
-        if p >= _PRIME_LIMIT:
-            raise ValueError(f"modulus {p} exceeds the 62-bit cap")
-        if p < _PRIMALITY_CHECK_LIMIT:
-            if not _is_prime(p):
-                raise ValueError(f"{p} is not prime")
-        elif not trust_prime:
-            raise ValueError(
-                f"modulus {p} is above the primality-check limit; "
-                "pass trust_prime=True to accept it unverified"
-            )
+        if p >= _NUMPY_PRIME_LIMIT:
+            raise ValueError(f"modulus {p} is too large: prime fields need p < 2^31")
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
         self.p = p
 
     def raw(self, value) -> int:
@@ -304,18 +295,13 @@ def _pivots_modp_numpy(rows, p: int) -> np.ndarray:
     return np.array(sorted(order[:r]) if wide else pivots, dtype=np.intp)
 
 
-def _rank_modp_numpy(rows, p: int) -> int:
-    """Row rank over GF(p), p < 2^31: the number of pivot columns."""
-    return len(_pivots_modp_numpy(rows, p))
-
-
 def rank(m: Matrix) -> int:
     """Row rank of `m` over its field."""
     if m.rows == 0 or m.cols == 0:
         return 0
     f = m.field
-    if f.is_prime_field and f.p < _NUMPY_PRIME_LIMIT:
-        return _rank_modp_numpy(m.raw_rows(), f.p)
+    if f.is_prime_field:
+        return len(_pivots_modp_numpy(m.raw_rows(), f.p))
     return len(Echelon(f, m.raw_rows()))
 
 
@@ -717,8 +703,8 @@ def poly_diff(f: MPoly, var: int) -> MPoly:
 
 
 class MPolyArray:
-    """MPolys over one GF(p), p < 2^31, evaluated together on an int64 array
-    of points: the column-wise counterpart of `poly_eval`.
+    """MPolys over one GF(p) evaluated together on an int64 array of
+    points: the column-wise counterpart of `poly_eval`.
 
     The distinct monomials of all the polynomials are evaluated once per
     point from per-variable power tables, and their values are combined by
@@ -733,7 +719,7 @@ class MPolyArray:
         if not polys:
             raise ValueError("need at least one polynomial")
         fld, nvars = polys[0].field, polys[0].nvars
-        if not (fld.is_prime_field and fld.p < _NUMPY_PRIME_LIMIT):
+        if not fld.is_prime_field:
             raise ValueError(f"array evaluation needs GF(p), p < 2^31, got {fld!r}")
         for f in polys:
             _same_field(fld, f.field)

@@ -7,11 +7,11 @@ spaces of Y at k+1 generic points (Terracini).  One nested pass gives every
 s_k: each trial draws one point sequence, builds each point's tangent rows
 by the chain rule from the base coordinates and their partials (both
 computed once per embedding), and reads the rank of the rows of its first
-k+1 points; s_k is the maximum over the trials.  Over GF(p), p < 2^31, the
-points are evaluated in batches as int64 arrays and the rows are ranked in
-chunks by the numpy kernel, whose pivots on the transposed rows are the
-rows independent of all rows before them; over Q and larger primes each
-row goes into one `Echelon`.  The derived data are the deficiencies
+k+1 points; s_k is the maximum over the trials.  Over GF(p) the points are
+evaluated in batches as int64 arrays and the rows are ranked in chunks by
+the numpy kernel, whose pivots on the transposed rows are the rows
+independent of all rows before them; over Q each row goes into one
+`Echelon`.  The derived data are the deficiencies
 delta_k = s_{k-1} + n + 1 - s_k, the last deficiency-free index ell_2, the
 filling index k_2, and the total delta^2.
 
@@ -32,7 +32,6 @@ import numpy as np
 
 from .cohomology import a_m
 from .exactcore import (
-    _NUMPY_PRIME_LIMIT,
     Echelon,
     Field,
     MPolyArray,
@@ -83,7 +82,7 @@ class QuadraticEmbedding:
     @functools.cached_property
     def tangent_values(self) -> MPolyArray:
         """`tangent_polys`, flattened row by row, as one array evaluator
-        over GF(p), p < 2^31."""
+        over GF(p)."""
         return MPolyArray([f for row in self.tangent_polys for f in row])
 
 
@@ -142,7 +141,7 @@ def _tangent_ranks(y: QuadraticEmbedding, seed: int, trial: int) -> list:
     v, fld = y.base, y.base.field
     check_terracini_field(fld)
     rng = random.Random(("terracini", v.label, seed, trial).__repr__())
-    if fld.is_prime_field and fld.p < _NUMPY_PRIME_LIMIT:
+    if fld.is_prime_field:
         return _tangent_ranks_modp(y, rng)
 
     def evaluate(drawn):
@@ -163,7 +162,7 @@ def _tangent_ranks(y: QuadraticEmbedding, seed: int, trial: int) -> list:
 
 
 def _tangent_ranks_modp(y: QuadraticEmbedding, rng: random.Random) -> list:
-    """`_tangent_ranks` over GF(p), p < 2^31, on the int64 kernel.
+    """`_tangent_ranks` over GF(p), on the int64 kernel.
 
     The rows are ranked in chunks.  A chunk asks for as many points as could
     fill the span at n+1 new dimensions each, and the kernel gets the

@@ -19,12 +19,13 @@ bound m = d - amb + 1, the degree-m forms must reach rank dm + 1 - g on
 the curve: they then restrict onto H^0(L^m), which is very ample, so the
 coordinates embed the source as a smooth curve of degree d.  The counts
 a_m are exact (`ParamVariety.count`) and memoised, so certification and
-the ledgers share them.  A curve over GF(p), p < 2^31, is evaluated by one
-cached `MPolyArray` of its coordinates (`ParamVariety.evaluator`): on its
-whole point list for the coordinate table, on each count's grid for the
-count.  Such a count keeps each degree's independent monomials, and the
-next degree ranks only their products with a variable.  Surfaces are
-checked for distinct images on a sample.
+the ledgers share them.  A curve over GF(p) is evaluated by one cached
+`MPolyArray` of its coordinates (`ParamVariety.evaluator`): on its whole
+point list for the coordinate table, on each count's grid for the count.
+Such a count keeps each degree's independent monomials, and the next
+degree ranks only their products with a variable.  Curves over Q and
+surfaces over any field are counted point by point.  Surfaces are checked
+for distinct images on a sample.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ import numpy as np
 
 from .exactcore import (
     QQ,
-    _NUMPY_PRIME_LIMIT,
     Field,
     Matrix,
     MPoly,
@@ -347,11 +347,11 @@ class ProjectionCenter:
 class ParamVariety:
     """A parametrised variety with verified degree/genus metadata.
 
-    Immutable after construction.  Over GF(p), p < 2^31, `evaluator`
-    evaluates the coordinates on int64 arrays of parameter points: a count
-    of a curve evaluates its grid with it, and the coordinate table of a
-    curve over GF(p), p <= TABLE_LIMIT (all rational parameter points), is
-    built with it lazily for sampling and cached as a read-only int64 array.
+    Immutable after construction.  Over GF(p), `evaluator` evaluates the
+    coordinates on int64 arrays of parameter points: a count of a curve
+    evaluates its grid with it, and the coordinate table of a curve over
+    GF(p), p <= TABLE_LIMIT (all rational parameter points), is built with
+    it lazily for sampling and cached as a read-only int64 array.
     `counts` memoises the exact a_m by m (filled by `count`, for
     certification and `cohomology.a_m` alike): a count depends on nothing
     but the variety and m.  Beside it, `bases` keeps by m the degree-m
@@ -420,7 +420,7 @@ class ParamVariety:
 
     @functools.cached_property
     def evaluator(self) -> MPolyArray:
-        """The coordinates as one `MPolyArray` (over GF(p), p < 2^31): their
+        """The coordinates as one `MPolyArray` (over GF(p)): their
         values on an int64 array of parameter points, a row per point."""
         return MPolyArray(self.coords)
 
@@ -482,37 +482,25 @@ def sample_points(v: ParamVariety, count: int, seed: int = 0) -> PointConfig:
             f"over {v.field!r} only provides {avail}"
         )
     fld = v.field
-    vecs = []
-    seen = set()
-    budget = count * 4 + 64
     if v.has_table:
         table = v.coordinate_table()
-        for i in _draw_order(len(table), random.Random(("sample", v.label, seed).__repr__())):
-            vec = tuple(table[i].tolist())
-            if all(x == 0 for x in vec):
-                continue
-            key = _normalize_key(fld, vec)
-            if key in seen:
-                continue
-            seen.add(key)
-            vecs.append(vec)
-            if len(vecs) == count:
-                break
+        rng = random.Random(("sample", v.label, seed).__repr__())
+        images = (tuple(table[i].tolist()) for i in _draw_order(len(table), rng))
     else:
-        for params in v.domain.parameter_stream(fld, seed):
-            budget -= 1
-            if budget < 0:
-                break
-            vec = v.eval_params(params)
-            if all(x == 0 for x in vec):
-                continue
-            key = _normalize_key(fld, vec)
-            if key in seen:
-                continue
-            seen.add(key)
-            vecs.append(vec)
-            if len(vecs) == count:
-                break
+        params = itertools.islice(v.domain.parameter_stream(fld, seed), count * 4 + 64)
+        images = map(v.eval_params, params)
+    vecs = []
+    seen = set()
+    for vec in images:
+        if all(x == 0 for x in vec):
+            continue
+        key = _normalize_key(fld, vec)
+        if key in seen:
+            continue
+        seen.add(key)
+        vecs.append(vec)
+        if len(vecs) == count:
+            break
     if len(vecs) < count:
         raise FieldTooSmallError(
             f"{v.label}: could only realise {len(vecs)} of {count} distinct points"
@@ -535,7 +523,7 @@ def _count(v: ParamVariety, m: int) -> int:
     the images of the domain's unisolvent grid (a form vanishes there
     exactly when it vanishes on the variety).
 
-    A curve over GF(p), p < 2^31, evaluates the grid as one int64 array with
+    A curve over GF(p) evaluates the grid as one int64 array with
     `v.evaluator`, and counts degree by degree.  W_m is spanned by the
     products x_i * mu of the variables with a basis mu of W_{m-1}, so when
     `v.bases` holds degree m-1 and those products are fewer than the
@@ -547,9 +535,8 @@ def _count(v: ParamVariety, m: int) -> int:
     except FieldTooSmallError as err:
         raise FieldTooSmallError(f"{v.label}: {err}") from None
     total = binomial(v.amb + m, m)
-    fld = v.field
-    if v.is_curve and fld.is_prime_field and fld.p < _NUMPY_PRIME_LIMIT:
-        p = fld.p
+    if v.is_curve and v.field.is_prime_field:
+        p = v.field.p
         rows = v.evaluator(np.array(params, dtype=np.int64))
         basis = v.bases.get(m - 1)
         if basis is not None and len(basis) * (v.amb + 1) < total:
@@ -992,9 +979,15 @@ def _project(
     center.validate(v.field)
     if not center.dim < v.amb - v.n - 1:
         raise ValueError("center too large: image could not stay nondegenerate")
+    new_amb = v.amb - center.dim - 1
+    plane_genus = (v.d - 1) * (v.d - 2) // 2
+    if v.is_curve and new_amb == 2 and v.g != plane_genus:
+        raise ValueError(
+            f"{v.label}: the image lies in P^2, where a smooth curve of degree {v.d} "
+            f"has genus {plane_genus}, not {v.g}"
+        )
     fld = v.field
     ann = null_space(Matrix.from_rows(fld, [list(b) for b in center.basis]))
-    new_amb = v.amb - center.dim - 1
     assert len(ann) == new_amb + 1
     new_coords = []
     for row in ann:

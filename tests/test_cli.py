@@ -121,6 +121,30 @@ def test_weierstrass_model_above_the_table_limit_exits_2(capsys, argv):
     assert err == f"error: y^2 = f(x) models need p <= 65536, got {argv[-1]}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["curve", "projected-rnc"],
+    ["secants", "--construction", "projected-rnc"],
+], ids=["curve", "secants"])
+def test_projection_into_the_plane_exits_2(capsys, argv):
+    # the default --r 3 projects the twisted cubic into P^2
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: rnc(3): the image lies in P^2, where a smooth curve of degree 3 "
+        "has genus 1, not 0\n"
+    )
+
+
+def test_prime_above_the_field_bound_exits_2(capsys):
+    code = main(["curve", "rnc", "--p", "2147483659"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: modulus 2147483659 is too large: prime fields need p < 2^31\n"
+
+
 def test_curve_field_too_small_exits_1_without_traceback(capsys):
     # a_4 of the twisted cubic needs the grid t = 0..12, more than GF(11) has
     code = main(["curve", "rnc", "--r", "3", "--p", "11", "--m-max", "4"])

@@ -99,6 +99,21 @@ def test_sampling_deterministic():
     assert v.sample_points(10, seed=5).points != v.sample_points(10, seed=6).points
 
 
+@pytest.mark.parametrize("build, seed, want", [
+    (lambda: rational_normal_curve(3, PrimeField(101)), 7,
+     [(1, 59, 47, 46), (1, 25, 19, 71), (1, 45, 5, 23), (1, 96, 25, 77), (1, 65, 84, 6)]),
+    (lambda: elliptic_normal_curve(2, 101), 1,
+     [(1, 60, 74, 65), (1, 0, 100, 0), (1, 91, 100, 100), (1, 29, 52, 33)]),
+    (lambda: scroll_surface(1, 2, GF), 3,
+     [(1, 5156, 389, 4284, 2855), (1, 7576, 8052, 9287, 9102),
+      (1, 9959, 9540, 2402, 4788), (1, 5443, 7695, 4590, 5898)]),
+], ids=["rnc-table", "elliptic-table", "scroll-stream"])
+def test_sampled_points_are_pinned(build, seed, want):
+    # table rows in draw order on a curve with a table, the parameter
+    # stream on a surface: the points of a seed never change
+    assert list(build().sample_points(len(want), seed=seed).points) == want
+
+
 def test_rnc_over_rationals():
     v = rational_normal_curve(3, QQ)
     cfg = v.sample_points(7, seed=1)
@@ -264,6 +279,14 @@ def test_project_dimension_precondition():
         project(v, line)  # target P^1 cannot hold a nondegenerate curve
 
 
+def test_projection_into_the_plane_is_a_usage_error():
+    # a smooth plane cubic has genus 1, so no center makes rnc(3) smooth in
+    # P^2: the refusal comes before any center is drawn
+    with pytest.raises(ValueError, match=r"^rnc\(3\): the image lies in P\^2, where a smooth "
+                       r"curve of degree 3 has genus 1, not 0$"):
+        project_from_general_point(rational_normal_curve(3, PrimeField(10007)))
+
+
 def test_project_ambient_mismatch():
     v = rational_normal_curve(3, GF)
     with pytest.raises(ValueError):
@@ -399,6 +422,8 @@ def test_malformed_descriptor_names_the_missing_field(desc, message):
          "construction 'veronese' field 'field' must be 'Q' or an integer, got True"),
         ("QQ", {"name": "veronese"},
          "construction 'veronese' field 'field' must be 'Q' or an integer, got 'QQ'"),
+        (2147483659, {"name": "rnc", "r": 3},
+         "modulus 2147483659 is too large: prime fields need p < 2^31"),
     ],
 )
 def test_descriptor_field_of_the_wrong_type_is_named(field, cons, message):
