@@ -583,7 +583,7 @@ def cmd_verify_main(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _common_flags(sp, prime_default=True):
+def _common_flags(sp):
     sp.add_argument("--p", type=int, default=None, help="prime modulus of the base field")
     sp.add_argument("--q", action="store_true", help="work over the rationals")
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -623,11 +623,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("curve", help="build a curve and report its deficiency profile")
     c.add_argument("kind", choices=list(_offered("curve")))
-    c.add_argument("--r", type=int, default=3)
+    # defaults every kind runs with: projected-rnc needs r >= 4, multisecant k >= 3
+    c.add_argument("--r", type=int, default=4)
     c.add_argument("--c", type=int, default=3)
     c.add_argument("--a", type=int, default=1)
     c.add_argument("--b", type=int, default=2)
-    c.add_argument("--k", type=int, default=1)
+    c.add_argument("--k", type=int, default=3)
     c.add_argument("--g", type=int, default=0)
     c.add_argument("--wa", type=int, default=1, help="Weierstrass coefficient A")
     c.add_argument("--wb", type=int, default=1, help="Weierstrass coefficient B")

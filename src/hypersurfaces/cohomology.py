@@ -12,13 +12,12 @@ The count itself is `ParamVariety.count` in `varieties`, because the
 certificate of a curve is one of these counts.  A curve over GF(p) (every
 prime field has p < 2^31) evaluates its grid, (1, t) for t = 0..top on
 P^1 or the first points of y^2 = f(x), as one int64 array with the
-variety's `MPolyArray` evaluator, the one its coordinate table is built
-with.  The evaluation matrix is then one int64 array, built from the
-monomial plan and ranked in numpy.  Surfaces over any field, curves over
-Q, and `PointConfig.hilbert` evaluate the coordinate polynomials point by
-point.  Each count is computed once per variety and memoised on it (a
-failure is not), so the certificate, the ledger, the profile and the
-classification share it.
+variety's `MPolyArray` evaluator.  The evaluation matrix is then one int64
+array of monomial products (`exactcore.monomial_products`), ranked in
+numpy.  Surfaces over any field, curves over Q, and `PointConfig.hilbert`
+evaluate the coordinate polynomials point by point.  Each count is
+computed once per variety and memoised on it (a failure is not), so the
+certificate, the ledger, the profile and the classification share it.
 
 The deficiency numbers h^1(I(m)) then come from the Riemann-Roch ledger
 a_m = u(c, g, d, m) + h^1(I(m)), valid whenever d <= 2c+1 (the twist
@@ -40,6 +39,7 @@ from .varieties import (
     ParamVariety,
     VerificationError,
     linear_section_curve,
+    rational_parameters,
 )
 
 __all__ = [
@@ -63,8 +63,6 @@ def a_m(v: ParamVariety, m: int, seed: int = 0) -> int:
     Exact for every variety: the count does not depend on `seed`, which is
     accepted for call compatibility only.  Memoised in `v.counts`.
     """
-    if m < 1:
-        raise ValueError("need m >= 1")
     return v.count(m)
 
 
@@ -254,7 +252,8 @@ def hyperplane_section_points(v: ParamVariety, seed: int = 0, budget: int = 400)
     """A fully rational hyperplane section of a curve, as points of P^{amb-1}.
 
     Strategy: prescribe amb rational curve points, solve for the hyperplane
-    through them, and scan all rational parameters for its full zero set;
+    through them, and scan the images of all rational parameters
+    (`rational_parameters`, evaluated once) for its full zero set;
     the remaining intersection is forced to small degree, so a modest number
     of retries finds a completely split transverse section.  Surfaces are
     cut down to a section curve first.
@@ -268,19 +267,20 @@ def hyperplane_section_points(v: ParamVariety, seed: int = 0, budget: int = 400)
     if not v.is_curve:
         raise ValueError("sections are implemented for curves and surfaces")
     fld = v.field
-    if not v.has_table:
+    params = rational_parameters(v)
+    if params is None:
         raise ValueError("rational sections need a scannable prime field")
-    table = v.coordinate_table()
+    images = v.evaluator(params)
     rng = random.Random(("section-pts", v.label, seed).__repr__())
-    npar = len(table)
+    npar = len(images)
     for _ in range(budget):
         picks = rng.sample(range(npar), v.amb)
-        m = Matrix.from_rows(fld, [table[i].tolist() for i in picks])
+        m = Matrix.from_rows(fld, [images[i].tolist() for i in picks])
         ann = null_space(m)
         if len(ann) != 1:
             continue
         h = [int(x) for x in ann[0]]
-        zero_rows = table[table @ h % fld.p == 0].tolist()
+        zero_rows = images[images @ h % fld.p == 0].tolist()
         if len(zero_rows) != v.d:
             continue
         drop = next(i for i, x in enumerate(h) if x % fld.p != 0)

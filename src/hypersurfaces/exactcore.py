@@ -9,13 +9,13 @@ over GF(p), and fraction-free primitive integer rows over Q.  Prime fields
 take only p < 2^31, so `rank` ranks every one of them by a vectorised int64
 numpy elimination, and uses `Echelon` for Q.  That elimination also takes
 int64 arrays directly, and reports which columns it found independent: a
-`monomial_table` (every degree-m monomial at an array of points), a
 `monomial_products` array (the products of chosen degree-(m-1) monomials
-with a variable), or the transposed tangent rows of a Terracini trial,
-whose pivots are the rows independent of all earlier ones.  `MPolyArray`
-evaluates a list of MPolys on an int64 array of points over GF(p), as
-`poly_eval` does at one point: Terracini's tangent rows and every
-coordinate array of a curve (its table and its count grids).  It and
+with a variable at an array of points; every degree-m monomial when all
+degree-(m-1) ones are chosen), or the transposed tangent rows of a
+Terracini trial, whose pivots are the rows independent of all earlier
+ones.  `MPolyArray` evaluates a list of MPolys on an int64 array of points
+over GF(p), as `poly_eval` does at one point: Terracini's tangent rows and
+the coordinates of a curve at the points a job needs.  It and
 `monomial_products` evaluate monomials the same way, as products of
 per-variable power tables.  `null_space` back-substitutes in the echelon.
 Pivoting is deterministic (first nonzero) and no floating point is used
@@ -40,7 +40,6 @@ __all__ = [
     "MPoly",
     "MPolyArray",
     "monomials",
-    "monomial_table",
     "monomial_products",
     "binomial",
     "rank",
@@ -467,28 +466,6 @@ def _monomial_plan(v: int, m: int) -> tuple:
         plan.append(tuple(steps))
         prev = {e: k for k, e in enumerate(level)}
     return tuple(plan)
-
-
-@functools.lru_cache(maxsize=None)
-def _monomial_index_plan(v: int, m: int) -> tuple:
-    """`_monomial_plan` as (parent, variable) index arrays per level."""
-    levels = []
-    for steps in _monomial_plan(v, m):
-        parents, variables = np.array(steps, dtype=np.intp).T
-        parents.setflags(write=False)  # cached and shared
-        variables.setflags(write=False)
-        levels.append((parents, variables))
-    return tuple(levels)
-
-
-def monomial_table(points: np.ndarray, m: int, p: int) -> np.ndarray:
-    """Values of all degree-m monomials at every row of the int64 residue
-    array `points` over GF(p), p < 2^31: a row per point, columns aligned
-    with monomials().  Each level of the plan is one indexed product."""
-    vals = np.ones((len(points), 1), dtype=np.int64)
-    for parents, variables in _monomial_index_plan(points.shape[1], m):
-        vals = vals[:, parents] * points[:, variables] % p
-    return vals
 
 
 @functools.lru_cache(maxsize=None)

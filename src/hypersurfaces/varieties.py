@@ -20,12 +20,12 @@ the curve: they then restrict onto H^0(L^m), which is very ample, so the
 coordinates embed the source as a smooth curve of degree d.  The counts
 a_m are exact (`ParamVariety.count`) and memoised, so certification and
 the ledgers share them.  A curve over GF(p) is evaluated by one cached
-`MPolyArray` of its coordinates (`ParamVariety.evaluator`): on its whole
-point list for the coordinate table, on each count's grid for the count.
-Such a count keeps each degree's independent monomials, and the next
-degree ranks only their products with a variable.  Curves over Q and
-surfaces over any field are counted point by point.  Surfaces are checked
-for distinct images on a sample.
+`MPolyArray` of its coordinates (`ParamVariety.evaluator`), only at the
+parameter points a job needs: each count's grid, or the points a sample
+draws from `rational_parameters`.  Such a count keeps each degree's
+independent monomials, and the next degree ranks only their products with
+a variable.  Curves over Q and surfaces over any field are counted point by
+point.  Surfaces are checked for distinct images on a sample.
 """
 
 from __future__ import annotations
@@ -51,12 +51,11 @@ from .exactcore import (
     _pivots_modp_numpy,
     binomial,
     monomial_products,
-    monomial_table,
     monomials,
     null_space,
     rank,
 )
-from .pointconfig import PointConfig, evaluation_matrix
+from .pointconfig import PointConfig, _normalize, evaluation_matrix
 
 __all__ = [
     "ConstructionError",
@@ -77,6 +76,7 @@ __all__ = [
     "project_from_general_point",
     "multisecant_projection",
     "sample_points",
+    "rational_parameters",
     "linear_section_curve",
     "CONSTRUCTIONS",
     "from_descriptor",
@@ -100,7 +100,7 @@ class VerificationError(ConstructionError):
     """Numeric verification of claimed metadata or of a count ledger failed."""
 
 
-# curves over GF(p) up to this modulus keep an int64 coordinate table
+# curves over GF(p) up to this modulus list every rational parameter point
 TABLE_LIMIT = 1 << 16
 
 
@@ -213,7 +213,7 @@ class ProjectiveDomain:
     def parameter_stream(self, field: Field, seed: int) -> Iterator[tuple]:
         rng = random.Random(("domain", self.blocks, seed).__repr__())
         if self.is_curve_line() and field.is_prime_field and field.p <= TABLE_LIMIT:
-            # the table's order: (1, t) for t < p, then (0, 1)
+            # the order of rational_parameters: (1, t) for t < p, then (0, 1)
             for t in _draw_order(field.p + 1, rng):
                 yield (1, t) if t < field.p else (0, 1)
             return
@@ -246,10 +246,35 @@ class ProjectiveDomain:
                     yield pt
 
 
+@functools.lru_cache(maxsize=4)
+def _weierstrass_points(p: int, f_coeffs: tuple) -> np.ndarray:
+    """Affine points of y^2 = f(x) over GF(p), one (x, y) row each, with x
+    ascending; for each x, (x, y) with the smaller square root y first, then
+    (x, p - y) when y != 0.  Cached by (p, f), so every domain on one model
+    shares the read-only array."""
+    xs = np.arange(p, dtype=np.int64)
+    fx = np.zeros(p, dtype=np.int64)
+    for c in reversed(f_coeffs):  # Horner
+        fx = (fx * xs + c) % p
+    # root[a] = the least square root y of a, or -1 for a non-square;
+    # the least roots are 0..(p-1)/2, and their squares are distinct
+    half = xs[: (p + 1) // 2]
+    root = np.full(p, -1, dtype=np.int64)
+    root[half * half % p] = half
+    ys = root[fx]
+    x, y = xs[ys >= 0], ys[ys >= 0]
+    pairs = np.stack([x, y, x, p - y], axis=1).reshape(-1, 2, 2)
+    keep = np.stack([np.ones(len(y), dtype=bool), y != 0], axis=1)
+    points = pairs[keep]
+    points.setflags(write=False)  # the cache is shared: keep it read-only
+    return points
+
+
 class WeierstrassDomain:
-    """Rational points (x, y) of y^2 = f(x) over GF(p), enumerated once into
-    a read-only int64 array; tuples are built only for the points taken.
-    The enumeration takes O(p) memory, so p is at most TABLE_LIMIT.
+    """Rational points (x, y) of y^2 = f(x) over GF(p), enumerated once per
+    (p, f) into a shared read-only int64 array; tuples are built only for
+    the points taken.  The enumeration takes O(p) memory, so p is at most
+    TABLE_LIMIT.
 
     Serves both elliptic (deg f = 3) and genus-2 (deg f = 5) models; the
     point at infinity is deliberately not represented, since coordinate
@@ -268,31 +293,10 @@ class WeierstrassDomain:
             raise ValueError(f"y^2 = f(x) models need p <= {TABLE_LIMIT}, got {field.p}")
         self.field = field
         self.f_coeffs = tuple(field.raw(c) for c in f_coeffs)
-        self._points: Optional[np.ndarray] = None
 
     def point_array(self) -> np.ndarray:
-        """Affine points, one (x, y) row each, with x ascending; for each x,
-        (x, y) with the smaller square root y first, then (x, p - y) when
-        y != 0."""
-        if self._points is None:
-            p = self.field.p
-            xs = np.arange(p, dtype=np.int64)
-            fx = np.zeros(p, dtype=np.int64)
-            for c in reversed(self.f_coeffs):  # Horner
-                fx = (fx * xs + c) % p
-            # root[a] = the least square root y of a, or -1 for a non-square;
-            # the least roots are 0..(p-1)/2, and their squares are distinct
-            half = xs[: (p + 1) // 2]
-            root = np.full(p, -1, dtype=np.int64)
-            root[half * half % p] = half
-            ys = root[fx]
-            x, y = xs[ys >= 0], ys[ys >= 0]
-            pairs = np.stack([x, y, x, p - y], axis=1).reshape(-1, 2, 2)
-            keep = np.stack([np.ones(len(y), dtype=bool), y != 0], axis=1)
-            points = pairs[keep]
-            points.setflags(write=False)  # the cache is shared: keep it read-only
-            self._points = points
-        return self._points
+        """Affine points in `_weierstrass_points` order."""
+        return _weierstrass_points(self.field.p, self.f_coeffs)
 
     def count_available(self, field: Field) -> int:
         return len(self.point_array())
@@ -349,9 +353,7 @@ class ParamVariety:
 
     Immutable after construction.  Over GF(p), `evaluator` evaluates the
     coordinates on int64 arrays of parameter points: a count of a curve
-    evaluates its grid with it, and the coordinate table of a curve over
-    GF(p), p <= TABLE_LIMIT (all rational parameter points), is built with
-    it lazily for sampling and cached as a read-only int64 array.
+    evaluates its grid with it, and sampling a curve the points it draws.
     `counts` memoises the exact a_m by m (filled by `count`, for
     certification and `cohomology.a_m` alike): a count depends on nothing
     but the variety and m.  Beside it, `bases` keeps by m the degree-m
@@ -383,7 +385,6 @@ class ParamVariety:
         self.domain = domain
         self.linearly_normal = linearly_normal
         self.construction = dict(construction)
-        self._table: Optional[np.ndarray] = None
         self.counts: dict = {}
         self.bases: dict = {}
         if len(self.coords) != amb + 1:
@@ -399,13 +400,6 @@ class ParamVariety:
     @property
     def is_curve(self) -> bool:
         return self.n == 1
-
-    @property
-    def has_table(self) -> bool:
-        """A curve over GF(p), p <= TABLE_LIMIT: sampled on its whole
-        coordinate table (every y^2 = f(x) curve is one)."""
-        fld = self.field
-        return self.is_curve and fld.is_prime_field and fld.p <= TABLE_LIMIT
 
     def __repr__(self) -> str:
         return (
@@ -424,30 +418,13 @@ class ParamVariety:
         values on an int64 array of parameter points, a row per point."""
         return MPolyArray(self.coords)
 
-    def coordinate_table(self) -> np.ndarray:
-        """Coordinate vectors at every rational parameter point, one int64
-        row each, in the domain's canonical order (curves with a table): on
-        P^1, row t < p is the parameter (1, t) and row p is (0, 1)."""
-        if self._table is None:
-            if not self.has_table:
-                raise ValueError(f"coordinate tables need a curve over GF(p), p <= {TABLE_LIMIT}")
-            if isinstance(self.domain, WeierstrassDomain):
-                points = self.domain.point_array()
-            else:
-                p = self.field.p
-                points = np.ones((p + 1, 2), dtype=np.int64)
-                points[:, 1] = np.arange(p + 1)
-                points[p] = (0, 1)
-            table = self.evaluator(points)
-            table.setflags(write=False)  # the cache is shared: keep it read-only
-            self._table = table
-        return self._table
-
     # -------------------------------------------------------- counts
 
     def count(self, m: int) -> int:
         """a_m, the number of independent degree-m forms vanishing on the
-        variety; exact, and memoised in `counts` (a failure is not)."""
+        variety, m >= 1; exact, and memoised in `counts` (a failure is not)."""
+        if m < 1:
+            raise ValueError("need m >= 1")
         count = self.counts.get(m)
         if count is None:
             count = self.counts[m] = _count(self, m)
@@ -471,8 +448,25 @@ class ParamVariety:
         }
 
 
+def rational_parameters(v: ParamVariety) -> Optional[np.ndarray]:
+    """Every rational parameter point of a curve over GF(p), p <= TABLE_LIMIT,
+    one int64 row each: the points of y^2 = f(x) in `point_array` order, or
+    (1, t) for t < p and then (0, 1) on P^1.  None for any other variety."""
+    fld = v.field
+    if not (v.is_curve and fld.is_prime_field and fld.p <= TABLE_LIMIT):
+        return None
+    if isinstance(v.domain, WeierstrassDomain):
+        return v.domain.point_array()
+    points = np.ones((fld.p + 1, 2), dtype=np.int64)
+    points[:, 1] = np.arange(fld.p + 1)
+    points[fld.p] = (0, 1)
+    return points
+
+
 def sample_points(v: ParamVariety, count: int, seed: int = 0) -> PointConfig:
-    """Deterministic-from-seed list of `count` distinct points on `v`."""
+    """Deterministic-from-seed list of `count` distinct points on `v`.  A
+    curve with `rational_parameters` draws them in a random order and
+    evaluates the drawn points `count` at a time."""
     if count < 1:
         raise ValueError("need count >= 1")
     avail = v.domain.count_available(v.field)
@@ -482,10 +476,12 @@ def sample_points(v: ParamVariety, count: int, seed: int = 0) -> PointConfig:
             f"over {v.field!r} only provides {avail}"
         )
     fld = v.field
-    if v.has_table:
-        table = v.coordinate_table()
+    params = rational_parameters(v)
+    if params is not None:
         rng = random.Random(("sample", v.label, seed).__repr__())
-        images = (tuple(table[i].tolist()) for i in _draw_order(len(table), rng))
+        order = _draw_order(len(params), rng)
+        batches = iter(lambda: list(itertools.islice(order, count)), [])
+        images = (tuple(row) for b in batches for row in v.evaluator(params[b]).tolist())
     else:
         params = itertools.islice(v.domain.parameter_stream(fld, seed), count * 4 + 64)
         images = map(v.eval_params, params)
@@ -494,7 +490,7 @@ def sample_points(v: ParamVariety, count: int, seed: int = 0) -> PointConfig:
     for vec in images:
         if all(x == 0 for x in vec):
             continue
-        key = _normalize_key(fld, vec)
+        key = _normalize(fld, vec)
         if key in seen:
             continue
         seen.add(key)
@@ -508,12 +504,6 @@ def sample_points(v: ParamVariety, count: int, seed: int = 0) -> PointConfig:
     return PointConfig(fld, vecs)
 
 
-def _normalize_key(fld: Field, vec) -> tuple:
-    lead_idx = next(i for i, x in enumerate(vec) if x != 0)
-    inv = fld.inv(vec[lead_idx])
-    return tuple(fld.mul(x, inv) for x in vec)
-
-
 # ------------------------------------------------------------------ counts and certificates
 
 
@@ -525,11 +515,11 @@ def _count(v: ParamVariety, m: int) -> int:
 
     A curve over GF(p) evaluates the grid as one int64 array with
     `v.evaluator`, and counts degree by degree.  W_m is spanned by the
-    products x_i * mu of the variables with a basis mu of W_{m-1}, so when
-    `v.bases` holds degree m-1 and those products are fewer than the
-    degree-m monomials, only they are ranked; otherwise every degree-m
-    monomial is.  Either set spans W_m, so its rank on the grid is
-    dim W_m, and its independent members are kept as the basis of degree m."""
+    distinct products x_i * mu of the variables with a basis mu of W_{m-1}:
+    the one `v.bases` keeps for degree m-1, or else every degree-(m-1)
+    monomial, whose products are every degree-m monomial.  Either set spans
+    W_m, so its rank on the grid is dim W_m, and its independent members are
+    kept as the basis of degree m."""
     try:
         params = v.domain.unisolvent_params(v.field, v.coords, m)
     except FieldTooSmallError as err:
@@ -539,11 +529,10 @@ def _count(v: ParamVariety, m: int) -> int:
         p = v.field.p
         rows = v.evaluator(np.array(params, dtype=np.int64))
         basis = v.bases.get(m - 1)
-        if basis is not None and len(basis) * (v.amb + 1) < total:
-            values, index = monomial_products(rows, basis, m, p)
-            pivots = index[_pivots_modp_numpy(values, p)]
-        else:
-            pivots = _pivots_modp_numpy(monomial_table(rows, m, p), p)
+        if basis is None:
+            basis = np.arange(binomial(v.amb + m - 1, m - 1))
+        values, index = monomial_products(rows, basis, m, p)
+        pivots = index[_pivots_modp_numpy(values, p)]
         v.bases[m] = pivots
         return total - len(pivots)
     vecs = [v.eval_params(q) for q in params]
@@ -1103,7 +1092,7 @@ def multisecant_projection(
         for pt in pts:
             img = tuple(_dot(fld, row, pt) for row in ann)
             images.append(img)
-        keys = {_normalize_key(fld, img) for img in images}
+        keys = {_normalize(fld, img) for img in images}
         img_rank = rank(Matrix.from_rows(fld, [list(i) for i in images]))
         if len(keys) != npts or img_rank != 2:
             last = ConstructionError("secant-line certificate failed")

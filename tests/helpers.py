@@ -23,7 +23,7 @@ Tonelli-Shanks square root per x; the library does both on arrays.
 a_m_by_point_evaluation is the count on the polynomial path: every point
 of the unisolvent grid evaluated through the coordinate polynomials, then
 the rank of the monomial evaluation matrix.  The library counts a curve
-with a coordinate table on the table's first rows instead.
+over GF(p) on an int64 array of the grid's images instead.
 
 coordinate_simplex is the c+1 coordinate points of P^c, a configuration
 whose Hilbert function and regularity are known by hand.
@@ -255,9 +255,9 @@ def weierstrass_points_by_sqrt(p: int, f_coeffs) -> list:
 
 
 def table_parameters(v) -> list:
-    """The parameters of a curve's coordinate table in row order: the affine
-    points of y^2 = f(x) as `point_array` lists them, or on P^1 over GF(p)
-    (1, t) for t < p and then (0, 1)."""
+    """Every rational parameter of a curve over a small GF(p), in the order
+    `rational_parameters` must list them: the affine points of y^2 = f(x) as
+    `point_array` lists them, or on P^1 (1, t) for t < p and then (0, 1)."""
     if v.domain.kind == "weierstrass":
         return [tuple(pt) for pt in v.domain.point_array().tolist()]
     return [(1, t) for t in range(v.field.p)] + [(0, 1)]

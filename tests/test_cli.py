@@ -122,11 +122,11 @@ def test_weierstrass_model_above_the_table_limit_exits_2(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["curve", "projected-rnc"],
+    ["curve", "projected-rnc", "--r", "3"],
     ["secants", "--construction", "projected-rnc"],
 ], ids=["curve", "secants"])
 def test_projection_into_the_plane_exits_2(capsys, argv):
-    # the default --r 3 projects the twisted cubic into P^2
+    # --r 3 (the secants default) projects the twisted cubic into P^2
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
@@ -278,8 +278,8 @@ OFFER_FLAGS = {
     ("curve", "elliptic"): ["--c", "2"],
     ("curve", "genus2"): ["--c", "2"],
     ("curve", "scroll-section"): [],
-    ("curve", "multisecant"): ["--c", "3", "--k", "3"],
-    ("curve", "projected-rnc"): ["--r", "4"],
+    ("curve", "multisecant"): [],
+    ("curve", "projected-rnc"): [],
     ("secants", "rnc"): [],
     ("secants", "scroll"): [],
     ("secants", "veronese"): [],

@@ -27,6 +27,7 @@ from hypersurfaces.varieties import (
     multisecant_projection,
     project_from_general_point,
     rational_normal_curve,
+    rational_parameters,
     scroll_section_curve,
     scroll_surface,
     veronese_surface,
@@ -140,11 +141,13 @@ def test_am_veronese_over_gf5():
 
 
 def test_am_validates_degree():
-    with pytest.raises(ValueError):
-        a_m(rational_normal_curve(3, GF), 0)
+    v = rational_normal_curve(3, GF)
+    for count in (lambda m: a_m(v, m), v.count):
+        with pytest.raises(ValueError, match="need m >= 1"):
+            count(0)
 
 
-# ---------------------------------------------------------------- table path
+# ---------------------------------------------------------------- array path
 
 # one curve of every curve construction of the descriptor table, over GF(p)
 CURVE_CASES = {
@@ -171,7 +174,7 @@ def test_curve_cases_cover_every_curve_construction():
 @pytest.mark.parametrize("name", sorted(CURVE_CASES))
 def test_table_counts_match_point_evaluation(name, p):
     v = CURVE_CASES[name](p)
-    assert v.has_table and v.construction["name"] == name
+    assert rational_parameters(v) is not None and v.construction["name"] == name
     for m in (1, 2, 3, 4):
         assert a_m(v, m) == a_m_by_point_evaluation(v, m), (v.label, m)
     fresh = CURVE_CASES[name](p)  # no counts memoised yet
@@ -182,11 +185,11 @@ def test_table_counts_match_point_evaluation(name, p):
 @pytest.mark.parametrize("p", [1000003, (1 << 31) - 1])
 @pytest.mark.parametrize("name", sorted(set(CURVE_CASES) - {"elliptic", "genus2", "multisecant"}))
 def test_line_counts_above_the_table_limit_match_point_evaluation(name, p):
-    # a curve on P^1 over GF(p), 2^16 < p < 2^31, has no table but is still
-    # counted on its grid by the shared evaluator, which splits the
-    # coefficients so that no int64 sum of products overflows
+    # a curve on P^1 over GF(p), 2^16 < p < 2^31, lists no rational
+    # parameters but is still counted on its grid by the shared evaluator,
+    # which splits the coefficients so that no int64 sum of products overflows
     v = CURVE_CASES[name](p)
-    assert not v.has_table and v.construction["name"] == name
+    assert rational_parameters(v) is None and v.construction["name"] == name
     grid = v.domain.unisolvent_params(v.field, v.coords, 4)
     rows = v.evaluator(np.array(grid, dtype=np.int64))
     assert rows.tolist() == [list(v.eval_params(t)) for t in grid]
@@ -199,27 +202,33 @@ def test_line_counts_above_the_table_limit_match_point_evaluation(name, p):
     ("multisecant", 10007), ("project", 10007), ("scroll_section", 1000003),
 ])
 def test_degree_by_degree_counts_match_point_evaluation(name, p, monkeypatch):
-    # degree m ranks the products of degree m-1's basis with a variable when
-    # that basis is known and they are fewer than the degree-m monomials,
-    # and every monomial otherwise: asked in decreasing order with no basis
-    # kept, every degree ranks every monomial; asked again, or in increasing
-    # order, the high degrees rank products
+    # degree m ranks the products with a variable of degree m-1's kept
+    # basis when there is one, and of every degree-(m-1) monomial
+    # otherwise: asked in decreasing order with no basis kept, every degree
+    # gets the full basis; asked again, or in increasing order, every degree
+    # above 1 gets the kept one
     ranked = []
-    for kind, attr in (("all", "monomial_table"), ("products", "monomial_products")):
-        evaluate = getattr(varieties, attr)
-        monkeypatch.setattr(varieties, attr, lambda rows, *args, kind=kind, evaluate=evaluate:
-                            ranked.append((args[-2], kind)) or evaluate(rows, *args))
+    evaluate = varieties.monomial_products
+
+    def spy(rows, basis, m, p):
+        kept = v.bases.get(m - 1)  # what the count could reuse
+        ranked.append((m, basis.tolist(), None if kept is None else kept.tolist()))
+        return evaluate(rows, basis, m, p)
+
     v = CURVE_CASES[name](p)
     want = {m: a_m_by_point_evaluation(v, m) for m in range(1, 7)}
+    monkeypatch.setattr(varieties, "monomial_products", spy)
     for degrees, fresh in ((range(6, 0, -1), True), (range(6, 0, -1), False), (range(1, 7), False)):
         if fresh:
             v.bases.clear()
         v.counts.clear()
         ranked.clear()
         assert {m: a_m(v, m) for m in degrees} == want, (v.label, list(degrees))
-        assert [m for m, _ in ranked] == list(degrees)
-        products = {m for m, kind in ranked if kind == "products"}
-        assert not products if fresh else {5, 6} <= products
+        assert [m for m, *_ in ranked] == list(degrees)
+        for m, basis, kept in ranked:
+            assert (kept is None) == (fresh or m == 1), m
+            full = list(range(binomial(v.amb + m - 1, m - 1)))
+            assert basis == (full if kept is None else kept), m
         # each basis is independent on the curve and as large as W_m
         for m in degrees:
             grid = v.domain.unisolvent_params(v.field, v.coords, m)
@@ -236,19 +245,20 @@ def test_degree_by_degree_counts_match_point_evaluation(name, p, monkeypatch):
     lambda: hyperelliptic_g2_curve(4, 10007),
 ], ids=["P1", "elliptic", "genus2"])
 def test_unisolvent_grid_is_the_head_of_the_table(build, monkeypatch):
-    # the count evaluates its grid, and the table evaluates every point,
-    # both with the variety's one evaluator: the grid is the first
-    # parameters in the table's order, so its images are the table's first
-    # rows, and they are exactly what the count ranks
+    # the count evaluates its grid with the variety's one evaluator: the
+    # grid is the first of the listed rational parameters, so its images
+    # are the first rows of their evaluation, and they are exactly what the
+    # count ranks
     evaluated = []
-    for name in ("monomial_table", "monomial_products"):  # whichever the count ranks
-        evaluate = getattr(varieties, name)
-        monkeypatch.setattr(varieties, name, lambda rows, *args, evaluate=evaluate:
-                            evaluated.append(rows.tolist()) or evaluate(rows, *args))
+    evaluate = varieties.monomial_products
+    monkeypatch.setattr(varieties, "monomial_products", lambda rows, *args:
+                        evaluated.append(rows.tolist()) or evaluate(rows, *args))
     v = build()
     v.counts.clear()  # count afresh what certification may have counted
-    table = v.coordinate_table()
+    params = rational_parameters(v)
+    table = v.evaluator(params)
     order = table_parameters(v)
+    assert [tuple(q) for q in params.tolist()] == order
     for m in (1, 2, 3, 4):
         grid = v.domain.unisolvent_params(v.field, v.coords, m)
         images = [list(v.eval_params(q)) for q in grid]

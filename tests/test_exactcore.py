@@ -20,7 +20,6 @@ from hypersurfaces.exactcore import (
     _pivots_modp_numpy,
     binomial,
     monomial_products,
-    monomial_table,
     monomial_values,
     monomials,
     null_space,
@@ -449,10 +448,14 @@ def test_monomial_values_alignment():
 @pytest.mark.parametrize("fld", [GF7, GF101, GF_M31], ids=repr)
 @pytest.mark.parametrize("nvars, m", [(1, 3), (2, 1), (3, 4), (5, 3), (9, 2)])
 def test_monomial_table_rows_are_monomial_values(fld, nvars, m):
+    # the products of every degree-(m-1) monomial with a variable are every
+    # degree-m monomial: a row per point, in monomials() order
     rng = random.Random(nvars * 10 + m)
     points = [[rng.randrange(fld.p) for _ in range(nvars)] for _ in range(6)]
-    table = monomial_table(np.array(points, dtype=np.int64), m, fld.p)
+    full = np.arange(binomial(nvars + m - 2, m - 1))
+    table, index = monomial_products(np.array(points, dtype=np.int64), full, m, fld.p)
     assert table.dtype == np.int64
+    assert index.tolist() == list(range(binomial(nvars + m - 1, m)))
     assert table.tolist() == [monomial_values(fld, pt, m) for pt in points]
 
 

@@ -32,6 +32,7 @@ from hypersurfaces.varieties import (
     project,
     project_from_general_point,
     rational_normal_curve,
+    rational_parameters,
     sample_points,
     scroll_section_curve,
     scroll_surface,
@@ -109,8 +110,9 @@ def test_sampling_deterministic():
       (1, 9959, 9540, 2402, 4788), (1, 5443, 7695, 4590, 5898)]),
 ], ids=["rnc-table", "elliptic-table", "scroll-stream"])
 def test_sampled_points_are_pinned(build, seed, want):
-    # table rows in draw order on a curve with a table, the parameter
-    # stream on a surface: the points of a seed never change
+    # the listed rational parameters in draw order on a curve over a small
+    # prime, the parameter stream on a surface: the points of a seed never
+    # change
     assert list(build().sample_points(len(want), seed=seed).points) == want
 
 
@@ -233,9 +235,10 @@ def test_weierstrass_models_above_the_table_limit_are_refused(build):
 
 
 def test_every_weierstrass_curve_has_a_table():
-    # 65521 is the largest prime below the table limit
+    # 65521 is the largest prime below the table limit: every point is listed
     v = from_descriptor(_elliptic_descriptor(65521))
-    assert v.has_table and len(v.coordinate_table()) == v.domain.count_available(v.field)
+    params = rational_parameters(v)
+    assert params is not None and len(params) == v.domain.count_available(v.field)
 
 
 # ---------------------------------------------------------------- projections
@@ -746,18 +749,32 @@ def test_span_is_exact_over_the_closure():
 
 
 def test_coordinate_table_rows_are_the_images():
-    # on P^1 the last row is the parameter at infinity (0, 1); the section
-    # curve's coordinates are not monomials
+    # the listed rational parameters are every one, in order: on P^1 the
+    # last is the parameter at infinity (0, 1); their images through the
+    # evaluator are eval_params' (the section curve's coordinates are not
+    # monomials)
     for v in (
         multisecant_projection(4, 4, 1, 101, seed=5),
         rational_normal_curve(3, PrimeField(7)),
         scroll_section_curve(1, 2, 1, PrimeField(101), seed=3),
     ):
-        table = v.coordinate_table()
-        assert table.dtype == np.int64 and not table.flags.writeable
-        assert table is v.coordinate_table()
+        params = rational_parameters(v)
+        assert params.dtype == np.int64
+        assert [tuple(q) for q in params.tolist()] == table_parameters(v), v.label
+        table = v.evaluator(params)
         images = [tuple(v.eval_params(q)) for q in table_parameters(v)]
         assert [tuple(row) for row in table.tolist()] == images, v.label
+
+
+def test_weierstrass_points_are_shared_per_model():
+    # curves on one (p, f) share one read-only array of points; another f
+    # has its own
+    a, b = elliptic_normal_curve(2, 101), elliptic_normal_curve(3, 101)
+    points = a.domain.point_array()
+    assert a.domain is not b.domain and b.domain.point_array() is points
+    assert rational_parameters(b) is points and not points.flags.writeable
+    other = elliptic_normal_curve(2, 101, (2, 3)).domain.point_array()
+    assert other is not points and other.tolist() != points.tolist()
 
 
 def test_coefficients_of_mixed_degrees_are_refused():
