@@ -14,7 +14,11 @@ prime field has p < 2^31) evaluates its grid, (1, t) for t = 0..top on
 P^1 or the first points of y^2 = f(x), as one int64 array with the
 variety's `MPolyArray` evaluator.  The evaluation matrix is then one int64
 array of monomial products (`exactcore.monomial_products`), ranked in
-numpy.  Surfaces over any field, curves over Q, and `PointConfig.hilbert`
+numpy.  Over Q the variety's evaluator holds the coordinates cleared of
+one common denominator D, and evaluates them in integers on the integer
+grid; each row of the evaluation matrix is then D^m times its rational
+row, and the rows are ranked fraction-free in one `Echelon`, with no
+Fraction arithmetic.  Surfaces over GF(p) and `PointConfig.hilbert`
 evaluate the coordinate polynomials point by point.  Each count is
 computed once per variety and memoised on it (a failure is not), so the
 certificate, the ledger, the profile and the classification share it.

@@ -17,7 +17,11 @@ ones.  `MPolyArray` evaluates a list of MPolys on an int64 array of points
 over GF(p), as `poly_eval` does at one point: Terracini's tangent rows and
 the coordinates of a curve at the points a job needs.  It and
 `monomial_products` evaluate monomials the same way, as products of
-per-variable power tables.  `null_space` back-substitutes in the echelon.
+per-variable power tables.  Over Q, `_IntegerPolys` clears a list of
+MPolys of one common denominator and evaluates them in integers at
+integer points, so the rows built from the values go into `Echelon` as
+integer rows, and no Fraction arithmetic is done.  `null_space`
+back-substitutes in the echelon.
 Pivoting is deterministic (first nonzero) and no floating point is used
 anywhere.
 """
@@ -646,18 +650,28 @@ class MPoly:
 
 def poly_eval(f: MPoly, point: Sequence):
     """Exact raw value of f at `point` (length must equal nvars)."""
-    if len(point) != f.nvars:
-        raise ValueError(f"point length {len(point)} != nvars {f.nvars}")
-    fld = f.field
+    [value] = _poly_values((f,), point)
+    return value
+
+
+def _poly_values(polys: Sequence[MPoly], point: Sequence) -> tuple:
+    """`poly_eval` of each of `polys` (one field, one nvars) at `point`,
+    which is coerced into the field once for all of them."""
+    nvars, fld = polys[0].nvars, polys[0].field
+    if len(point) != nvars:
+        raise ValueError(f"point length {len(point)} != nvars {nvars}")
     pt = [fld.raw(x) for x in point]
-    total = fld.raw(0)
-    for exp, coeff in f.terms.items():
-        v = coeff
-        for x, e in zip(pt, exp):
-            if e:
-                v = fld.mul(v, pow(x, e) if not fld.is_prime_field else pow(x, e, fld.p))
-        total = fld.add(total, v)
-    return total
+    out = []
+    for f in polys:
+        total = fld.raw(0)
+        for exp, coeff in f.terms.items():
+            v = coeff
+            for x, e in zip(pt, exp):
+                if e:
+                    v = fld.mul(v, pow(x, e) if not fld.is_prime_field else pow(x, e, fld.p))
+            total = fld.add(total, v)
+        out.append(total)
+    return tuple(out)
 
 
 def poly_diff(f: MPoly, var: int) -> MPoly:
@@ -727,3 +741,50 @@ class MPolyArray:
         p = self.p
         vals = _power_products(points, self.exponents, p).T
         return ((vals @ self.high % p << 16) + vals @ self.low) % p
+
+
+class _IntegerPolys:
+    """MPolys over Q cleared of one common denominator D, evaluated in
+    integers at integer points: the counterpart over Q of `MPolyArray`.
+
+    `terms` holds each polynomial times D, as integer coefficients by
+    exponent vector.  At an integer point every value is D times the
+    polynomial's value, so a row of products of k values is D^k times its
+    rational row, and ranks are unchanged without any Fraction arithmetic.
+    The distinct monomials are evaluated once per point from per-variable
+    power tables.
+    """
+
+    __slots__ = ("terms", "exponents", "rows", "tops")
+
+    def __init__(self, polys: Sequence[MPoly]):
+        if not polys:
+            raise ValueError("need at least one polynomial")
+        nvars = polys[0].nvars
+        for f in polys:
+            _same_field(QQ, f.field)
+            if f.nvars != nvars:
+                raise ValueError("polynomial variable counts differ")
+        scaled = iter(_integer_row([c for f in polys for c in f.terms.values()]))
+        self.terms = [{e: next(scaled) for e in f.terms} for f in polys]
+        self.exponents = sorted({e for t in self.terms for e in t})
+        where = {e: k for k, e in enumerate(self.exponents)}
+        self.rows = [[(where[e], c) for e, c in t.items()] for t in self.terms]
+        self.tops = [max((e[i] for e in self.exponents), default=0) for i in range(nvars)]
+
+    def __call__(self, points: Iterable[Sequence[int]]) -> list:
+        """D times the values at each integer point: a list per point, an
+        entry per polynomial."""
+        out = []
+        for point in points:
+            if len(point) != len(self.tops):
+                raise ValueError(f"point length {len(point)} != nvars {len(self.tops)}")
+            powers = []
+            for x, top in zip(point, self.tops):
+                table = [1]
+                for _ in range(top):
+                    table.append(table[-1] * x)
+                powers.append(table)
+            monos = [math.prod(t[e] for t, e in zip(powers, exp)) for exp in self.exponents]
+            out.append([sum(c * monos[k] for k, c in row) for row in self.rows])
+        return out

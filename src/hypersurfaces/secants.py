@@ -10,8 +10,11 @@ computed once per embedding), and reads the rank of the rows of its first
 k+1 points; s_k is the maximum over the trials.  Over GF(p) the points are
 evaluated in batches as int64 arrays and the rows are ranked in chunks by
 the numpy kernel, whose pivots on the transposed rows are the rows
-independent of all rows before them; over Q each row goes into one
-`Echelon`.  The derived data are the deficiencies
+independent of all rows before them.  Over Q the base coordinates and
+their partials are cleared of one common denominator D and evaluated in
+integers at the integer parameter points, so each row is D^2 times its
+rational row, and the rows go into one fraction-free `Echelon`: no
+Fraction arithmetic is done.  The derived data are the deficiencies
 delta_k = s_{k-1} + n + 1 - s_k, the last deficiency-free index ell_2, the
 filling index k_2, and the total delta^2.
 
@@ -35,6 +38,7 @@ from .exactcore import (
     Echelon,
     Field,
     MPolyArray,
+    _IntegerPolys,
     _pivots_modp_numpy,
     binomial,
     poly_diff,
@@ -80,10 +84,13 @@ class QuadraticEmbedding:
         )
 
     @functools.cached_property
-    def tangent_values(self) -> MPolyArray:
-        """`tangent_polys`, flattened row by row, as one array evaluator
-        over GF(p)."""
-        return MPolyArray([f for row in self.tangent_polys for f in row])
+    def tangent_values(self):
+        """`tangent_polys`, flattened row by row, as one evaluator with a
+        row per parameter point: an `MPolyArray` over GF(p); over Q an
+        `_IntegerPolys`, their values times one common denominator D, so
+        that each tangent row is D^2 times its row over Q."""
+        polys = [f for row in self.tangent_polys for f in row]
+        return MPolyArray(polys) if self.base.field.is_prime_field else _IntegerPolys(polys)
 
 
 def veronese_square(v: ParamVariety) -> QuadraticEmbedding:
@@ -144,18 +151,22 @@ def _tangent_ranks(y: QuadraticEmbedding, seed: int, trial: int) -> list:
     if fld.is_prime_field:
         return _tangent_ranks_modp(y, rng)
 
-    def evaluate(drawn):
-        values = [[[f.eval(params) for f in row] for row in y.tangent_polys] for params in drawn]
-        return values, [any(xs) for xs, *_ in values]
+    width = v.amb + 1
 
-    pairs = [(i, j) for i in range(v.amb + 1) for j in range(i, v.amb + 1)]  # graded lex
+    def evaluate(drawn):
+        values = y.tangent_values(drawn)
+        return values, [any(vals[:width]) for vals in values]
+
+    pairs = [(i, j) for i in range(width) for j in range(i, width)]  # graded lex
     basis = Echelon(fld)
     ranks: list = []
     while len(ranks) < y.span_dim + 2 and (not ranks or ranks[-1] < y.span_dim):
-        [[xs, *jac]] = _draw(v, rng, 1, evaluate)
+        [vals] = _draw(v, rng, 1, evaluate)
+        xs = vals[:width]
         # chain rule on the products: cone point x_i x_j, partials dx_i x_j + x_i dx_j
         basis.add([xs[i] * xs[j] for i, j in pairs])
-        for dx in jac:
+        for start in range(width, len(vals), width):
+            dx = vals[start : start + width]
             basis.add([dx[i] * xs[j] + xs[i] * dx[j] for i, j in pairs])
         ranks.append(len(basis) - 1)
     return ranks

@@ -24,8 +24,10 @@ the ledgers share them.  A curve over GF(p) is evaluated by one cached
 parameter points a job needs: each count's grid, or the points a sample
 draws from `rational_parameters`.  Such a count keeps each degree's
 independent monomials, and the next degree ranks only their products with
-a variable.  Curves over Q and surfaces over any field are counted point by
-point.  Surfaces are checked for distinct images on a sample.
+a variable.  Over Q the evaluator holds the coordinates cleared of one
+common denominator, so a count evaluates them in integers and ranks
+integer rows; surfaces over GF(p) are counted point by point.  Surfaces
+are checked for distinct images on a sample.
 """
 
 from __future__ import annotations
@@ -42,13 +44,16 @@ import numpy as np
 
 from .exactcore import (
     QQ,
+    Echelon,
     Field,
     Matrix,
     MPoly,
     MPolyArray,
     PrimeField,
-    _integer_row,
+    _IntegerPolys,
+    _monomial_plan,
     _pivots_modp_numpy,
+    _poly_values,
     binomial,
     monomial_products,
     monomials,
@@ -354,6 +359,8 @@ class ParamVariety:
     Immutable after construction.  Over GF(p), `evaluator` evaluates the
     coordinates on int64 arrays of parameter points: a count of a curve
     evaluates its grid with it, and sampling a curve the points it draws.
+    Over Q it evaluates them, times one common denominator, in integers:
+    every count evaluates its grid with it.
     `counts` memoises the exact a_m by m (filled by `count`, for
     certification and `cohomology.a_m` alike): a count depends on nothing
     but the variety and m.  Beside it, `bases` keeps by m the degree-m
@@ -410,13 +417,17 @@ class ParamVariety:
     # -------------------------------------------------------- evaluation
 
     def eval_params(self, params: Sequence) -> tuple:
-        return tuple(c.eval(list(params)) for c in self.coords)
+        return _poly_values(self.coords, params)
 
     @functools.cached_property
-    def evaluator(self) -> MPolyArray:
-        """The coordinates as one `MPolyArray` (over GF(p)): their
-        values on an int64 array of parameter points, a row per point."""
-        return MPolyArray(self.coords)
+    def evaluator(self):
+        """The coordinates as one evaluator, a row per parameter point:
+        over GF(p) an `MPolyArray`, their values on an int64 array of
+        points; over Q an `_IntegerPolys`, their values times one common
+        denominator at a list of integer points."""
+        if self.field.is_prime_field:
+            return MPolyArray(self.coords)
+        return _IntegerPolys(self.coords)
 
     # -------------------------------------------------------- counts
 
@@ -519,7 +530,14 @@ def _count(v: ParamVariety, m: int) -> int:
     the one `v.bases` keeps for degree m-1, or else every degree-(m-1)
     monomial, whose products are every degree-m monomial.  Either set spans
     W_m, so its rank on the grid is dim W_m, and its independent members are
-    kept as the basis of degree m."""
+    kept as the basis of degree m.
+
+    Over Q the grid is integer and `v.evaluator` gives D times each image,
+    for the coordinates' common denominator D.  The degree-m monomials at
+    those are built level by level from `_monomial_plan` in ints: each row
+    is D^m times its rational row, so one fraction-free `Echelon` ranks
+    them with no Fraction arithmetic.  Surfaces over GF(p) evaluate the
+    grid point by point."""
     try:
         params = v.domain.unisolvent_params(v.field, v.coords, m)
     except FieldTooSmallError as err:
@@ -535,8 +553,17 @@ def _count(v: ParamVariety, m: int) -> int:
         pivots = index[_pivots_modp_numpy(values, p)]
         v.bases[m] = pivots
         return total - len(pivots)
-    vecs = [v.eval_params(q) for q in params]
-    return total - rank(evaluation_matrix(v.field, vecs, m))
+    if v.field.is_prime_field:
+        vecs = [v.eval_params(q) for q in params]
+        return total - rank(evaluation_matrix(v.field, vecs, m))
+    plan = _monomial_plan(v.amb + 1, m)
+    rows = []
+    for xs in v.evaluator(params):
+        vals = [1]
+        for steps in plan:
+            vals = [vals[j] * xs[i] for j, i in steps]
+        rows.append(vals)
+    return total - len(Echelon(QQ, rows))
 
 
 # a prime below 2^31: over Q the grid is ranked modulo it first
@@ -545,13 +572,13 @@ _LEDGER_PRIME = (1 << 31) - 1
 
 def _rank_mod_ledger_prime(v: ParamVariety, m: int) -> int:
     """Rank modulo _LEDGER_PRIME of the degree-m monomials at the grid's
-    images over Q: a lower bound on the rank over Q.  The coefficients are
-    cleared of one common denominator, so each row is an integer multiple
-    of its image, which keeps the rank; the reduced curve is counted by
-    `_count` on the same grid."""
+    images over Q: a lower bound on the rank over Q.  The reduced
+    coordinates are the integer ones of `v.evaluator`, so each row is a
+    multiple of its row over Q by a power of their common denominator,
+    which keeps the rank; the reduced curve is counted by `_count` on the
+    same grid."""
     fq = PrimeField(_LEDGER_PRIME)
-    scaled = iter(_integer_row([c for poly in v.coords for c in poly.terms.values()]))
-    coords = [MPoly(fq, poly.nvars, {e: next(scaled) for e in poly.terms}) for poly in v.coords]
+    coords = [MPoly(fq, v.domain.nvars, terms) for terms in v.evaluator.terms]
     reduced = ParamVariety(
         v.label, v.n, v.amb, v.d, v.g, fq, coords, v.domain, v.linearly_normal, v.construction
     )

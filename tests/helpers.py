@@ -23,7 +23,8 @@ Tonelli-Shanks square root per x; the library does both on arrays.
 a_m_by_point_evaluation is the count on the polynomial path: every point
 of the unisolvent grid evaluated through the coordinate polynomials, then
 the rank of the monomial evaluation matrix.  The library counts a curve
-over GF(p) on an int64 array of the grid's images instead.
+over GF(p) on an int64 array of the grid's images, and every variety over
+Q on integer images (one common denominator cleared), instead.
 
 coordinate_simplex is the c+1 coordinate points of P^c, a configuration
 whose Hilbert function and regularity are known by hand.
@@ -36,8 +37,9 @@ with chain-rule rows instead.
 
 tangent_ranks_by_echelon is one trial of that nested pass as a per-point
 loop: each accepted point's chain-rule rows go into one `Echelon`, and the
-rank is read after every point.  The library ranks the rows over
-GF(p), p < 2^31, in chunks on the int64 kernel instead.
+rank is read after every point, all in Fractions over Q.  The library
+ranks the rows over GF(p), p < 2^31, in chunks on the int64 kernel, and
+over Q builds them from integer values (one common denominator cleared).
 """
 
 import itertools

@@ -225,6 +225,21 @@ def test_table2_runs(capsys):
     assert "SKIPPED" in out
 
 
+def test_table2_over_q_computes_the_rows_of_gf(capsys):
+    # the integer Terracini path over Q gives each row's deficiencies
+    tables = {}
+    for field in (["--q"], ["--p", "1000003"]):
+        code, out = run_cli(capsys, "table2", *field, "--format", "json")
+        assert code == 0
+        tables[field[0]] = json.loads(out)["tables"]["table2"]
+    computed = tables["--q"]["header"].index("computed")
+    q_rows, p_rows = tables["--q"]["rows"], tables["--p"]["rows"]
+    assert len(q_rows) == len(p_rows) == 7
+    for q_row, p_row in zip(q_rows, p_rows):
+        assert q_row[0] == p_row[0] and q_row[computed] == p_row[computed]
+    assert [row[-1] for row in q_rows].count("PASS") == 5
+
+
 def test_secants_json(capsys):
     code, out = run_cli(capsys, "secants", "--construction", "rnc", "--r", "3",
                         "--format", "json")

@@ -1,6 +1,7 @@
 """Tests for exact fields, matrices, monomials and sparse polynomials."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from hypersurfaces.exactcore import (
     MPoly,
     MPolyArray,
     PrimeField,
+    _IntegerPolys,
     _pivots_modp_numpy,
     binomial,
     monomial_products,
@@ -613,9 +615,43 @@ def test_mpoly_array_rejects_other_fields_and_shapes():
         MPolyArray([MPoly(GF7, 2, {(1, 0): 1})])(np.zeros((3, 3), dtype=np.int64))
 
 
+@given(st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_integer_polys_are_one_denominator_times_poly_eval(seed):
+    rng = random.Random(seed)
+    polys = []
+    for _ in range(rng.randint(1, 4)):
+        terms = {
+            tuple(rng.randrange(4) for _ in range(3)): Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+            for _ in range(rng.randint(0, 5))
+        }
+        polys.append(MPoly(QQ, 3, terms))
+    polys += [poly_diff(f, var) for f in polys for var in range(3)]
+    den = 1
+    for f in polys:
+        for c in f.terms.values():
+            den = den * c.denominator // math.gcd(den, c.denominator)
+    scaled = _IntegerPolys(polys)
+    assert scaled.terms == [{e: int(c * den) for e, c in f.terms.items()} for f in polys]
+    assert all(type(c) is int for t in scaled.terms for c in t.values())
+    points = [[rng.randint(-999, 999) for _ in range(3)] for _ in range(rng.randint(1, 4))]
+    got = scaled(points)
+    assert all(type(x) is int for row in got for x in row)
+    assert got == [[den * poly_eval(f, pt) for f in polys] for pt in points]
+
+
+def test_integer_polys_reject_other_fields_and_shapes():
+    with pytest.raises(FieldMismatchError):
+        _IntegerPolys([MPoly(GF7, 1, {(1,): 1})])
+    with pytest.raises(ValueError, match="variable counts"):
+        _IntegerPolys([MPoly(QQ, 1, {(1,): 1}), MPoly(QQ, 2, {(1, 0): 1})])
+    with pytest.raises(ValueError, match="point length 1 != nvars 2"):
+        _IntegerPolys([MPoly(QQ, 2, {(1, 0): 1})])([[1]])
+
+
 def test_poly_eval_point_length_mismatch():
     f = MPoly(QQ, 2, {(1, 0): 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="point length 1 != nvars 2"):
         poly_eval(f, [1])
 
 

@@ -1,9 +1,12 @@
 """Tests for secant dimensions and deficiency invariants of quadratic embeddings."""
 
+import math
+
 import pytest
 
 from helpers import secant_dims_by_rank, tangent_ranks_by_echelon
-from hypersurfaces import secants
+from hypersurfaces import exactcore, secants, varieties
+from hypersurfaces.cohomology import a_m
 from hypersurfaces.exactcore import QQ, PrimeField, binomial
 from hypersurfaces.secants import (
     TerraciniError,
@@ -132,6 +135,53 @@ def test_chunked_ranks_match_the_echelon_loop(monkeypatch, fld):
             assert ranks[-1] == y.span_dim, y.base.label
         assert shapes and all(cols <= rows == y.N + 1 for rows, cols in shapes), y.base.label
         shapes.clear()
+
+
+def _denominator(v):
+    return math.lcm(*(c.denominator for f in v.coords for c in f.terms.values()))
+
+
+def test_integer_ranks_over_q_match_the_fraction_loop():
+    # over Q each tangent row is D^2 times its rational row, for the common
+    # denominator D of the coordinates (76 and 29 for the two projections),
+    # so every prefix rank equals the one of the Fraction loop
+    denominators = set()
+    for make in ORACLE_WITNESSES:
+        y = veronese_square(make(QQ))
+        denominators.add(_denominator(y.base))
+        for trial in range(3):
+            ranks = secants._tangent_ranks(y, 5, trial)
+            assert ranks == tangent_ranks_by_echelon(y, 5, trial), y.base.label
+            assert ranks[-1] == y.span_dim, y.base.label
+    assert denominators == {1, 29, 76}
+
+
+def test_q_ledgers_evaluate_only_integers_at_integer_points(monkeypatch):
+    # on varieties already built over Q, neither zak_invariants nor a_m
+    # evaluates a polynomial in Fractions: every value comes from the
+    # integer coordinates, at parameter points that are Python ints
+    built = [make(QQ) for make in ORACLE_WITNESSES]
+
+    def refuse(*args):
+        raise AssertionError("a Fraction evaluation on the integer path")
+
+    monkeypatch.setattr(exactcore, "poly_eval", refuse)
+    monkeypatch.setattr(exactcore, "_poly_values", refuse)
+    monkeypatch.setattr(varieties, "_poly_values", refuse)
+    evaluate = exactcore._IntegerPolys.__call__
+    points_seen = []
+
+    def integer_points(self, points):
+        points = list(points)
+        assert all(type(x) is int for point in points for x in point), points
+        points_seen.extend(points)
+        return evaluate(self, points)
+
+    monkeypatch.setattr(exactcore._IntegerPolys, "__call__", integer_points)
+    for v in built:
+        zak_invariants(v)
+        a_m(v, 3)
+    assert points_seen
 
 
 _LIBRARY_DRAW = secants._random_params

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from fractions import Fraction
 from itertools import islice
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypersurfaces import varieties
-from hypersurfaces.exactcore import QQ, Matrix, MPoly, PrimeField, rank
+from hypersurfaces.exactcore import QQ, Matrix, MPoly, PrimeField, poly_eval, rank
 from hypersurfaces.varieties import (
     CONSTRUCTIONS,
     ConstructionError,
@@ -256,6 +257,18 @@ def test_project_preserves_invariants():
     out = project_from_general_point(v, seed=3)
     assert (out.n, out.amb, out.d, out.g) == (1, 3, 4, 0)
     assert not out.linearly_normal
+
+
+@pytest.mark.parametrize("fld", [GF, QQ], ids=repr)
+def test_eval_params_is_poly_eval_of_each_coordinate(fld):
+    # the point is coerced once for all coordinates, with poly_eval's checks
+    v = project_from_general_point(rational_normal_curve(4, fld), seed=3)
+    for params in [(1, 5), (0, 1), (-3, 7), (Fraction(1, 2), 4)]:
+        assert v.eval_params(params) == tuple(poly_eval(c, params) for c in v.coords)
+    with pytest.raises(ValueError, match="point length 3 != nvars 2"):
+        v.eval_params((1, 2, 3))
+    with pytest.raises(TypeError, match="cannot coerce"):
+        v.eval_params((1, 0.5))
 
 
 def test_project_center_on_curve_rejected():
