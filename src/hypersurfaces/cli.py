@@ -305,15 +305,16 @@ def cmd_points(args) -> int:
         return 2
 
     if args.action == "check":
+        # hilbert(m) = |G| from m = regularity - 1 on, so the row at m =
+        # regularity needs no rank of its own
+        hil = cfg.hilbert_function() + [len(cfg)]
         summary = [
             ("points", len(cfg)),
             ("c", cfg.c),
             ("span_dim", cfg.span_dim()),
-            ("regularity", cfg.regularity()),
+            ("regularity", len(hil) - 1),
         ]
-        tables = []
-        hil_rows = [(m, cfg.hilbert(m)) for m in range(0, cfg.regularity() + 1)]
-        tables.append(("hilbert", ["m", "h"], hil_rows))
+        tables = [("hilbert", ["m", "h"], list(enumerate(hil)))]
         try:
             nv = cfg.nu_vector(force=args.force)
             summary.append(("semi_uniform", nv.semi_uniform))
@@ -336,6 +337,7 @@ def cmd_points(args) -> int:
             print(f"extraction failed: {err}", file=sys.stderr)
             return 1
         indices = [cfg.points.index(p) for p in sub.points]
+        reg = sub.regularity()
         if args.out_points:
             sub.write_text(args.out_points)
         report = Report(
@@ -344,8 +346,8 @@ def cmd_points(args) -> int:
                 ("subset_size", len(sub)),
                 ("indices", " ".join(str(i) for i in indices)),
                 ("span_dim", sub.span_dim()),
-                ("regularity", sub.regularity()),
-                ("certified", sub.regularity() <= 3),
+                ("regularity", reg),
+                ("certified", reg <= 3),
             ],
             tables=[],
         )

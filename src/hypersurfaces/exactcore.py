@@ -310,6 +310,8 @@ def rank(m: Matrix) -> int:
 
 def _integer_row(vec: Sequence) -> list:
     """A rational vector scaled by the lcm of its denominators."""
+    if all(type(x) is int for x in vec):
+        return list(vec)
     den = 1
     for x in vec:
         if isinstance(x, Fraction):

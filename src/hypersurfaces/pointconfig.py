@@ -7,17 +7,16 @@ an evaluation matrix), how regular the set is, whether it sits in linear
 (semi-)uniform position, and, constructively, how to extract a spanning
 3-regular subset of 2c+1 points from a larger semi-uniform set.
 
-The two subset searches run on an incremental `Echelon` rather than one
-`rank` per candidate: the nu-vector builds one echelon per subset and tests
-each point by one reduction against it, and the extraction carries the
-echelon of the degree-2 evaluation rows down a depth-first search, pruning
-every prefix whose rows are already dependent.  Both searches are still
-exponential in the number of points.
+Both subset searches walk one generator, `_independent_subsets`: a
+depth-first search in lexicographic index order that carries each prefix's
+`Echelon` down to its extensions and never extends a dependent prefix.  The
+nu-vector walks the point coordinates and tests each other point by one
+reduction against the subset's echelon; the extraction walks the degree-2
+evaluation rows.  Both are still exponential in the number of points.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,8 +52,9 @@ class NuVector:
     """Span-occupancy counts nu(0..c-1) and the semi-uniformity verdict.
 
     values[i] is the common number of configuration points on the span of
-    any linearly independent (i+1)-subset; None entries mean the counts
-    were not constant (in which case semi_uniform is False).
+    any linearly independent (i+1)-subset.  None means the counts were not
+    constant, or that no (i+1)-subset is independent (one point of P^2
+    gives (1, None)); either way semi_uniform is False.
     """
 
     values: tuple
@@ -136,13 +136,19 @@ class PointConfig:
             raise ValueError("degree must be at least 1")
         return binomial(self.c + m, m) - self.hilbert(m)
 
+    def hilbert_function(self) -> list:
+        """[hilbert(0), ..., hilbert(r-1)] for r the regularity: the values up
+        to the first that reaches |G|.  Every later value is |G| as well,
+        since a form separating a point times a linear form not vanishing
+        there separates it one degree up."""
+        values = [self.hilbert(0)]
+        while values[-1] < len(self.points):  # degree |G|-1 always separates
+            values.append(self.hilbert(len(values)))
+        return values
+
     def regularity(self) -> int:
         """Least r >= 1 such that degree-(r-1) forms separate the points."""
-        target = len(self.points)
-        for r in range(1, target + 2):
-            if self.hilbert(r - 1) == target:
-                return r
-        raise AssertionError("unreachable: points always separate by degree |G|-1")
+        return len(self.hilbert_function())
 
     def separates_point(self, p_index: int, m: int) -> bool:
         """True when some degree-m form vanishes on all points but the chosen one."""
@@ -168,10 +174,13 @@ class PointConfig:
         configuration points on each; the set is in linear semi-uniform
         position when it spans P^c and each count depends only on i.
 
-        Each subset costs one elimination (an `Echelon` of its points, given
-        up at the first dependent row) and one reduction per point.  The
-        number of subsets is exponential in the configuration size, so it
-        refuses inputs above `size_cap` unless forced.
+        The independent subsets come from `_independent_subsets`, so each
+        costs one reduction of its last point against its prefix's echelon,
+        and one reduction per point outside it (its own i+1 points are on
+        the span).  A dependent subset has no count, and neither has any
+        subset that extends it.  A level stops at its second distinct count.
+        The number of subsets is exponential in the configuration size, so
+        it refuses inputs above `size_cap` unless forced.
         """
         npts = len(self.points)
         if npts > size_cap and not force:
@@ -184,11 +193,12 @@ class PointConfig:
         uniform = spans_ok
         for i in range(self.c):
             counts = set()
-            for subset in itertools.combinations(self.points, i + 1):
-                span = Echelon(self.field)
-                if not all(span.add(q) for q in subset):
-                    continue
-                counts.add(sum(1 for q in self.points if span.contains(q)))
+            for subset, span in _independent_subsets(self.field, self.points, i + 1):
+                inside = set(subset)
+                counts.add(i + 1 + sum(
+                    1 for j, q in enumerate(self.points)
+                    if j not in inside and span.contains(q)
+                ))
                 if len(counts) > 1:
                     break
             if len(counts) == 1:
@@ -251,6 +261,29 @@ class PointConfig:
             return cls.from_text(fh.read())
 
 
+def _independent_subsets(field: Field, rows, size: int):
+    """Yield (indices, echelon) for every linearly independent `size`-subset
+    of `rows`, in lexicographic index order; `echelon` spans the subset's rows.
+
+    The walk is depth first: each prefix's echelon is copied into its
+    extensions, so a candidate costs one reduction, and a dependent prefix
+    is never extended, since every superset of a dependent set is
+    dependent.
+    """
+    npts = len(rows)
+
+    def walk(start: int, chosen: tuple, span: Echelon):
+        if len(chosen) == size:
+            yield chosen, span
+            return
+        for i in range(start, npts - (size - len(chosen)) + 1):
+            grown = span.copy()
+            if grown.add(rows[i]):
+                yield from walk(i + 1, chosen + (i,), grown)
+
+    return walk(0, (), Echelon(field))
+
+
 def evaluation_matrix(field: Field, points, m: int) -> Matrix:
     """Rows = points, columns = degree-m monomials in graded-lex order."""
     points = list(points)
@@ -264,13 +297,13 @@ def evaluation_matrix(field: Field, points, m: int) -> Matrix:
 def extract_three_regular(config: PointConfig) -> PointConfig:
     """Certified spanning 3-regular subset of 2c+1 points.
 
-    Candidates are searched depth first in lexicographic index order,
-    carrying the echelon of their degree-2 evaluation rows; a prefix whose
-    rows are dependent is pruned, since no superset of it can reach
-    hilbert(2) = 2c+1.  Each full candidate is certified by that rank and
-    the spanning check before being returned, so correctness never depends
-    on the search order.  The lexicographically smallest certified subset
-    wins, which keeps the result deterministic.
+    Candidates are the (2c+1)-subsets whose degree-2 evaluation rows are
+    independent, from `_independent_subsets` in lexicographic index order;
+    a prefix whose rows are dependent is pruned there, since no superset of
+    it can reach hilbert(2) = 2c+1.  Each full candidate is certified by
+    that rank and the spanning check before being returned, so correctness
+    never depends on the search order.  The lexicographically smallest
+    certified subset wins, which keeps the result deterministic.
     """
     c = config.c
     size = 2 * c + 1
@@ -282,25 +315,12 @@ def extract_three_regular(config: PointConfig) -> PointConfig:
     fld = config.field
     eval_rows = evaluation_matrix(fld, config.points, 2).raw_rows()
 
-    def search(start: int, chosen: list, quadrics: Echelon):
-        if len(chosen) == size:
-            # hilbert(2) = |subset| certifies regularity <= 3
-            if len(Echelon(fld, [config.points[i] for i in chosen])) == c + 1:
-                return chosen
-            return None
-        for i in range(start, npts - (size - len(chosen)) + 1):
-            grown = quadrics.copy()
-            if grown.add(eval_rows[i]):
-                found = search(i + 1, chosen + [i], grown)
-                if found is not None:
-                    return found
-        return None
-
-    subset = search(0, [], Echelon(fld))
-    if subset is not None:
-        result = config.subset(subset)
-        assert result.regularity() <= 3
-        return result
+    for chosen, _ in _independent_subsets(fld, eval_rows, size):
+        # hilbert(2) = |subset| certifies regularity <= 3
+        if len(Echelon(fld, [config.points[i] for i in chosen])) == c + 1:
+            result = config.subset(chosen)
+            assert result.regularity() <= 3
+            return result
     verdict = ""
     if npts <= NU_SIZE_CAP:
         nv = config.nu_vector()

@@ -19,6 +19,7 @@ from hypersurfaces.exactcore import (
     MPolyArray,
     PrimeField,
     _IntegerPolys,
+    _integer_row,
     _pivots_modp_numpy,
     binomial,
     monomial_products,
@@ -354,6 +355,47 @@ def test_echelon_rational_rows_are_primitive_integers():
     assert not Echelon(QQ, [[1, 2, 3]]).contains([Fraction(1, 2), 1, 2])
     with pytest.raises(TypeError):
         ech.add([1.5, 0, 0])
+
+
+def _integer_row_by_loop(vec):
+    """_integer_row without its all-int fast path."""
+    den = 1
+    for x in vec:
+        if isinstance(x, Fraction):
+            den = den * x.denominator // math.gcd(den, x.denominator)
+        elif not isinstance(x, int):
+            raise TypeError(f"cannot coerce {x!r} into QQ")
+    return [
+        x.numerator * (den // x.denominator) if isinstance(x, Fraction) else x * den
+        for x in vec
+    ]
+
+
+@pytest.mark.parametrize(
+    "vec",
+    [
+        [],
+        [0, -3, 7, 2**70],
+        (4, 5, 6),
+        [1, Fraction(1, 2), Fraction(-2, 3), 0],
+        [Fraction(4, 2), 3],
+        [True, 2, False],
+        [True, Fraction(1, 3)],
+    ],
+    ids=["empty", "ints", "int tuple", "mixed", "integral Fraction", "bools", "bool and Fraction"],
+)
+def test_integer_row_matches_the_loop(vec):
+    out = _integer_row(vec)
+    assert out == _integer_row_by_loop(vec)
+    assert [type(x) for x in out] == [type(x) for x in _integer_row_by_loop(vec)]
+    assert out is not vec
+
+
+@pytest.mark.parametrize("bad", ["1", 1.0, 0.5])
+def test_integer_row_rejects_non_rationals(bad):
+    for vec in ([1, bad], [bad, Fraction(1, 2)]):
+        with pytest.raises(TypeError, match="into QQ"):
+            _integer_row(vec)
 
 
 @given(field_and_rows())

@@ -1,16 +1,18 @@
 """Tests for point configurations: Hilbert functions, regularity, position."""
 
 import itertools
+import random
 
 import pytest
 from helpers import coordinate_simplex, extract_three_regular_by_scan, nu_vector_by_rank
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hypersurfaces.exactcore import QQ, Matrix, PrimeField, binomial, rank
+from hypersurfaces.exactcore import QQ, Echelon, Matrix, PrimeField, binomial, rank
 from hypersurfaces.pointconfig import (
     ExtractionError,
     PointConfig,
+    _independent_subsets,
     evaluation_matrix,
     extract_three_regular,
 )
@@ -445,3 +447,105 @@ def test_extract_failure_matches_scan_oracle(field):
     assert _extraction(extract_three_regular, cfg) is ExtractionError
     assert _extraction(extract_three_regular_by_scan, cfg) is ExtractionError
     assert cfg.nu_vector() == nu_vector_by_rank(cfg)
+
+
+# ---------------------------------------------------------------- subset search
+
+GF10007 = PrimeField(10007)
+
+# P^3: three collinear points, two more on a plane through their line, then
+# three off that plane
+DEGENERATE_P3 = [
+    [1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0],
+    [0, 0, 1, 0], [1, 1, 1, 0],
+    [0, 0, 0, 1], [1, 2, 3, 4], [1, 3, 2, 1],
+]
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), GF10007, QQ], ids=repr)
+def test_independent_subsets_are_the_full_rank_combinations(field):
+    cfg = PointConfig(field, DEGENERATE_P3)
+    rows = cfg.points
+    for size in range(len(rows) + 1):
+        found = list(_independent_subsets(field, rows, size))
+        expected = [
+            s for s in itertools.combinations(range(len(rows)), size)
+            if rank(Matrix.from_rows(field, [rows[i] for i in s])) == size
+        ]
+        assert [s for s, _ in found] == expected
+        for s, span in found:
+            assert len(span) == size
+            assert all(span.contains(rows[i]) for i in s)
+
+
+def test_dependent_prefix_is_never_extended(monkeypatch):
+    cfg = PointConfig(GF10007, DEGENERATE_P3)
+    index = {q: i for i, q in enumerate(cfg.points)}
+    held = {}  # id(echelon) -> (echelon, indices added to it)
+    tried = []
+    add, copy = Echelon.add, Echelon.copy
+
+    def indices(ech):
+        return held[id(ech)][1] if id(ech) in held else ()
+
+    def counting_copy(self):
+        out = copy(self)
+        held[id(out)] = (out, indices(self))  # keeps `out` alive, so ids stay unique
+        return out
+
+    def counting_add(self, vec):
+        candidate = indices(self) + (index[tuple(vec)],)
+        tried.append(candidate)
+        grew = add(self, vec)
+        if grew:
+            held[id(self)] = (self, candidate)
+        return grew
+
+    monkeypatch.setattr(Echelon, "copy", counting_copy)
+    monkeypatch.setattr(Echelon, "add", counting_add)
+    found = [s for s, _ in _independent_subsets(GF10007, cfg.points, 4)]
+    monkeypatch.undo()
+    assert found and all(s[:3] != (0, 1, 2) for s in found)
+    assert (0, 1, 2) in tried  # the dependent prefix is tried once ...
+    assert not [t for t in tried if t[:3] == (0, 1, 2) and len(t) > 3]  # ... and never extended
+    # every add extends an independent prefix, each within reach of size 4
+    n = len(cfg.points)
+    expected = sorted(
+        prefix + (i,)
+        for k in range(4)
+        for prefix in itertools.combinations(range(n), k)
+        if k == 0 or rank(Matrix.from_rows(GF10007, [cfg.points[j] for j in prefix])) == k
+        for i in range((prefix[-1] + 1) if prefix else 0, n - (4 - k) + 1)
+    )
+    assert sorted(tried) == expected
+
+
+def _rnc_config(seed, c, n):
+    params = random.Random(seed).sample(range(GF10007.p), n)
+    return [[pow(t, i, GF10007.p) for i in range(c + 1)] for t in params]
+
+
+def _collinear_then_rnc(seed, c, general):
+    line = [[(1 + lam * i) % GF10007.p for i in range(c + 1)] for lam in range(1, 6)]
+    return line + _rnc_config(seed, c, general)
+
+
+@pytest.mark.parametrize(
+    "vecs",
+    [
+        _rnc_config(1, 3, 10),
+        _rnc_config(2, 3, 12),
+        _rnc_config(3, 4, 9),
+        _rnc_config(4, 4, 11),
+        _rnc_config(5, 5, 11),
+        _collinear_then_rnc(6, 3, 7),
+    ],
+    ids=["rnc c=3 n=10", "rnc c=3 n=12", "rnc c=4 n=9", "rnc c=4 n=11",
+         "rnc c=5 n=11", "collinear+rnc c=3 n=12"],
+)
+def test_point_set_searches_match_oracles(vecs):
+    cfg = PointConfig(GF10007, vecs)
+    assert cfg.nu_vector() == nu_vector_by_rank(cfg)
+    assert _extraction(extract_three_regular, cfg) == _extraction(
+        extract_three_regular_by_scan, cfg
+    )
