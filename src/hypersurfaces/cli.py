@@ -13,6 +13,8 @@ construction parameters out of range, in `secants` too, or a prime up to
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from dataclasses import dataclass
@@ -47,15 +49,17 @@ class Report:
             }
             return json.dumps(payload, indent=2) + "\n"
         if fmt == "csv":
-            lines = ["# config: " + json.dumps(self.config)]
+            out = io.StringIO()
+            out.write("# config: " + json.dumps(self.config) + "\n")
             for k, v in self.summary:
-                lines.append(f"# {k}: {v}")
+                out.write(f"# {k}: {v}\n")
+            writer = csv.writer(out, lineterminator="\n")
             for name, header, rows in self.tables:
                 if len(self.tables) > 1:
-                    lines.append(f"# table: {name}")
-                lines.append(",".join(str(h) for h in header))
-                lines.extend(",".join(str(x) for x in row) for row in rows)
-            return "\n".join(lines) + "\n"
+                    out.write(f"# table: {name}\n")
+                writer.writerow(map(str, header))
+                writer.writerows(map(str, row) for row in rows)
+            return out.getvalue()
         lines = ["# " + json.dumps(self.config)]
         for k, v in self.summary:
             lines.append(f"{k} = {v}")

@@ -18,8 +18,9 @@ numpy.  Over Q the variety's evaluator holds the coordinates cleared of
 one common denominator D, and evaluates them in integers on the integer
 grid; each row of the evaluation matrix is then D^m times its rational
 row, and the rows are ranked fraction-free in one `Echelon`, with no
-Fraction arithmetic.  Surfaces over GF(p) and `PointConfig.hilbert`
-evaluate the coordinate polynomials point by point.  Each count is
+Fraction arithmetic.  A surface over GF(p) evaluates its grid with its
+`MPolyArray` too, but ranks the degree-m monomials at the images point by
+point, as `PointConfig.hilbert` does at a point set.  Each count is
 computed once per variety and memoised on it (a failure is not), so the
 certificate, the ledger, the profile and the classification share it.
 

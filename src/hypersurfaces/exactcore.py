@@ -15,13 +15,15 @@ degree-(m-1) ones are chosen), or the transposed tangent rows of a
 Terracini trial, whose pivots are the rows independent of all earlier
 ones.  `MPolyArray` evaluates a list of MPolys on an int64 array of points
 over GF(p), as `poly_eval` does at one point: Terracini's tangent rows and
-the coordinates of a curve at the points a job needs.  It and
+the coordinates of a variety at the points a job needs.  It and
 `monomial_products` evaluate monomials the same way, as products of
 per-variable power tables.  Over Q, `_IntegerPolys` clears a list of
 MPolys of one common denominator and evaluates them in integers at
 integer points, so the rows built from the values go into `Echelon` as
-integer rows, and no Fraction arithmetic is done.  `null_space`
-back-substitutes in the echelon.
+integer rows, and no Fraction arithmetic is done.  `poly_eval`, their
+per-point reference, serves only `MPoly.eval`; what is still per point is
+`monomial_values`, for the ranks of a surface over GF(p) and of a point
+set.  `null_space` back-substitutes in the echelon.
 Pivoting is deterministic (first nonzero) and no floating point is used
 anywhere.
 """
@@ -651,29 +653,21 @@ class MPoly:
 
 
 def poly_eval(f: MPoly, point: Sequence):
-    """Exact raw value of f at `point` (length must equal nvars)."""
-    [value] = _poly_values((f,), point)
-    return value
-
-
-def _poly_values(polys: Sequence[MPoly], point: Sequence) -> tuple:
-    """`poly_eval` of each of `polys` (one field, one nvars) at `point`,
-    which is coerced into the field once for all of them."""
-    nvars, fld = polys[0].nvars, polys[0].field
-    if len(point) != nvars:
-        raise ValueError(f"point length {len(point)} != nvars {nvars}")
+    """Exact raw value of f at `point` (length must equal nvars), the point
+    coerced into the field: the per-point reference that `MPolyArray` and
+    `_IntegerPolys` evaluate the same as, many points at a time."""
+    fld = f.field
+    if len(point) != f.nvars:
+        raise ValueError(f"point length {len(point)} != nvars {f.nvars}")
     pt = [fld.raw(x) for x in point]
-    out = []
-    for f in polys:
-        total = fld.raw(0)
-        for exp, coeff in f.terms.items():
-            v = coeff
-            for x, e in zip(pt, exp):
-                if e:
-                    v = fld.mul(v, pow(x, e) if not fld.is_prime_field else pow(x, e, fld.p))
-            total = fld.add(total, v)
-        out.append(total)
-    return tuple(out)
+    total = fld.raw(0)
+    for exp, coeff in f.terms.items():
+        v = coeff
+        for x, e in zip(pt, exp):
+            if e:
+                v = fld.mul(v, pow(x, e) if not fld.is_prime_field else pow(x, e, fld.p))
+        total = fld.add(total, v)
+    return total
 
 
 def poly_diff(f: MPoly, var: int) -> MPoly:

@@ -19,15 +19,16 @@ bound m = d - amb + 1, the degree-m forms must reach rank dm + 1 - g on
 the curve: they then restrict onto H^0(L^m), which is very ample, so the
 coordinates embed the source as a smooth curve of degree d.  The counts
 a_m are exact (`ParamVariety.count`) and memoised, so certification and
-the ledgers share them.  A curve over GF(p) is evaluated by one cached
-`MPolyArray` of its coordinates (`ParamVariety.evaluator`), only at the
-parameter points a job needs: each count's grid, or the points a sample
-draws from `rational_parameters`.  Such a count keeps each degree's
+the ledgers share them.  Every variety is evaluated by one cached evaluator
+of its coordinates (`ParamVariety.evaluator`), only at the parameter points
+a job needs: each count's grid, the points a sample draws, the secant
+points of a multisecant projection.  Over GF(p) it is an `MPolyArray` on
+int64 arrays of points.  A curve's count there keeps each degree's
 independent monomials, and the next degree ranks only their products with
-a variable.  Over Q the evaluator holds the coordinates cleared of one
-common denominator, so a count evaluates them in integers and ranks
-integer rows; surfaces over GF(p) are counted point by point.  Surfaces
-are checked for distinct images on a sample.
+a variable; a surface's count ranks the monomials at its images point by
+point.  Over Q the evaluator holds the coordinates cleared of one common
+denominator, so a count evaluates them in integers and ranks integer rows.
+A surface is certified by its coefficient rank alone.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .exactcore import (
     _IntegerPolys,
     _monomial_plan,
     _pivots_modp_numpy,
-    _poly_values,
     binomial,
     monomial_products,
     monomials,
@@ -166,6 +166,12 @@ def _draw_order(n: int, rng: random.Random) -> Iterator[int]:
         swapped[j] = swapped.pop(k, k)
 
 
+def _table_draw(points: np.ndarray, rng: random.Random) -> Iterator[tuple]:
+    """The rows of an int64 point table in `_draw_order`, as tuples."""
+    for i in _draw_order(len(points), rng):
+        yield tuple(points[i].tolist())
+
+
 class ProjectiveDomain:
     """Product of projective parameter spaces; blocks list the homogeneous
     coordinate counts of the factors, e.g. (2,) for P^1, (2, 2) for P^1 x P^1,
@@ -215,12 +221,20 @@ class ProjectiveDomain:
             start += b
         return list(itertools.product(*axes))
 
+    def point_array(self, field: PrimeField) -> np.ndarray:
+        """The rational points of P^1 over GF(p), one int64 row each:
+        (1, t) for t < p, then (0, 1)."""
+        if not self.is_curve_line():
+            raise ValueError("only P^1 lists its rational points")
+        points = np.ones((field.p + 1, 2), dtype=np.int64)
+        points[:, 1] = np.arange(field.p + 1)
+        points[field.p] = (0, 1)
+        return points
+
     def parameter_stream(self, field: Field, seed: int) -> Iterator[tuple]:
         rng = random.Random(("domain", self.blocks, seed).__repr__())
         if self.is_curve_line() and field.is_prime_field and field.p <= TABLE_LIMIT:
-            # the order of rational_parameters: (1, t) for t < p, then (0, 1)
-            for t in _draw_order(field.p + 1, rng):
-                yield (1, t) if t < field.p else (0, 1)
+            yield from _table_draw(self.point_array(field), rng)
             return
         seen = set()
         if field.is_prime_field:
@@ -322,10 +336,8 @@ class WeierstrassDomain:
         return [tuple(pt) for pt in pts[:need].tolist()]
 
     def parameter_stream(self, field: Field, seed: int) -> Iterator[tuple]:
-        pts = self.point_array()
         rng = random.Random(("weierstrass", self.f_coeffs, seed).__repr__())
-        for i in _draw_order(len(pts), rng):
-            yield tuple(pts[i].tolist())
+        return _table_draw(self.point_array(), rng)
 
 
 # ------------------------------------------------------------------ the variety object
@@ -356,11 +368,11 @@ class ProjectionCenter:
 class ParamVariety:
     """A parametrised variety with verified degree/genus metadata.
 
-    Immutable after construction.  Over GF(p), `evaluator` evaluates the
-    coordinates on int64 arrays of parameter points: a count of a curve
-    evaluates its grid with it, and sampling a curve the points it draws.
-    Over Q it evaluates them, times one common denominator, in integers:
-    every count evaluates its grid with it.
+    Immutable after construction.  `evaluator` is the one way the
+    coordinates are evaluated: counts evaluate their grids with it, and
+    samples the points they draw.  Over GF(p) it evaluates them on int64
+    arrays of parameter points, over Q, times one common denominator, in
+    integers.
     `counts` memoises the exact a_m by m (filled by `count`, for
     certification and `cohomology.a_m` alike): a count depends on nothing
     but the variety and m.  Beside it, `bases` keeps by m the degree-m
@@ -416,9 +428,6 @@ class ParamVariety:
 
     # -------------------------------------------------------- evaluation
 
-    def eval_params(self, params: Sequence) -> tuple:
-        return _poly_values(self.coords, params)
-
     @functools.cached_property
     def evaluator(self):
         """The coordinates as one evaluator, a row per parameter point:
@@ -468,16 +477,15 @@ def rational_parameters(v: ParamVariety) -> Optional[np.ndarray]:
         return None
     if isinstance(v.domain, WeierstrassDomain):
         return v.domain.point_array()
-    points = np.ones((fld.p + 1, 2), dtype=np.int64)
-    points[:, 1] = np.arange(fld.p + 1)
-    points[fld.p] = (0, 1)
-    return points
+    return v.domain.point_array(fld)
 
 
 def sample_points(v: ParamVariety, count: int, seed: int = 0) -> PointConfig:
     """Deterministic-from-seed list of `count` distinct points on `v`.  A
-    curve with `rational_parameters` draws them in a random order and
-    evaluates the drawn points `count` at a time."""
+    curve with `rational_parameters` draws them in a random order, any
+    other variety from its domain's `parameter_stream`; the drawn points
+    go through `v.evaluator` `count` at a time.  Over Q its images are D
+    times the rational ones, which the normalised points do not see."""
     if count < 1:
         raise ValueError("need count >= 1")
     avail = v.domain.count_available(v.field)
@@ -487,15 +495,19 @@ def sample_points(v: ParamVariety, count: int, seed: int = 0) -> PointConfig:
             f"over {v.field!r} only provides {avail}"
         )
     fld = v.field
-    params = rational_parameters(v)
-    if params is not None:
+    table = rational_parameters(v)
+    if table is not None:
         rng = random.Random(("sample", v.label, seed).__repr__())
-        order = _draw_order(len(params), rng)
-        batches = iter(lambda: list(itertools.islice(order, count)), [])
-        images = (tuple(row) for b in batches for row in v.evaluator(params[b]).tolist())
+        order = _draw_order(len(table), rng)
+        batches = (table[b] for b in iter(lambda: list(itertools.islice(order, count)), []))
     else:
-        params = itertools.islice(v.domain.parameter_stream(fld, seed), count * 4 + 64)
-        images = map(v.eval_params, params)
+        stream = itertools.islice(v.domain.parameter_stream(fld, seed), count * 4 + 64)
+        batches = iter(lambda: list(itertools.islice(stream, count)), [])
+    if fld.is_prime_field:
+        rows = (v.evaluator(np.array(b, dtype=np.int64)).tolist() for b in batches)
+    else:
+        rows = map(v.evaluator, batches)
+    images = itertools.chain.from_iterable(rows)
     vecs = []
     seen = set()
     for vec in images:
@@ -524,9 +536,11 @@ def _count(v: ParamVariety, m: int) -> int:
     the images of the domain's unisolvent grid (a form vanishes there
     exactly when it vanishes on the variety).
 
-    A curve over GF(p) evaluates the grid as one int64 array with
-    `v.evaluator`, and counts degree by degree.  W_m is spanned by the
-    distinct products x_i * mu of the variables with a basis mu of W_{m-1}:
+    Over GF(p) the grid is evaluated as one int64 array with `v.evaluator`.
+    A surface ranks the degree-m monomials at its images point by point,
+    with `evaluation_matrix`.  A curve counts degree by degree.  W_m is
+    spanned by the distinct products x_i * mu of the variables with a basis
+    mu of W_{m-1}:
     the one `v.bases` keeps for degree m-1, or else every degree-(m-1)
     monomial, whose products are every degree-m monomial.  Either set spans
     W_m, so its rank on the grid is dim W_m, and its independent members are
@@ -536,16 +550,17 @@ def _count(v: ParamVariety, m: int) -> int:
     for the coordinates' common denominator D.  The degree-m monomials at
     those are built level by level from `_monomial_plan` in ints: each row
     is D^m times its rational row, so one fraction-free `Echelon` ranks
-    them with no Fraction arithmetic.  Surfaces over GF(p) evaluate the
-    grid point by point."""
+    them with no Fraction arithmetic."""
     try:
         params = v.domain.unisolvent_params(v.field, v.coords, m)
     except FieldTooSmallError as err:
         raise FieldTooSmallError(f"{v.label}: {err}") from None
     total = binomial(v.amb + m, m)
-    if v.is_curve and v.field.is_prime_field:
+    if v.field.is_prime_field:
         p = v.field.p
         rows = v.evaluator(np.array(params, dtype=np.int64))
+        if not v.is_curve:
+            return total - rank(evaluation_matrix(v.field, rows.tolist(), m))
         basis = v.bases.get(m - 1)
         if basis is None:
             basis = np.arange(binomial(v.amb + m - 1, m - 1))
@@ -553,9 +568,6 @@ def _count(v: ParamVariety, m: int) -> int:
         pivots = index[_pivots_modp_numpy(values, p)]
         v.bases[m] = pivots
         return total - len(pivots)
-    if v.field.is_prime_field:
-        vecs = [v.eval_params(q) for q in params]
-        return total - rank(evaluation_matrix(v.field, vecs, m))
     plan = _monomial_plan(v.amb + 1, m)
     rows = []
     for xs in v.evaluator(params):
@@ -692,8 +704,9 @@ def _certify_curve(v: ParamVariety) -> None:
 
 
 def _certify(v: ParamVariety) -> ParamVariety:
-    """Certify `v`: its coefficient rank, then the certificate of a curve or
-    distinct images on a sample of a surface."""
+    """Certify `v`: its coefficient rank, then the certificate of a curve.
+    A surface needs only a sample of 3(amb+1) distinct points, which fails
+    on a field too small for it."""
     span = _coefficient_rank(v)
     if span != v.amb + 1:
         raise VerificationError(
@@ -702,17 +715,8 @@ def _certify(v: ParamVariety) -> ParamVariety:
     if v.is_curve:
         _certify_curve(v)
         return v
-    size = 3 * (v.amb + 1)
-    if len(set(sample_points(v, size, seed=987).points)) != size:
-        raise VerificationError(f"{v.label}: sampled images not distinct")
+    sample_points(v, 3 * (v.amb + 1), seed=987)
     return v
-
-
-def _dot(fld: Field, row, h):
-    acc = fld.raw(0)
-    for a, b in zip(row, h):
-        acc = fld.add(acc, fld.mul(a, fld.raw(b)))
-    return acc
 
 
 def _rand_scalar(fld: Field, rng: random.Random):
@@ -1076,9 +1080,9 @@ def multisecant_projection(
     for attempt in range(12):
         rng = random.Random(("multisecant", c, k, g, p, seed, attempt).__repr__())
         stream = source.domain.parameter_stream(fld, rng.randrange(1 << 30))
-        params = list(itertools.islice(stream, npts))
-        pts = [source.eval_params(q) for q in params]
-        if rank(Matrix.from_rows(fld, [list(x) for x in pts])) != npts:
+        params = np.array(list(itertools.islice(stream, npts)), dtype=np.int64)
+        pts = source.evaluator(params).tolist()
+        if rank(Matrix.from_rows(fld, pts)) != npts:
             last = ConstructionError("secant points not independent")
             continue
         combo = [[rng.randrange(1, p) for _ in range(npts)] for _ in range(ncenter)]
@@ -1089,17 +1093,12 @@ def multisecant_projection(
                 for i, x in enumerate(pt):
                     vec[i] = (vec[i] + coeff * x) % p
             basis.append(tuple(vec))
-        bmat = Matrix.from_rows(fld, [list(b) for b in basis])
-        if rank(bmat) != ncenter:
+        if rank(Matrix.from_rows(fld, basis)) != ncenter:
             last = ConstructionError("center basis degenerate")
             continue
         # no chosen point may sit inside the center (they must survive to
         # pairwise-distinct points of the secant line)
-        if any(
-            rank(Matrix.from_rows(fld, [list(b) for b in basis] + [list(pt)]))
-            == ncenter
-            for pt in pts
-        ):
+        if any(rank(Matrix.from_rows(fld, [*basis, pt])) == ncenter for pt in pts):
             last = ConstructionError("a secant point fell into the center")
             continue
         construction = {"name": "multisecant", "c": c, "k": k, "g": g, "p": p,
@@ -1113,14 +1112,10 @@ def multisecant_projection(
             last = err
             continue
         # certify the multisecant line: the chosen points map to >= k-g
-        # distinct collinear points
-        ann = null_space(bmat)
-        images = []
-        for pt in pts:
-            img = tuple(_dot(fld, row, pt) for row in ann)
-            images.append(img)
+        # distinct collinear points, their images under the projection
+        images = out.evaluator(params).tolist()
         keys = {_normalize(fld, img) for img in images}
-        img_rank = rank(Matrix.from_rows(fld, [list(i) for i in images]))
+        img_rank = rank(Matrix.from_rows(fld, images))
         if len(keys) != npts or img_rank != 2:
             last = ConstructionError("secant-line certificate failed")
             continue

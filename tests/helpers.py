@@ -20,11 +20,12 @@ each image scaled to lead entry 1, then the rank of the whole table), and
 weierstrass_points_by_sqrt enumerates the points of y^2 = f(x) with one
 Tonelli-Shanks square root per x; the library does both on arrays.
 
-a_m_by_point_evaluation is the count on the polynomial path: every point
-of the unisolvent grid evaluated through the coordinate polynomials, then
-the rank of the monomial evaluation matrix.  The library counts a curve
-over GF(p) on an int64 array of the grid's images, and every variety over
-Q on integer images (one common denominator cleared), instead.
+image_by_poly_eval is the image of one parameter point, every coordinate
+evaluated by `poly_eval`, and a_m_by_point_evaluation is the count on that
+per-point path: every point of the unisolvent grid evaluated so, then the
+rank of the monomial evaluation matrix.  The library evaluates a variety
+over GF(p) on an int64 array of points, and over Q in integers (one common
+denominator cleared), instead.
 
 coordinate_simplex is the c+1 coordinate points of P^c, a configuration
 whose Hilbert function and regularity are known by hand.
@@ -48,7 +49,16 @@ import random
 from fractions import Fraction
 
 from hypersurfaces import secants
-from hypersurfaces.exactcore import Echelon, Matrix, MPoly, binomial, monomials, poly_diff, rank
+from hypersurfaces.exactcore import (
+    Echelon,
+    Matrix,
+    MPoly,
+    binomial,
+    monomials,
+    poly_diff,
+    poly_eval,
+    rank,
+)
 from hypersurfaces.pointconfig import (
     ExtractionError,
     NuVector,
@@ -108,11 +118,16 @@ def symbolic_a_m(v, m: int) -> int:
     return mat.cols - rank(mat)
 
 
+def image_by_poly_eval(v, params) -> tuple:
+    """The image of one parameter point: each coordinate by `poly_eval`."""
+    return tuple(poly_eval(c, params) for c in v.coords)
+
+
 def a_m_by_point_evaluation(v, m: int) -> int:
     """a_m as the corank of the degree-m evaluation matrix at the grid's
     images, each computed by evaluating the coordinate polynomials."""
     params = v.domain.unisolvent_params(v.field, v.coords, m)
-    vecs = [v.eval_params(q) for q in params]
+    vecs = [image_by_poly_eval(v, q) for q in params]
     return binomial(v.amb + m, m) - rank(evaluation_matrix(v.field, vecs, m))
 
 

@@ -1,5 +1,6 @@
 """Tests for the command-line front end: outputs, formats, exit codes, determinism."""
 
+import csv
 import json
 import pathlib
 import shlex
@@ -7,7 +8,7 @@ import shlex
 import pytest
 
 from hypersurfaces import cohomology, secants
-from hypersurfaces.cli import build_parser, main, table1_rows
+from hypersurfaces.cli import Report, build_parser, main, table1_rows
 from hypersurfaces.exactcore import PrimeField
 from hypersurfaces.varieties import (
     CONSTRUCTIONS,
@@ -395,6 +396,29 @@ def test_out_flag_writes_identical_bytes(tmp_path, capsys):
     assert main(argv) == 0
     assert target.read_bytes() == first
     assert first.splitlines()[1].startswith(b"# verdict")
+
+
+def test_csv_fields_with_commas_and_quotes_are_quoted():
+    # a witness label holds commas, a failure message may hold a quote:
+    # every record parses back to its fields
+    header = ["witness", "degree", "status"]
+    rows = [["scroll(1,2)", 2, "PASS"], ['say "x, y"', None, "FAIL (a, b)"], ["rnc(3)", 3, "PASS"]]
+    tables = [("t1", header, rows), ("t2", ["a"], [[1]])]
+    report = Report({"command": "test"}, [("rows", 3)], tables)
+    lines = report.render("csv").splitlines()
+    assert lines[:2] == ['# config: {"command": "test"}', "# rows: 3"]
+    assert lines[2] == "# table: t1" and lines[7] == "# table: t2"
+    assert lines[3] == "witness,degree,status" and lines[6] == "rnc(3),3,PASS"
+    assert list(csv.reader(lines[3:7])) == [header] + [[str(x) for x in r] for r in rows]
+    assert list(csv.reader(lines[8:])) == [["a"], ["1"]]
+
+
+def test_table2_csv_rows_parse_to_the_header_width(capsys):
+    code, out = run_cli(capsys, "table2", "--format", "csv")
+    assert code == 0
+    records = list(csv.reader(ln for ln in out.splitlines() if not ln.startswith("#")))
+    assert {len(r) for r in records} == {len(records[0])} and len(records) == 8
+    assert records[2][0] == "scroll(1,2)"
 
 
 def test_seed_recorded_in_output(capsys):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import a_m_by_point_evaluation, symbolic_a_m, table_parameters
+from helpers import a_m_by_point_evaluation, image_by_poly_eval, symbolic_a_m, table_parameters
 
 from hypersurfaces import formulas, varieties
 from hypersurfaces.cohomology import (
@@ -207,7 +207,7 @@ def test_line_counts_above_the_table_limit_match_point_evaluation(name, p):
     assert rational_parameters(v) is None and v.construction["name"] == name
     grid = v.domain.unisolvent_params(v.field, v.coords, 4)
     rows = v.evaluator(np.array(grid, dtype=np.int64))
-    assert rows.tolist() == [list(v.eval_params(t)) for t in grid]
+    assert rows.tolist() == [list(image_by_poly_eval(v, t)) for t in grid]
     for m in (1, 2, 3, 4):
         assert a_m(v, m) == a_m_by_point_evaluation(v, m), (v.label, m)
 
@@ -247,7 +247,8 @@ def test_degree_by_degree_counts_match_point_evaluation(name, p, monkeypatch):
         # each basis is independent on the curve and as large as W_m
         for m in degrees:
             grid = v.domain.unisolvent_params(v.field, v.coords, m)
-            values = evaluation_matrix(v.field, [v.eval_params(q) for q in grid], m).raw_rows()
+            images = [image_by_poly_eval(v, q) for q in grid]
+            values = evaluation_matrix(v.field, images, m).raw_rows()
             basis = v.bases[m].tolist()
             assert len(basis) == binomial(v.amb + m, m) - want[m]
             assert rank(Matrix.from_rows(v.field, [[row[j] for j in basis] for row in values])) \
@@ -276,7 +277,7 @@ def test_unisolvent_grid_is_the_head_of_the_table(build, monkeypatch):
     assert [tuple(q) for q in params.tolist()] == order
     for m in (1, 2, 3, 4):
         grid = v.domain.unisolvent_params(v.field, v.coords, m)
-        images = [list(v.eval_params(q)) for q in grid]
+        images = [list(image_by_poly_eval(v, q)) for q in grid]
         assert [tuple(q) for q in grid] == order[: len(grid)]
         assert table[: len(grid)].tolist() == images
         a_m(v, m)

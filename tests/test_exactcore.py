@@ -691,6 +691,19 @@ def test_integer_polys_reject_other_fields_and_shapes():
         _IntegerPolys([MPoly(QQ, 2, {(1, 0): 1})])([[1]])
 
 
+@pytest.mark.parametrize("fld", [GF101, QQ], ids=repr)
+def test_poly_eval_coerces_the_point(fld):
+    # 3 x0^2 x1 + x1^3: negative and Fraction parameters are coerced into
+    # the field, a Fraction over GF(p) as numerator / denominator mod p
+    f = MPoly(fld, 2, {(2, 1): 3, (0, 3): 1})
+    for x, y in [(-3, 7), (Fraction(1, 2), 4), (0, 1), (5, Fraction(-2, 3))]:
+        assert poly_eval(f, [x, y]) == fld.raw(3 * Fraction(x) ** 2 * y + Fraction(y) ** 3)
+    with pytest.raises(ValueError, match="point length 3 != nvars 2"):
+        poly_eval(f, (1, 2, 3))
+    with pytest.raises(TypeError, match="cannot coerce"):
+        poly_eval(f, (1, 0.5))
+
+
 def test_poly_eval_point_length_mismatch():
     f = MPoly(QQ, 2, {(1, 0): 1})
     with pytest.raises(ValueError, match="point length 1 != nvars 2"):

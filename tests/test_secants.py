@@ -5,7 +5,7 @@ import math
 import pytest
 
 from helpers import secant_dims_by_rank, tangent_ranks_by_echelon
-from hypersurfaces import exactcore, secants, varieties
+from hypersurfaces import exactcore, secants
 from hypersurfaces.cohomology import a_m
 from hypersurfaces.exactcore import QQ, PrimeField, binomial
 from hypersurfaces.secants import (
@@ -157,17 +157,15 @@ def test_integer_ranks_over_q_match_the_fraction_loop():
 
 
 def test_q_ledgers_evaluate_only_integers_at_integer_points(monkeypatch):
-    # on varieties already built over Q, neither zak_invariants nor a_m
-    # evaluates a polynomial in Fractions: every value comes from the
-    # integer coordinates, at parameter points that are Python ints
-    built = [make(QQ) for make in ORACLE_WITNESSES]
+    # over Q neither building a variety (its certificate, its counts and
+    # its sample) nor zak_invariants nor a_m evaluates a polynomial in
+    # Fractions: every value comes from the integer coordinates, at
+    # parameter points that are Python ints
 
     def refuse(*args):
         raise AssertionError("a Fraction evaluation on the integer path")
 
     monkeypatch.setattr(exactcore, "poly_eval", refuse)
-    monkeypatch.setattr(exactcore, "_poly_values", refuse)
-    monkeypatch.setattr(varieties, "_poly_values", refuse)
     evaluate = exactcore._IntegerPolys.__call__
     points_seen = []
 
@@ -178,6 +176,9 @@ def test_q_ledgers_evaluate_only_integers_at_integer_points(monkeypatch):
         return evaluate(self, points)
 
     monkeypatch.setattr(exactcore._IntegerPolys, "__call__", integer_points)
+    built = [make(QQ) for make in ORACLE_WITNESSES]
+    assert points_seen
+    points_seen.clear()
     for v in built:
         zak_invariants(v)
         a_m(v, 3)

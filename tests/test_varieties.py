@@ -7,12 +7,17 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from helpers import certify_by_row_scan, table_parameters, weierstrass_points_by_sqrt
+from helpers import (
+    certify_by_row_scan,
+    image_by_poly_eval,
+    table_parameters,
+    weierstrass_points_by_sqrt,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypersurfaces import varieties
-from hypersurfaces.exactcore import QQ, Matrix, MPoly, PrimeField, poly_eval, rank
+from hypersurfaces.exactcore import QQ, Matrix, MPoly, PrimeField, rank
 from hypersurfaces.varieties import (
     CONSTRUCTIONS,
     ConstructionError,
@@ -109,12 +114,49 @@ def test_sampling_deterministic():
     (lambda: scroll_surface(1, 2, GF), 3,
      [(1, 5156, 389, 4284, 2855), (1, 7576, 8052, 9287, 9102),
       (1, 9959, 9540, 2402, 4788), (1, 5443, 7695, 4590, 5898)]),
-], ids=["rnc-table", "elliptic-table", "scroll-stream"])
+    (lambda: veronese_surface(GF), 5,
+     [(1, 6611, 2658, 4752, 9753, 22), (1, 8711, 8810, 8447, 227, 1808),
+      (1, 1775, 4322, 8427, 6188, 6622)]),
+    (lambda: rational_normal_curve(3, PrimeField(65537)), 2,
+     [(1, 47039, 7327, 61207), (1, 35221, 34505, 48014), (1, 5999, 8188, 32599),
+      (1, 29837, 57498, 5777)]),
+    (lambda: scroll_surface(1, 2, QQ), 3,
+     [(1, -1993, -551738, 1099613834, -2191530371162),
+      (1, -339945, 385557, -131068174365, 44555970534509925),
+      (1, -239902, -950158, 227944804516, -54684414492997432)]),
+    (lambda: veronese_surface(QQ), 0,
+     [(1, 599654, 857628, 359584919716, 514280060712, 735525786384),
+      (1, 569262, 540394, 324059224644, 307625769228, 292025675236),
+      (1, -453674, 630583, 205820098276, -286079111942, 397634919889)]),
+    (lambda: rational_normal_curve(4, QQ), 1,
+     [(1, 571761, 326910641121, 186914755077984081, 106870567278143256136641),
+      (1, -6428, 41319184, -265599714752, 1707274966425856),
+      (1, -183504, 33673718016, -6179261950808064, 1133919285021082976256)]),
+    (lambda: project_from_general_point(rational_normal_curve(4, QQ), seed=2), 4,
+     [(1, Fraction(19697976631249, 43485776), Fraction(8922710662537936939, 43485776),
+       Fraction(4041773785073784503402527, 43485776)),
+      (1, Fraction(12363134665777, 34450928), Fraction(4436671595581598155, 34450928),
+       Fraction(1592157278805199043266687, 34450928))]),
+], ids=["rnc-table", "elliptic-table", "scroll-stream", "veronese-stream",
+        "rnc-above-table-limit", "scroll-q", "veronese-q", "rnc-q", "projected-rnc-q"])
 def test_sampled_points_are_pinned(build, seed, want):
     # the listed rational parameters in draw order on a curve over a small
-    # prime, the parameter stream on a surface: the points of a seed never
-    # change
+    # prime, the parameter stream on any other variety: the points of a
+    # seed never change (over Q the projected curve's coordinates have a
+    # common denominator, which its normalised points do not show)
     assert list(build().sample_points(len(want), seed=seed).points) == want
+
+
+@pytest.mark.parametrize("domain, seed, want", [
+    (ProjectiveDomain((2,)), 5,
+     [(1, 89), (1, 65), (1, 13), (1, 26), (1, 94), (1, 96), (1, 93), (1, 85)]),
+    (WeierstrassDomain(PrimeField(101), (1, 1, 0, 1)), 5,
+     [(62, 58), (60, 74), (41, 9), (66, 97), (15, 82), (23, 24), (30, 8), (88, 35)]),
+], ids=["P1", "weierstrass"])
+def test_table_draws_are_pinned(domain, seed, want):
+    # both parameter streams over GF(101) draw their listed points in one
+    # random order: its first draws never change
+    assert list(islice(domain.parameter_stream(PrimeField(101), seed), len(want))) == want
 
 
 def test_rnc_over_rationals():
@@ -259,21 +301,9 @@ def test_project_preserves_invariants():
     assert not out.linearly_normal
 
 
-@pytest.mark.parametrize("fld", [GF, QQ], ids=repr)
-def test_eval_params_is_poly_eval_of_each_coordinate(fld):
-    # the point is coerced once for all coordinates, with poly_eval's checks
-    v = project_from_general_point(rational_normal_curve(4, fld), seed=3)
-    for params in [(1, 5), (0, 1), (-3, 7), (Fraction(1, 2), 4)]:
-        assert v.eval_params(params) == tuple(poly_eval(c, params) for c in v.coords)
-    with pytest.raises(ValueError, match="point length 3 != nvars 2"):
-        v.eval_params((1, 2, 3))
-    with pytest.raises(TypeError, match="cannot coerce"):
-        v.eval_params((1, 0.5))
-
-
 def test_project_center_on_curve_rejected():
     v = rational_normal_curve(4, GF)
-    pt = v.eval_params((1, 5))
+    pt = image_by_poly_eval(v, (1, 5))
     with pytest.raises(ProjectionError):
         project(v, ProjectionCenter(4, (tuple(int(x) for x in pt),)))
 
@@ -281,8 +311,8 @@ def test_project_center_on_curve_rejected():
 def test_project_center_on_rational_chord_rejected():
     # the midpoint of a chord forces two parameters to collide in the image
     v = rational_normal_curve(4, GF)
-    p1 = v.eval_params((1, 2))
-    p2 = v.eval_params((1, 3))
+    p1 = image_by_poly_eval(v, (1, 2))
+    p2 = image_by_poly_eval(v, (1, 3))
     mid = tuple((int(a) + int(b)) % 10007 for a, b in zip(p1, p2))
     with pytest.raises(ProjectionError):
         project(v, ProjectionCenter(4, (mid,)))
@@ -764,7 +794,7 @@ def test_span_is_exact_over_the_closure():
 def test_coordinate_table_rows_are_the_images():
     # the listed rational parameters are every one, in order: on P^1 the
     # last is the parameter at infinity (0, 1); their images through the
-    # evaluator are eval_params' (the section curve's coordinates are not
+    # evaluator are poly_eval's (the section curve's coordinates are not
     # monomials)
     for v in (
         multisecant_projection(4, 4, 1, 101, seed=5),
@@ -775,7 +805,7 @@ def test_coordinate_table_rows_are_the_images():
         assert params.dtype == np.int64
         assert [tuple(q) for q in params.tolist()] == table_parameters(v), v.label
         table = v.evaluator(params)
-        images = [tuple(v.eval_params(q)) for q in table_parameters(v)]
+        images = [image_by_poly_eval(v, q) for q in table_parameters(v)]
         assert [tuple(row) for row in table.tolist()] == images, v.label
 
 
