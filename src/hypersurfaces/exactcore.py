@@ -393,13 +393,17 @@ class Echelon:
         c = next((j for j, a in enumerate(v) if a), None)
         if c is None:
             return False
+        # rows are built as lists: a tuple grown from a generator is resized
+        # to its length, and when freed it joins a free list (lengths below
+        # 20) that only fresh tuples of that length draw from, so it stays
+        # allocated
         f = self.field
         if f.is_prime_field:
             inv = f.inv(v[c])
-            self.rows.append(tuple(f.mul(a, inv) for a in v))
+            self.rows.append(tuple([f.mul(a, inv) for a in v]))
         else:
             g = math.gcd(*v) if v[c] > 0 else -math.gcd(*v)
-            self.rows.append(tuple(a // g for a in v))
+            self.rows.append(tuple([a // g for a in v]))
         self.pivots.append(c)
         return True
 
@@ -441,17 +445,12 @@ def monomials(v: int, m: int) -> list:
         raise ValueError("need at least one variable")
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    out = []
-
-    def rec(prefix: tuple, remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), m, v)
-    return out
+    # one variable at a time: each prefix with the degree it leaves, the
+    # next exponent descending
+    prefixes = [((), m)]
+    for _ in range(v - 1):
+        prefixes = [(pre + (e,), rem - e) for pre, rem in prefixes for e in range(rem, -1, -1)]
+    return [pre + (rem,) for pre, rem in prefixes]
 
 
 @functools.lru_cache(maxsize=None)

@@ -4,10 +4,13 @@ The quadratic embedding of a parametrised variety X in P^r is the image Y
 of X under all C(r+2, 2) pairwise coordinate products.  The dimension s_k
 of its k-th secant variety is the rank, minus 1, of the affine tangent
 spaces of Y at k+1 generic points (Terracini).  One nested pass gives every
-s_k: each trial draws one point sequence, builds each point's tangent rows
-by the chain rule from the base coordinates and their partials (both
-computed once per embedding), and reads the rank of the rows of its first
-k+1 points; s_k is the maximum over the trials.  Over GF(p) the points are
+s_k: each trial draws one point sequence, builds each point's n+1 tangent
+rows by the chain rule from the base coordinates and their partials along
+the affine chart (both computed once per embedding), and reads the rank of
+the rows of its first k+1 points; s_k is the maximum over the trials.  The
+rows lie in the span of Y, so they are built only at the span_dim + 1
+products that the base's degree-2 count keeps as a basis, which the span
+projects onto isomorphically; every rank is kept.  Over GF(p) the points are
 evaluated in batches as int64 arrays and the rows are ranked in chunks by
 the numpy kernel, whose pivots on the transposed rows are the rows
 independent of all rows before them.  Over Q the base coordinates and
@@ -28,6 +31,7 @@ positive deficiencies, so they do not certify every s_k.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -68,19 +72,31 @@ class TerraciniError(RuntimeError):
 class QuadraticEmbedding:
     """The quadratic embedding of `base` in P^N, N = C(amb+2, 2) - 1; span_dim
     is recomputed from the exact quadric count of the base, never copied
-    from metadata."""
+    from metadata.  `basis` lists span_dim + 1 of the products x_i x_j
+    (indices into their graded-lex order) that are independent on the base:
+    the degree-2 basis its count keeps.  Every tangent row of Y lies in the
+    span of Y, which those columns project isomorphically, so Terracini
+    ranks the rows at those columns only."""
 
     base: ParamVariety
     N: int
     span_dim: int
+    basis: tuple
 
     @functools.cached_property
     def tangent_polys(self) -> tuple:
         """The base coordinates, then their partial derivatives by each
-        parameter variable: nvars + 1 rows of amb + 1 polynomials."""
+        parameter variable that does not open a block: n + 1 rows of amb + 1
+        polynomials.  Terracini draws every block's first variable as 1, and
+        the variety is the closure of that affine chart's image (as in
+        `unisolvent_params`), so the cone point and the partials along the
+        chart span the tangent space of the cone."""
         v = self.base
+        opens = set(itertools.accumulate(v.domain.blocks[:-1], initial=0))
         return (tuple(v.coords),) + tuple(
-            tuple(poly_diff(c, var) for c in v.coords) for var in range(v.domain.nvars)
+            tuple(poly_diff(c, var) for c in v.coords)
+            for var in range(v.domain.nvars)
+            if var not in opens
         )
 
     @functools.cached_property
@@ -101,7 +117,8 @@ def veronese_square(v: ParamVariety) -> QuadraticEmbedding:
             f"{v.label}: quadratic embedding needs a polynomial parametrization"
         )
     n_big = binomial(v.amb + 2, 2) - 1
-    return QuadraticEmbedding(base=v, N=n_big, span_dim=n_big - a_m(v, 2))
+    span_dim = n_big - a_m(v, 2)
+    return QuadraticEmbedding(base=v, N=n_big, span_dim=span_dim, basis=tuple(v.bases[2].tolist()))
 
 
 def _random_params(domain: ProjectiveDomain, fld, rng: random.Random) -> tuple:
@@ -158,6 +175,7 @@ def _tangent_ranks(y: QuadraticEmbedding, seed: int, trial: int) -> list:
         return values, [any(vals[:width]) for vals in values]
 
     pairs = [(i, j) for i in range(width) for j in range(i, width)]  # graded lex
+    pairs = [pairs[k] for k in y.basis]
     basis = Echelon(fld)
     ranks: list = []
     while len(ranks) < y.span_dim + 2 and (not ranks or ranks[-1] < y.span_dim):
@@ -176,19 +194,19 @@ def _tangent_ranks_modp(y: QuadraticEmbedding, rng: random.Random) -> list:
     """`_tangent_ranks` over GF(p), on the int64 kernel.
 
     The rows are ranked in chunks.  A chunk asks for as many points as could
-    fill the span at n+1 new dimensions each, and the kernel gets the
-    transpose of [independent rows so far; chunk], at most N+1 rows.  That
-    transpose is not wide, so its pivots are exactly the rows independent
-    of all rows before them, and the rank after each point is a prefix
-    count of those.  A point adds at most n+1 dimensions: each block's
-    Euler relation makes a combination of its partials a multiple of the
-    cone point.  So no chunk draws a point past the one that fills the
-    span, and the run stops there as the per-point loop does.
+    fill the span at n+1 new dimensions each, one per tangent row, and the
+    kernel gets the transpose of [independent rows so far; chunk], cut at
+    span_dim + 1 rows.  That transpose is not wide, so its pivots are
+    exactly the rows independent of all rows before them, and the rank
+    after each point is a prefix count of those.  So no chunk draws a point
+    past the one that fills the span, and the run stops there as the
+    per-point loop does.
     """
     v, p = y.base, y.base.field.p
-    width, per = v.amb + 1, v.domain.nvars + 1  # coordinates; tangent rows per point
+    width, per = v.amb + 1, v.n + 1  # coordinates; tangent rows per point
     full, limit = y.span_dim + 1, y.span_dim + 2
     first, second = np.triu_indices(width)  # the products x_i x_j, i <= j, graded lex
+    first, second = first[list(y.basis)], second[list(y.basis)]
 
     def evaluate(drawn):
         values = y.tangent_values(np.array(drawn, dtype=np.int64))
@@ -198,8 +216,8 @@ def _tangent_ranks_modp(y: QuadraticEmbedding, rng: random.Random) -> list:
         vals = np.array(_draw(v, rng, count, evaluate)).reshape(count, per, width)
         xs = vals[:, :1]
         # chain rule on the products: row 0 of a point is twice its cone
-        # point x_i x_j, row 1 + var the partial dx_i x_j + x_i dx_j; built
-        # in place, so that only two arrays of rows are alive at a time
+        # point x_i x_j, row 1 + k its k-th partial dx_i x_j + x_i dx_j;
+        # built in place, so that only two arrays of rows are alive at a time
         rows, cross = vals[:, :, first], vals[:, :, second]
         rows *= xs[:, :, second]
         rows %= p
@@ -209,17 +227,15 @@ def _tangent_ranks_modp(y: QuadraticEmbedding, rng: random.Random) -> list:
         rows %= p
         return rows.reshape(count * per, -1)
 
-    rows = np.zeros((0, y.N + 1), dtype=np.int64)  # independent rows, then rows not yet ranked
+    rows = np.zeros((0, full), dtype=np.int64)  # independent rows, then rows not yet ranked
     known = ranked = drawn = 0  # independent rows; rows ranked and points drawn so far
     gains: list = []  # the point of each independent row
     while known < full and (len(rows) > known or drawn < limit):
-        points = -(-(full - known) // (v.n + 1))  # fill at n+1 new dimensions each
-        end = known + min(points * per, y.N + 1 - known)
-        if len(rows) < end and drawn < limit:
-            count = min(-(-(end - len(rows)) // per), limit - drawn)
+        if len(rows) < full and drawn < limit:
+            count = min(-(-(full - len(rows)) // per), limit - drawn)
             rows = np.concatenate([rows, tangent_rows(count)])
             drawn += count
-        end = min(end, len(rows))
+        end = min(full, len(rows))
         pivots = _pivots_modp_numpy(rows[:end].T, p)
         gains += ((pivots[known:] - known + ranked) // per).tolist()
         ranked += end - known

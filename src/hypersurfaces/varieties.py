@@ -376,9 +376,11 @@ class ParamVariety:
     `counts` memoises the exact a_m by m (filled by `count`, for
     certification and `cohomology.a_m` alike): a count depends on nothing
     but the variety and m.  Beside it, `bases` keeps by m the degree-m
-    monomials that an array count found independent on the variety
-    (indices into `monomials()` order), so the count of degree m + 1 needs
-    only their products with a variable.
+    monomials that each count found independent on the variety, a_m fewer
+    than all of them (an int64 array of indices into `monomials()` order):
+    a curve's count of degree m + 1 over GF(p) needs only their products
+    with a variable, and Terracini ranks its tangent rows at the degree-2
+    ones.
     """
 
     def __init__(
@@ -536,21 +538,24 @@ def _count(v: ParamVariety, m: int) -> int:
     the images of the domain's unisolvent grid (a form vanishes there
     exactly when it vanishes on the variety).
 
+    Every count keeps the independent columns it finds, degree-m monomials
+    whose restrictions are a basis of W_m, in `v.bases[m]`.
+
     Over GF(p) the grid is evaluated as one int64 array with `v.evaluator`.
     A surface ranks the degree-m monomials at its images point by point,
-    with `evaluation_matrix`.  A curve counts degree by degree.  W_m is
-    spanned by the distinct products x_i * mu of the variables with a basis
-    mu of W_{m-1}:
+    with `evaluation_matrix`, and keeps the kernel's pivots.  A curve counts
+    degree by degree.  W_m is spanned by the distinct products x_i * mu of
+    the variables with a basis mu of W_{m-1}:
     the one `v.bases` keeps for degree m-1, or else every degree-(m-1)
     monomial, whose products are every degree-m monomial.  Either set spans
     W_m, so its rank on the grid is dim W_m, and its independent members are
-    kept as the basis of degree m.
+    the basis of degree m.
 
     Over Q the grid is integer and `v.evaluator` gives D times each image,
     for the coordinates' common denominator D.  The degree-m monomials at
     those are built level by level from `_monomial_plan` in ints: each row
     is D^m times its rational row, so one fraction-free `Echelon` ranks
-    them with no Fraction arithmetic."""
+    them with no Fraction arithmetic, and its pivots are the basis."""
     try:
         params = v.domain.unisolvent_params(v.field, v.coords, m)
     except FieldTooSmallError as err:
@@ -559,42 +564,46 @@ def _count(v: ParamVariety, m: int) -> int:
     if v.field.is_prime_field:
         p = v.field.p
         rows = v.evaluator(np.array(params, dtype=np.int64))
-        if not v.is_curve:
-            return total - rank(evaluation_matrix(v.field, rows.tolist(), m))
-        basis = v.bases.get(m - 1)
-        if basis is None:
-            basis = np.arange(binomial(v.amb + m - 1, m - 1))
-        values, index = monomial_products(rows, basis, m, p)
-        pivots = index[_pivots_modp_numpy(values, p)]
-        v.bases[m] = pivots
-        return total - len(pivots)
-    plan = _monomial_plan(v.amb + 1, m)
-    rows = []
-    for xs in v.evaluator(params):
-        vals = [1]
-        for steps in plan:
-            vals = [vals[j] * xs[i] for j, i in steps]
-        rows.append(vals)
-    return total - len(Echelon(QQ, rows))
+        if v.is_curve:
+            basis = v.bases.get(m - 1)
+            if basis is None:
+                basis = np.arange(binomial(v.amb + m - 1, m - 1))
+            values, index = monomial_products(rows, basis, m, p)
+            pivots = index[_pivots_modp_numpy(values, p)]
+        else:
+            pivots = _pivots_modp_numpy(evaluation_matrix(v.field, rows.tolist(), m).raw_rows(), p)
+    else:
+        plan = _monomial_plan(v.amb + 1, m)
+        rows = []
+        for xs in v.evaluator(params):
+            vals = [1]
+            for steps in plan:
+                vals = [vals[j] * xs[i] for j, i in steps]
+            rows.append(vals)
+        pivots = np.array(sorted(Echelon(QQ, rows).pivots), dtype=np.intp)
+    v.bases[m] = pivots
+    return total - len(pivots)
 
 
 # a prime below 2^31: over Q the grid is ranked modulo it first
 _LEDGER_PRIME = (1 << 31) - 1
 
 
-def _rank_mod_ledger_prime(v: ParamVariety, m: int) -> int:
-    """Rank modulo _LEDGER_PRIME of the degree-m monomials at the grid's
-    images over Q: a lower bound on the rank over Q.  The reduced
-    coordinates are the integer ones of `v.evaluator`, so each row is a
-    multiple of its row over Q by a power of their common denominator,
-    which keeps the rank; the reduced curve is counted by `_count` on the
-    same grid."""
+def _basis_mod_ledger_prime(v: ParamVariety, m: int) -> np.ndarray:
+    """The degree-m monomials that `_count` finds independent modulo
+    _LEDGER_PRIME at the grid's images over Q.  The reduced coordinates are
+    the integer ones of `v.evaluator`, so each row is a multiple of its row
+    over Q by a power of their common denominator, and the reduced curve is
+    counted on the same grid.  A minor of those integer rows that is nonzero
+    modulo the prime is nonzero, so the monomials are independent over Q
+    too, and their number is a lower bound on the rank over Q."""
     fq = PrimeField(_LEDGER_PRIME)
     coords = [MPoly(fq, v.domain.nvars, terms) for terms in v.evaluator.terms]
     reduced = ParamVariety(
         v.label, v.n, v.amb, v.d, v.g, fq, coords, v.domain, v.linearly_normal, v.construction
     )
-    return binomial(v.amb + m, m) - _count(reduced, m)
+    _count(reduced, m)
+    return reduced.bases[m]
 
 
 def _coefficient_rank(v: ParamVariety) -> int:
@@ -661,8 +670,9 @@ def _restricts_onto(v: ParamVariety, m: int, last: bool) -> bool:
     """Whether the degree-m forms reach rank dm + 1 - g on the curve, which
     is h^0(L^m) and so the most they can reach.  At m = 1 the rank is the
     coefficient rank, amb + 1.  Over Q a hit of the rank modulo
-    _LEDGER_PRIME proves it; the exact count is the fallback at the `last`
-    degree only."""
+    _LEDGER_PRIME proves it, and that prime's independent monomials are
+    then the basis of degree m; the exact count is the fallback at the
+    `last` degree only."""
     target = v.d * m + 1 - v.g
     total = binomial(v.amb + m, m)
     if m == 1:
@@ -671,8 +681,10 @@ def _restricts_onto(v: ParamVariety, m: int, last: bool) -> bool:
         return False
     if v.field.is_prime_field:
         return total - v.count(m) == target
-    if _rank_mod_ledger_prime(v, m) == target:
+    basis = _basis_mod_ledger_prime(v, m)
+    if len(basis) == target:
         v.counts[m] = total - target
+        v.bases[m] = basis
         return True
     return last and total - v.count(m) == target
 

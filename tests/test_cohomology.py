@@ -18,7 +18,7 @@ from hypersurfaces.cohomology import (
     verify_monotonic,
     verify_reg_bound,
 )
-from hypersurfaces.exactcore import QQ, Matrix, PrimeField, binomial, rank
+from hypersurfaces.exactcore import QQ, Echelon, Matrix, PrimeField, binomial, rank
 from hypersurfaces.pointconfig import evaluation_matrix
 from hypersurfaces.varieties import (
     CONSTRUCTIONS,
@@ -253,6 +253,45 @@ def test_degree_by_degree_counts_match_point_evaluation(name, p, monkeypatch):
             assert len(basis) == binomial(v.amb + m, m) - want[m]
             assert rank(Matrix.from_rows(v.field, [[row[j] for j in basis] for row in values])) \
                 == len(basis)
+
+
+def _assert_count_keeps_a_basis(v, m):
+    # C(amb+m, m) - a_m monomials whose columns of the grid's degree-m
+    # evaluation are independent
+    basis = v.bases[m].tolist()
+    assert len(basis) == binomial(v.amb + m, m) - v.count(m), (v.label, m)
+    grid = v.domain.unisolvent_params(v.field, v.coords, m)
+    values = evaluation_matrix(v.field, [image_by_poly_eval(v, q) for q in grid], m).raw_rows()
+    assert len(Echelon(v.field, [[row[j] for j in basis] for row in values])) == len(basis)
+
+
+@pytest.mark.parametrize("fld", [GF, PrimeField(1000003), QQ], ids=repr)
+@pytest.mark.parametrize("make", [
+    lambda f: rational_normal_curve(5, f),
+    lambda f: scroll_surface(1, 2, f),
+    veronese_surface,
+], ids=["rnc(5)", "scroll(1,2)", "veronese"])
+def test_every_count_keeps_a_basis(make, fld):
+    v = make(fld)
+    for m in (3, 1, 2):
+        v.count(m)
+        _assert_count_keeps_a_basis(v, m)
+
+
+def test_ledger_prime_basis_is_kept_only_on_a_hit():
+    # projected rnc(4) over Q is certified at m = 2 by its rank modulo the
+    # ledger prime, whose independent monomials are then its degree-2 basis
+    v = project_from_general_point(rational_normal_curve(4, QQ), seed=3)
+    assert v.counts == {2: 1} and list(v.bases) == [2]
+    assert v.bases[2].tolist() == varieties._basis_mod_ledger_prime(v, 2).tolist()
+    _assert_count_keeps_a_basis(v, 2)
+    # c2 + q c3 equals c2 modulo the ledger prime q: a miss keeps nothing
+    coords = list(v.coords[:3]) + [v.coords[2] + v.coords[3] * varieties._LEDGER_PRIME]
+    w = varieties.ParamVariety(
+        "drawn", 1, 3, 4, 0, QQ, coords, v.domain, False, {"name": "drawn"}
+    )
+    assert not varieties._restricts_onto(w, 2, last=False)
+    assert w.counts == {} and w.bases == {}
 
 
 @pytest.mark.parametrize("build", [

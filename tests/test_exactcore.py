@@ -1,5 +1,6 @@
 """Tests for exact fields, matrices, monomials and sparse polynomials."""
 
+import gc
 import itertools
 import math
 import random
@@ -479,6 +480,20 @@ def test_monomials_counts():
 
 def test_monomials_degree_zero():
     assert monomials(4, 0) == [(0, 0, 0, 0)]
+
+
+def test_monomials_leave_no_garbage():
+    # built without a self-referencing closure, so a call leaves no cycle
+    # for the collector; the order is descending lex on the exponents
+    gc.collect()
+    gc.disable()
+    try:
+        got = monomials(4, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert got == sorted((e for e in itertools.product(range(4), repeat=4) if sum(e) == 3),
+                         reverse=True)
 
 
 def test_monomial_values_alignment():

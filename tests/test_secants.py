@@ -7,7 +7,7 @@ import pytest
 from helpers import secant_dims_by_rank, tangent_ranks_by_echelon
 from hypersurfaces import exactcore, secants
 from hypersurfaces.cohomology import a_m
-from hypersurfaces.exactcore import QQ, PrimeField, binomial
+from hypersurfaces.exactcore import QQ, PrimeField, binomial, poly_diff
 from hypersurfaces.secants import (
     TerraciniError,
     expected_table2_deltas,
@@ -48,6 +48,22 @@ def test_square_veronese_surface():
     y = veronese_square(veronese_surface(BIGP))
     assert y.N == binomial(7, 2) - 1 == 20
     assert y.span_dim == 20 - 6 == 14
+
+
+@pytest.mark.parametrize("make, chart", [
+    (lambda f: rational_normal_curve(3, f), (1,)),
+    (veronese_surface, (1, 2)),
+    (lambda f: scroll_surface(1, 2, f), (1, 3)),
+], ids=["P^1", "P^2", "P^1 x P^1"])
+def test_tangent_rows_are_the_point_and_the_partials_along_the_chart(make, chart):
+    # n + 1 rows: the coordinates, then their partials by every variable
+    # that does not open a block; ranked at span_dim + 1 columns
+    v = make(BIGP)
+    y = veronese_square(v)
+    partials = tuple(tuple(poly_diff(c, var) for c in v.coords) for var in chart)
+    assert len(y.tangent_polys) == v.n + 1
+    assert y.tangent_polys == (v.coords, *partials)
+    assert len(y.basis) == y.span_dim + 1 == len(set(y.basis))
 
 
 def test_square_rejects_enumerator_curves():
@@ -133,7 +149,7 @@ def test_chunked_ranks_match_the_echelon_loop(monkeypatch, fld):
             ranks = secants._tangent_ranks(y, 5, trial)
             assert ranks == tangent_ranks_by_echelon(y, 5, trial), y.base.label
             assert ranks[-1] == y.span_dim, y.base.label
-        assert shapes and all(cols <= rows == y.N + 1 for rows, cols in shapes), y.base.label
+        assert shapes and all(cols <= rows == y.span_dim + 1 for rows, cols in shapes), y.base.label
         shapes.clear()
 
 

@@ -743,7 +743,7 @@ def test_rational_certificate_falls_back_to_the_exact_count():
     v = project_from_general_point(rational_normal_curve(4, QQ), seed=3)
     coords = list(v.coords[:3]) + [v.coords[2] + v.coords[3] * varieties._LEDGER_PRIME]
     w = _drawn_curve(QQ, coords, v.domain)
-    assert varieties._rank_mod_ledger_prime(w, 2) < 2 * 4 + 1
+    assert len(varieties._basis_mod_ledger_prime(w, 2)) < 2 * 4 + 1
     assert _certify(w) is w and w.counts == {2: v.count(2)}
 
 
