@@ -62,12 +62,16 @@ class NuVector:
 
 
 def _normalize(field: Field, vec) -> tuple:
+    """`vec` coerced into `field` and scaled so its first nonzero entry is
+    1; a vector already so scaled is only coerced."""
     raw = [field.raw(v) for v in vec]
     lead = next((v for v in raw if v != 0), None)
     if lead is None:
         raise ValueError("zero vector is not a projective point")
+    if lead == 1:
+        return tuple(raw)
     inv = field.inv(lead)
-    return tuple(field.mul(v, inv) for v in raw)
+    return tuple([field.mul(v, inv) for v in raw])
 
 
 class PointConfig:

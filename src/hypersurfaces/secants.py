@@ -84,6 +84,15 @@ class QuadraticEmbedding:
     basis: tuple
 
     @functools.cached_property
+    def products(self) -> tuple:
+        """(first, second): int arrays with x_first[k] * x_second[k] the k-th
+        product of `basis`, read off the products x_i x_j, i <= j, in graded
+        lex order (that of `monomials(amb + 1, 2)`)."""
+        first, second = np.triu_indices(self.base.amb + 1)
+        keep = list(self.basis)
+        return first[keep], second[keep]
+
+    @functools.cached_property
     def tangent_polys(self) -> tuple:
         """The base coordinates, then their partial derivatives by each
         parameter variable that does not open a block: n + 1 rows of amb + 1
@@ -174,8 +183,7 @@ def _tangent_ranks(y: QuadraticEmbedding, seed: int, trial: int) -> list:
         values = y.tangent_values(drawn)
         return values, [any(vals[:width]) for vals in values]
 
-    pairs = [(i, j) for i in range(width) for j in range(i, width)]  # graded lex
-    pairs = [pairs[k] for k in y.basis]
+    pairs = list(zip(*(a.tolist() for a in y.products)))
     basis = Echelon(fld)
     ranks: list = []
     while len(ranks) < y.span_dim + 2 and (not ranks or ranks[-1] < y.span_dim):
@@ -205,8 +213,7 @@ def _tangent_ranks_modp(y: QuadraticEmbedding, rng: random.Random) -> list:
     v, p = y.base, y.base.field.p
     width, per = v.amb + 1, v.n + 1  # coordinates; tangent rows per point
     full, limit = y.span_dim + 1, y.span_dim + 2
-    first, second = np.triu_indices(width)  # the products x_i x_j, i <= j, graded lex
-    first, second = first[list(y.basis)], second[list(y.basis)]
+    first, second = y.products
 
     def evaluate(drawn):
         values = y.tangent_values(np.array(drawn, dtype=np.int64))

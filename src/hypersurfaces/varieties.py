@@ -7,9 +7,16 @@ rational parametrizations (rational normal curves, scrolls, Veronese,
 scroll sections and their projections) or a plane-curve point enumerator
 for elliptic and genus-2 curves presented by y^2 = f(x).
 
+A construction states only what it claims, the degree d and the genus g;
+the dimension n is its domain's and the ambient dimension amb is one less
+than the number of its coordinates, so neither can disagree with them.
 Claimed metadata is never trusted: constructions are certified and fail
 loudly instead of returning a variety whose invariants might silently be
-wrong.  Nondegeneracy is the exact rank of the coordinates' coefficient
+wrong.  The randomised constructions (scroll sections, projections from a
+general point, multisecant projections, hyperplane sections of scrolls)
+share one retry policy, `_retry`: a refused draw is followed by a fresh
+one, but a field too small for the certificate or a usage error is never
+retried.  Nondegeneracy is the exact rank of the coordinates' coefficient
 matrix, that is the span over the algebraic closure.  A curve is then
 certified by one exact count.  Its coordinates are sections of a line
 bundle L of degree D (the forms' degree on P^1, the top pole order on
@@ -185,6 +192,11 @@ class ProjectiveDomain:
             raise ValueError("each block needs at least 2 homogeneous coordinates")
         self.nvars = sum(self.blocks)
 
+    @property
+    def dim(self) -> int:
+        """Dimension of the product: one less than each block, summed."""
+        return self.nvars - len(self.blocks)
+
     def is_curve_line(self) -> bool:
         return self.blocks == (2,)
 
@@ -302,6 +314,7 @@ class WeierstrassDomain:
 
     kind = "weierstrass"
     nvars = 2
+    dim = 1
 
     def __init__(self, field: PrimeField, f_coeffs: Sequence[int]):
         if not field.is_prime_field:
@@ -368,6 +381,13 @@ class ProjectionCenter:
 class ParamVariety:
     """A parametrised variety with verified degree/genus metadata.
 
+    A construction states only its claims, the degree d and the genus g
+    (-1 for a surface), which `_certify` checks.  The rest is derived: the
+    ambient dimension amb is one less than the number of coordinates, the
+    dimension n is the domain's, and the codimension c is amb - n.
+    Linear normality is not stated either; profiles compute it as
+    h^1(I(1)) = 0.
+
     Immutable after construction.  `evaluator` is the one way the
     coordinates are evaluated: counts evaluate their grids with it, and
     samples the points they draw.  Over GF(p) it evaluates them on int64
@@ -386,30 +406,26 @@ class ParamVariety:
     def __init__(
         self,
         label: str,
-        n: int,
-        amb: int,
         d: int,
         g: int,
         fld: Field,
         coords: Sequence[MPoly],
         domain,
-        linearly_normal: bool,
         construction: dict,
     ):
         self.label = label
-        self.n = n
-        self.amb = amb
         self.d = d
         self.g = g
         self.field = fld
         self.coords = tuple(coords)
         self.domain = domain
-        self.linearly_normal = linearly_normal
         self.construction = dict(construction)
         self.counts: dict = {}
         self.bases: dict = {}
-        if len(self.coords) != amb + 1:
-            raise ValueError("need amb+1 coordinate polynomials")
+        if not self.coords:
+            raise ValueError("need at least one coordinate polynomial")
+        self.amb = len(self.coords) - 1
+        self.n = domain.dim
         for c in self.coords:
             if c.nvars != domain.nvars:
                 raise ValueError("coordinate polynomial variable count mismatch")
@@ -486,8 +502,9 @@ def sample_points(v: ParamVariety, count: int, seed: int = 0) -> PointConfig:
     """Deterministic-from-seed list of `count` distinct points on `v`.  A
     curve with `rational_parameters` draws them in a random order, any
     other variety from its domain's `parameter_stream`; the drawn points
-    go through `v.evaluator` `count` at a time.  Over Q its images are D
-    times the rational ones, which the normalised points do not see."""
+    go through `v.evaluator` `count` at a time.  Each nonzero image is
+    normalised once, and the normalised points are what `PointConfig` gets;
+    over Q the images are D times the rational ones, which they do not see."""
     if count < 1:
         raise ValueError("need count >= 1")
     avail = v.domain.count_available(v.field)
@@ -510,23 +527,17 @@ def sample_points(v: ParamVariety, count: int, seed: int = 0) -> PointConfig:
     else:
         rows = map(v.evaluator, batches)
     images = itertools.chain.from_iterable(rows)
-    vecs = []
-    seen = set()
+    points: dict = {}  # the distinct normalised images, in drawn order
     for vec in images:
-        if all(x == 0 for x in vec):
-            continue
-        key = _normalize(fld, vec)
-        if key in seen:
-            continue
-        seen.add(key)
-        vecs.append(vec)
-        if len(vecs) == count:
-            break
-    if len(vecs) < count:
+        if any(vec):
+            points[_normalize(fld, vec)] = None
+            if len(points) == count:
+                break
+    if len(points) < count:
         raise FieldTooSmallError(
-            f"{v.label}: could only realise {len(vecs)} of {count} distinct points"
+            f"{v.label}: could only realise {len(points)} of {count} distinct points"
         )
-    return PointConfig(fld, vecs)
+    return PointConfig(fld, points)
 
 
 # ------------------------------------------------------------------ counts and certificates
@@ -599,16 +610,22 @@ def _basis_mod_ledger_prime(v: ParamVariety, m: int) -> np.ndarray:
     too, and their number is a lower bound on the rank over Q."""
     fq = PrimeField(_LEDGER_PRIME)
     coords = [MPoly(fq, v.domain.nvars, terms) for terms in v.evaluator.terms]
-    reduced = ParamVariety(
-        v.label, v.n, v.amb, v.d, v.g, fq, coords, v.domain, v.linearly_normal, v.construction
-    )
+    reduced = ParamVariety(v.label, v.d, v.g, fq, coords, v.domain, v.construction)
     _count(reduced, m)
     return reduced.bases[m]
 
 
+def _coefficient_rows(fld: Field, coords: Sequence[MPoly]) -> list:
+    """The coordinates' coefficient matrix: a row per monomial that occurs
+    in one of them, in sorted order, and a column per coordinate.  Its
+    kernel holds the linear relations among the coordinates."""
+    zero = fld.raw(0)
+    monos = sorted({e for c in coords for e in c.terms})
+    return [[c.terms.get(e, zero) for c in coords] for e in monos]
+
+
 def _coefficient_rank(v: ParamVariety) -> int:
-    """Rank of the coordinates' coefficient matrix (a row per monomial, a
-    column per coordinate).  A linear form vanishes on the image over the
+    """Rank of `_coefficient_rows`.  A linear form vanishes on the image over the
     algebraic closure exactly when it is a linear relation among the
     coordinate polynomials: the parameter spaces are irreducible, and on
     y^2 = f(x) with deg f odd, A(x) + B(x) y vanishes only when A = B = 0
@@ -617,10 +634,7 @@ def _coefficient_rank(v: ParamVariety) -> int:
         e[1] > 1 for c in v.coords for e in c.terms
     ):
         raise ValueError("Weierstrass coordinates must have y-degree <= 1")
-    zero = v.field.raw(0)
-    monos = sorted({e for c in v.coords for e in c.terms})
-    rows = [[c.terms.get(e, zero) for c in v.coords] for e in monos]
-    return rank(Matrix.from_rows(v.field, rows))
+    return rank(Matrix.from_rows(v.field, _coefficient_rows(v.field, v.coords)))
 
 
 def _weierstrass_split(poly: MPoly) -> tuple:
@@ -737,6 +751,27 @@ def _rand_scalar(fld: Field, rng: random.Random):
     return fld.raw(rng.randint(-99, 99))
 
 
+def _retry(
+    tries: int,
+    attempt: Callable[[int], ParamVariety],
+    failure: Callable[[Optional[ConstructionError]], Exception],
+) -> ParamVariety:
+    """The retry policy of the randomised constructions: `attempt(i)` for
+    i = 0, 1, ... until one returns.  A `ConstructionError` moves on to the
+    next try; a `FieldTooSmallError` propagates at once, since the field is
+    too small for every draw, and so does any other exception (a usage
+    error).  When all `tries` fail, raises `failure(last error)`."""
+    last = None
+    for i in range(tries):
+        try:
+            return attempt(i)
+        except FieldTooSmallError:
+            raise
+        except ConstructionError as err:
+            last = err
+    raise failure(last)
+
+
 # ------------------------------------------------------------------ constructors
 
 
@@ -745,19 +780,10 @@ def rational_normal_curve(r: int, fld: Field) -> ParamVariety:
     if r < 2:
         raise ValueError("need r >= 2")
     coords = [MPoly(fld, 2, {(r - i, i): 1}) for i in range(r + 1)]
-    v = ParamVariety(
-        label=f"rnc({r})",
-        n=1,
-        amb=r,
-        d=r,
-        g=0,
-        fld=fld,
-        coords=coords,
-        domain=ProjectiveDomain((2,)),
-        linearly_normal=True,
-        construction={"name": "rnc", "r": r},
-    )
-    return _certify(v)
+    return _certify(ParamVariety(
+        label=f"rnc({r})", d=r, g=0, fld=fld, coords=coords,
+        domain=ProjectiveDomain((2,)), construction={"name": "rnc", "r": r},
+    ))
 
 
 def scroll_surface(a: int, b: int, fld: Field) -> ParamVariety:
@@ -769,37 +795,19 @@ def scroll_surface(a: int, b: int, fld: Field) -> ParamVariety:
         coords.append(MPoly(fld, 4, {(a - i, i, 1, 0): 1}))
     for j in range(b + 1):
         coords.append(MPoly(fld, 4, {(b - j, j, 0, 1): 1}))
-    v = ParamVariety(
-        label=f"scroll({a},{b})",
-        n=2,
-        amb=a + b + 1,
-        d=a + b,
-        g=-1,
-        fld=fld,
-        coords=coords,
-        domain=ProjectiveDomain((2, 2)),
-        linearly_normal=True,
-        construction={"name": "scroll", "a": a, "b": b},
-    )
-    return _certify(v)
+    return _certify(ParamVariety(
+        label=f"scroll({a},{b})", d=a + b, g=-1, fld=fld, coords=coords,
+        domain=ProjectiveDomain((2, 2)), construction={"name": "scroll", "a": a, "b": b},
+    ))
 
 
 def veronese_surface(fld: Field) -> ParamVariety:
     """The Veronese surface in P^5: all degree-2 monomials of (x, y, z)."""
     coords = [MPoly(fld, 3, {e: 1}) for e in monomials(3, 2)]
-    v = ParamVariety(
-        label="veronese",
-        n=2,
-        amb=5,
-        d=4,
-        g=-1,
-        fld=fld,
-        coords=coords,
-        domain=ProjectiveDomain((3,)),
-        linearly_normal=True,
-        construction={"name": "veronese"},
-    )
-    return _certify(v)
+    return _certify(ParamVariety(
+        label="veronese", d=4, g=-1, fld=fld, coords=coords,
+        domain=ProjectiveDomain((3,)), construction={"name": "veronese"},
+    ))
 
 
 def _random_coprime_forms(fld: Field, deg_beta: int, deg_alpha: int, rng: random.Random):
@@ -842,54 +850,29 @@ def scroll_section_curve(
         raise ValueError("need a, b >= 1")
     if k < 0:
         raise ValueError("need k >= 0")
-    last_err: Optional[Exception] = None
-    for attempt in range(8):
-        rng = random.Random(("scroll-section", a, b, k, seed, attempt).__repr__())
-        try:
-            beta, alpha = _random_coprime_forms(fld, b + k, a + k, rng)
-            coords = _section_coords(fld, a, b, beta, alpha)
-            amb = a + b + 1
-            if k == 0:
-                # the minimal-class section spans only a hyperplane: a+b+2
-                # forms of degree a+b satisfy one linear relation; drop a
-                # coordinate supporting it to land in the span
-                monos = monomials(2, a + b)
-                col_rows = [
-                    [cpoly.terms.get(e, fld.raw(0)) for cpoly in coords]
-                    for e in monos
-                ]
-                rel = null_space(Matrix.from_rows(fld, col_rows))
-                if len(rel) != 1:
-                    raise ConstructionError("section forms unexpectedly degenerate")
-                drop = next(i for i, x in enumerate(rel[0]) if x != 0)
-                coords = [cpoly for i, cpoly in enumerate(coords) if i != drop]
-                amb = a + b
-            v = ParamVariety(
-                label=f"scroll-section({a},{b};k={k})",
-                n=1,
-                amb=amb,
-                d=a + b + k,
-                g=0,
-                fld=fld,
-                coords=coords,
-                domain=ProjectiveDomain((2,)),
-                linearly_normal=(k == 0),
-                construction={
-                    "name": "scroll_section",
-                    "a": a,
-                    "b": b,
-                    "k": k,
-                    "seed": seed,
-                },
-            )
-            return _certify(v)
-        except FieldTooSmallError:
-            raise  # a field too small for the certificate is so for every draw
-        except ConstructionError as err:
-            last_err = err
-    raise ConstructionError(
-        f"scroll_section_curve({a},{b},{k}) failed after retries: {last_err}"
-    )
+
+    def attempt(i: int) -> ParamVariety:
+        rng = random.Random(("scroll-section", a, b, k, seed, i).__repr__())
+        beta, alpha = _random_coprime_forms(fld, b + k, a + k, rng)
+        coords = _section_coords(fld, a, b, beta, alpha)
+        if k == 0:
+            # the minimal-class section spans only a hyperplane: a+b+2
+            # forms of degree a+b satisfy one linear relation; drop a
+            # coordinate supporting it to land in the span
+            rel = null_space(Matrix.from_rows(fld, _coefficient_rows(fld, coords)))
+            if len(rel) != 1:
+                raise ConstructionError("section forms unexpectedly degenerate")
+            drop = next(j for j, x in enumerate(rel[0]) if x != 0)
+            coords = [cpoly for j, cpoly in enumerate(coords) if j != drop]
+        return _certify(ParamVariety(
+            label=f"scroll-section({a},{b};k={k})", d=a + b + k, g=0, fld=fld,
+            coords=coords, domain=ProjectiveDomain((2,)),
+            construction={"name": "scroll_section", "a": a, "b": b, "k": k, "seed": seed},
+        ))
+
+    return _retry(8, attempt, lambda last: ConstructionError(
+        f"scroll_section_curve({a},{b},{k}) failed after retries: {last}"
+    ))
 
 
 def _riemann_roch_basis(fld: Field, n: int, y_pole: int) -> list:
@@ -919,29 +902,12 @@ def elliptic_normal_curve(
     disc = (4 * int(A) ** 3 + 27 * int(B) ** 2) % p
     if disc == 0:
         raise ConstructionError(f"curve y^2 = x^3 + {A}x + {B} is singular mod {p}")
-    n = c + 2
-    f_coeffs = [int(B), int(A), 0, 1]
-    domain = WeierstrassDomain(fld, f_coeffs)
-    coords = _riemann_roch_basis(fld, n, y_pole=3)
-    assert len(coords) == n
-    v = ParamVariety(
-        label=f"elliptic({c};p={p})",
-        n=1,
-        amb=c + 1,
-        d=c + 2,
-        g=1,
-        fld=fld,
-        coords=coords,
-        domain=domain,
-        linearly_normal=True,
-        construction={
-            "name": "elliptic",
-            "c": c,
-            "p": p,
-            "weierstrass": [int(A), int(B)],
-        },
-    )
-    return _certify(v)
+    return _certify(ParamVariety(
+        label=f"elliptic({c};p={p})", d=c + 2, g=1, fld=fld,
+        coords=_riemann_roch_basis(fld, c + 2, y_pole=3),
+        domain=WeierstrassDomain(fld, [int(B), int(A), 0, 1]),
+        construction={"name": "elliptic", "c": c, "p": p, "weierstrass": [int(A), int(B)]},
+    ))
 
 
 # f(x) = 1 + x + x^5, low degree first: the genus-2 model used by default
@@ -962,28 +928,12 @@ def hyperelliptic_g2_curve(c: int, p: int, f_coeffs: Sequence[int] = GENUS2_DEFA
         raise ValueError("f must have degree exactly 5")
     if not _is_squarefree(fld, f_raw):
         raise ConstructionError(f"f is not squarefree mod {p}")
-    n = c + 3
-    domain = WeierstrassDomain(fld, [int(x) for x in f_raw])
-    coords = _riemann_roch_basis(fld, n, y_pole=5)
-    assert len(coords) == n - 1
-    v = ParamVariety(
-        label=f"genus2({c};p={p})",
-        n=1,
-        amb=c + 1,
-        d=c + 3,
-        g=2,
-        fld=fld,
-        coords=coords,
-        domain=domain,
-        linearly_normal=True,
-        construction={
-            "name": "genus2",
-            "c": c,
-            "p": p,
-            "f_coeffs": [int(x) for x in f_raw],
-        },
-    )
-    return _certify(v)
+    return _certify(ParamVariety(
+        label=f"genus2({c};p={p})", d=c + 3, g=2, fld=fld,
+        coords=_riemann_roch_basis(fld, c + 3, y_pole=5),
+        domain=WeierstrassDomain(fld, [int(x) for x in f_raw]),
+        construction={"name": "genus2", "c": c, "p": p, "f_coeffs": [int(x) for x in f_raw]},
+    ))
 
 
 # ------------------------------------------------------------------ projections
@@ -1020,7 +970,6 @@ def _project(
         )
     fld = v.field
     ann = null_space(Matrix.from_rows(fld, [list(b) for b in center.basis]))
-    assert len(ann) == new_amb + 1
     new_coords = []
     for row in ann:
         acc = MPoly.zero(fld, v.coords[0].nvars)
@@ -1029,15 +978,7 @@ def _project(
                 acc = acc + cpoly * coeff
         new_coords.append(acc)
     out = ParamVariety(
-        label=label,
-        n=v.n,
-        amb=new_amb,
-        d=v.d,
-        g=v.g,
-        fld=fld,
-        coords=new_coords,
-        domain=v.domain,
-        linearly_normal=False,
+        label=label, d=v.d, g=v.g, fld=fld, coords=new_coords, domain=v.domain,
         construction=construction,
     )
     try:
@@ -1051,18 +992,17 @@ def _project(
 def project_from_general_point(v: ParamVariety, seed: int = 0) -> ParamVariety:
     """Projection from a random point, retried until certification passes."""
     rng = random.Random(("general-point", v.label, seed).__repr__())
-    last: Optional[Exception] = None
-    for _ in range(16):
+
+    def attempt(i: int) -> ParamVariety:
         vec = [_rand_scalar(v.field, rng) for _ in range(v.amb + 1)]
         if all(x == 0 for x in vec):
-            continue
-        try:
-            return project(v, ProjectionCenter(v.amb, (tuple(int(x) if v.field.is_prime_field else x for x in vec),)))
-        except FieldTooSmallError:
-            raise  # a field too small for the certificate is so for every center
-        except ConstructionError as err:
-            last = err
-    raise ProjectionError(f"no usable general projection point found: {last}")
+            raise ConstructionError("drew the zero vector as the center")
+        center = tuple(int(x) if v.field.is_prime_field else x for x in vec)
+        return project(v, ProjectionCenter(v.amb, (center,)))
+
+    return _retry(16, attempt, lambda last: ProjectionError(
+        f"no usable general projection point found: {last}"
+    ))
 
 
 def multisecant_projection(
@@ -1088,53 +1028,43 @@ def multisecant_projection(
     fld = source.field
     npts = k - g
     ncenter = k - 2 - g  # basis vectors for the (k-3-g)-plane
-    last: Optional[Exception] = None
-    for attempt in range(12):
-        rng = random.Random(("multisecant", c, k, g, p, seed, attempt).__repr__())
+
+    def attempt(i: int) -> ParamVariety:
+        rng = random.Random(("multisecant", c, k, g, p, seed, i).__repr__())
         stream = source.domain.parameter_stream(fld, rng.randrange(1 << 30))
         params = np.array(list(itertools.islice(stream, npts)), dtype=np.int64)
         pts = source.evaluator(params).tolist()
         if rank(Matrix.from_rows(fld, pts)) != npts:
-            last = ConstructionError("secant points not independent")
-            continue
+            raise ConstructionError("secant points not independent")
         combo = [[rng.randrange(1, p) for _ in range(npts)] for _ in range(ncenter)]
         basis = []
         for row in combo:
             vec = [0] * (source.amb + 1)
             for coeff, pt in zip(row, pts):
-                for i, x in enumerate(pt):
-                    vec[i] = (vec[i] + coeff * x) % p
+                for j, x in enumerate(pt):
+                    vec[j] = (vec[j] + coeff * x) % p
             basis.append(tuple(vec))
         if rank(Matrix.from_rows(fld, basis)) != ncenter:
-            last = ConstructionError("center basis degenerate")
-            continue
+            raise ConstructionError("center basis degenerate")
         # no chosen point may sit inside the center (they must survive to
         # pairwise-distinct points of the secant line)
         if any(rank(Matrix.from_rows(fld, [*basis, pt])) == ncenter for pt in pts):
-            last = ConstructionError("a secant point fell into the center")
-            continue
+            raise ConstructionError("a secant point fell into the center")
         construction = {"name": "multisecant", "c": c, "k": k, "g": g, "p": p,
-                        "seed": seed, "attempt": attempt}
-        try:
-            out = _project(source, ProjectionCenter(source.amb, tuple(basis)),
-                           f"multisecant(c={c},k={k},g={g})", construction)
-        except FieldTooSmallError:
-            raise  # a field too small for the certificate is so for every center
-        except ConstructionError as err:
-            last = err
-            continue
+                        "seed": seed, "attempt": i}
+        out = _project(source, ProjectionCenter(source.amb, tuple(basis)),
+                       f"multisecant(c={c},k={k},g={g})", construction)
         # certify the multisecant line: the chosen points map to >= k-g
         # distinct collinear points, their images under the projection
         images = out.evaluator(params).tolist()
         keys = {_normalize(fld, img) for img in images}
-        img_rank = rank(Matrix.from_rows(fld, images))
-        if len(keys) != npts or img_rank != 2:
-            last = ConstructionError("secant-line certificate failed")
-            continue
+        if len(keys) != npts or rank(Matrix.from_rows(fld, images)) != 2:
+            raise ConstructionError("secant-line certificate failed")
         return out
-    raise ConstructionError(
+
+    return _retry(12, attempt, lambda last: ConstructionError(
         f"multisecant_projection(c={c},k={k},g={g}) failed after retries: {last}"
-    )
+    ))
 
 
 def linear_section_curve(v: ParamVariety, seed: int = 0) -> ParamVariety:
@@ -1149,43 +1079,32 @@ def linear_section_curve(v: ParamVariety, seed: int = 0) -> ParamVariety:
     if name == "scroll":
         a, b = v.construction["a"], v.construction["b"]
         rng = random.Random(("section", v.label, seed).__repr__())
-        for attempt in range(16):
+
+        def attempt(i: int) -> ParamVariety:
             h = [_rand_scalar(fld, rng) for _ in range(v.amb + 1)]
             # h = u A(s,t) + v B(s,t); the fiber over [s:t] is cut at
             # [u:v] = [B : -A]
-            acoef = [h[i] for i in range(a + 1)]
-            bcoef = [h[a + 1 + j] for j in range(b + 1)]
+            acoef, bcoef = h[: a + 1], h[a + 1 :]
             at, bt = _poly_trim(list(acoef)), _poly_trim(list(bcoef))
-            if not at or not bt:
-                continue
-            if _poly_deg(_poly_gcd(fld, at, bt)) > 0:
-                continue
+            if not at or not bt or _poly_deg(_poly_gcd(fld, at, bt)) > 0:
+                raise ConstructionError("the hyperplane contains a ruling")
             beta = [fld.raw(x) for x in bcoef]
             alpha = [fld.neg(fld.raw(x)) for x in acoef]
             coords = _section_coords(fld, a, b, beta, alpha)
             # drop a coordinate with nonzero hyperplane coefficient: an iso
             # from the hyperplane onto P^{amb-1}
-            drop = next(i for i, x in enumerate(h) if x != 0)
-            kept = [cp for i, cp in enumerate(coords) if i != drop]
-            try:
-                out = ParamVariety(
-                    label=f"{v.label}|H",
-                    n=1,
-                    amb=v.amb - 1,
-                    d=v.d,
-                    g=0,
-                    fld=fld,
-                    coords=kept,
-                    domain=ProjectiveDomain((2,)),
-                    linearly_normal=True,
-                    construction={"name": "scroll_hyperplane_section", "a": a, "b": b, "seed": seed, "attempt": attempt},
-                )
-                return _certify(out)
-            except FieldTooSmallError:
-                raise  # a field too small for the certificate is so for every draw
-            except ConstructionError:
-                continue
-        raise ConstructionError(f"no transverse hyperplane section found for {v.label}")
+            drop = next(j for j, x in enumerate(h) if x != 0)
+            return _certify(ParamVariety(
+                label=f"{v.label}|H", d=v.d, g=0, fld=fld,
+                coords=[cp for j, cp in enumerate(coords) if j != drop],
+                domain=ProjectiveDomain((2,)),
+                construction={"name": "scroll_hyperplane_section", "a": a, "b": b,
+                              "seed": seed, "attempt": i},
+            ))
+
+        return _retry(16, attempt, lambda last: ConstructionError(
+            f"no transverse hyperplane section found for {v.label}"
+        ))
     if name == "veronese":
         # pull back along the standard conic (s^2, st, t^2): the composition
         # is a quartic curve spanning a hyperplane of P^5; drop one
@@ -1205,19 +1124,11 @@ def linear_section_curve(v: ParamVariety, seed: int = 0) -> ParamVariety:
         # conic, xz = y^2, so coordinates 2 and 3 coincide: the image spans
         # the hyperplane w2 = w3.  New coordinates: w0, w1, w2, w4, w5.
         kept = [composed[i] for i in (0, 1, 2, 4, 5)]
-        out = ParamVariety(
-            label=f"{v.label}|H",
-            n=1,
-            amb=4,
-            d=4,
-            g=0,
-            fld=fld,
-            coords=kept,
+        return _certify(ParamVariety(
+            label=f"{v.label}|H", d=4, g=0, fld=fld, coords=kept,
             domain=ProjectiveDomain((2,)),
-            linearly_normal=True,
             construction={"name": "veronese_conic_section", "seed": seed},
-        )
-        return _certify(out)
+        ))
     raise ValueError(f"no section recipe for construction {name!r}")
 
 

@@ -287,9 +287,7 @@ def test_ledger_prime_basis_is_kept_only_on_a_hit():
     _assert_count_keeps_a_basis(v, 2)
     # c2 + q c3 equals c2 modulo the ledger prime q: a miss keeps nothing
     coords = list(v.coords[:3]) + [v.coords[2] + v.coords[3] * varieties._LEDGER_PRIME]
-    w = varieties.ParamVariety(
-        "drawn", 1, 3, 4, 0, QQ, coords, v.domain, False, {"name": "drawn"}
-    )
+    w = varieties.ParamVariety("drawn", 4, 0, QQ, coords, v.domain, {"name": "drawn"})
     assert not varieties._restricts_onto(w, 2, last=False)
     assert w.counts == {} and w.bases == {}
 

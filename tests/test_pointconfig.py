@@ -13,6 +13,7 @@ from hypersurfaces.pointconfig import (
     ExtractionError,
     PointConfig,
     _independent_subsets,
+    _normalize,
     evaluation_matrix,
     extract_three_regular,
 )
@@ -52,6 +53,21 @@ def test_rejects_projectively_equal_points():
 def test_normalization_first_nonzero_one():
     cfg = PointConfig(QQ, [[0, 2, 4]])
     assert cfg.points[0] == (0, 1, 2)
+
+
+@pytest.mark.parametrize("field", [GF101, QQ], ids=repr)
+def test_normalize_is_idempotent(field):
+    rng = random.Random(5)
+    for _ in range(50):
+        vec = [rng.randrange(-3, 4) for _ in range(4)]
+        if not any(vec):
+            continue
+        once = _normalize(field, vec)
+        assert once == _normalize(field, [x * 7 for x in vec])
+        assert next(x for x in once if x != 0) == 1
+        twice = _normalize(field, once)
+        assert twice == once
+        assert [type(x) for x in twice] == [type(x) for x in once]
 
 
 # ---------------------------------------------------------------- span

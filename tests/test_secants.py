@@ -7,7 +7,7 @@ import pytest
 from helpers import secant_dims_by_rank, tangent_ranks_by_echelon
 from hypersurfaces import exactcore, secants
 from hypersurfaces.cohomology import a_m
-from hypersurfaces.exactcore import QQ, PrimeField, binomial, poly_diff
+from hypersurfaces.exactcore import QQ, PrimeField, binomial, monomials, poly_diff
 from hypersurfaces.secants import (
     TerraciniError,
     expected_table2_deltas,
@@ -48,6 +48,27 @@ def test_square_veronese_surface():
     y = veronese_square(veronese_surface(BIGP))
     assert y.N == binomial(7, 2) - 1 == 20
     assert y.span_dim == 20 - 6 == 14
+
+
+@pytest.mark.parametrize("make", [
+    lambda f: rational_normal_curve(4, f),
+    veronese_surface,
+    lambda f: scroll_surface(1, 2, f),
+    lambda f: project_from_general_point(scroll_surface(1, 4, f), seed=1),
+], ids=["rnc(4)", "veronese", "S(1,2)", "projected S(1,4)"])
+@pytest.mark.parametrize("fld", [BIGP, QQ], ids=repr)
+def test_products_are_the_basis_monomials(make, fld):
+    # x_first * x_second has exponent e_first + e_second, and that is the
+    # degree-2 monomial the basis names
+    y = veronese_square(make(fld))
+    first, second = y.products
+    width = y.base.amb + 1
+    unit = [tuple(int(i == j) for j in range(width)) for i in range(width)]
+    quadrics = monomials(width, 2)
+    assert len(first) == len(second) == len(y.basis) == y.span_dim + 1
+    for i, j, k in zip(first.tolist(), second.tolist(), y.basis):
+        assert i <= j
+        assert tuple(a + b for a, b in zip(unit[i], unit[j])) == quadrics[k]
 
 
 @pytest.mark.parametrize("make, chart", [

@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypersurfaces import varieties
+from hypersurfaces.cohomology import h1_ideal
 from hypersurfaces.exactcore import QQ, Matrix, MPoly, PrimeField, rank
 from hypersurfaces.varieties import (
     CONSTRUCTIONS,
@@ -54,7 +55,7 @@ GF = PrimeField(10007)
 def test_rnc_metadata():
     v = rational_normal_curve(3, GF)
     assert (v.n, v.amb, v.d, v.g, v.c) == (1, 3, 3, 0, 2)
-    assert v.linearly_normal
+    assert h1_ideal(v, 1) == 0  # linearly normal
     conic = rational_normal_curve(2, GF)
     assert (conic.amb, conic.d) == (2, 2)
 
@@ -207,7 +208,7 @@ def test_scroll_section_minimal_class():
     v = scroll_section_curve(1, 2, 0, GF, seed=4)
     assert v.d == 3
     assert v.amb == 3
-    assert v.linearly_normal
+    assert h1_ideal(v, 1) == 0  # linearly normal
 
 
 def test_scroll_section_extremal_degree():
@@ -226,7 +227,7 @@ def test_elliptic_basis_size_and_metadata():
         v = elliptic_normal_curve(c, 10007)
         assert len(v.coords) == c + 2  # dim L(nO) = n
         assert (v.d, v.g, v.amb) == (c + 2, 1, c + 1)
-        assert v.linearly_normal
+        assert h1_ideal(v, 1) == 0  # linearly normal
 
 
 def test_elliptic_rejects_singular_model():
@@ -298,7 +299,7 @@ def test_project_preserves_invariants():
     v = rational_normal_curve(4, GF)
     out = project_from_general_point(v, seed=3)
     assert (out.n, out.amb, out.d, out.g) == (1, 3, 4, 0)
-    assert not out.linearly_normal
+    assert h1_ideal(out, 1) > 0  # not linearly normal
 
 
 def test_project_center_on_curve_rejected():
@@ -346,7 +347,7 @@ def test_multisecant_metadata():
     for (c, k, g) in [(4, 3, 0), (4, 4, 0), (4, 4, 1), (5, 5, 2)]:
         v = multisecant_projection(c, k, g, 10007, seed=5)
         assert (v.c, v.d, v.g) == (c, c + k - 1, g)
-        assert not v.linearly_normal
+        assert h1_ideal(v, 1) > 0  # not linearly normal
 
 
 def test_multisecant_validation():
@@ -419,6 +420,109 @@ def test_descriptor_round_trip_every_construction(name):
     again = from_descriptor(desc)
     assert again.coords == v.coords
     assert again.descriptor() == v.descriptor()
+
+
+def _projected_scroll():
+    # a surface projected from a point of P^6: the center has dim 0
+    center = project_from_general_point(scroll_surface(1, 4, GF), seed=2).construction["center"]
+    return CONSTRUCTIONS["project"].build(
+        fld=GF, base={"name": "scroll", "a": 1, "b": 4}, center=center
+    )
+
+
+# (n, amb) of each construction, as its constructor once stated them:
+# derived now from the domain and the number of coordinates
+DIMENSION_CASES = {
+    "rnc": [(lambda: rational_normal_curve(5, GF), (1, 5))],
+    "scroll": [(lambda: scroll_surface(2, 3, GF), (2, 6))],
+    "veronese": [(lambda: veronese_surface(QQ), (2, 5))],
+    "scroll_section": [
+        (lambda: scroll_section_curve(1, 3, 2, GF, seed=1), (1, 5)),
+        (lambda: scroll_section_curve(2, 3, 0, GF, seed=1), (1, 5)),  # k = 0: a + b
+    ],
+    "elliptic": [(lambda: elliptic_normal_curve(4, 10007), (1, 5))],
+    "genus2": [(lambda: hyperelliptic_g2_curve(3, 10007), (1, 4))],
+    "multisecant": [(lambda: multisecant_projection(5, 4, 1, 10007, seed=3), (1, 6))],
+    "project": [
+        (lambda: project_from_general_point(rational_normal_curve(5, GF), seed=1), (1, 4)),
+        (_projected_scroll, (2, 5)),
+    ],
+    "scroll_hyperplane_section": [
+        (lambda: linear_section_curve(scroll_surface(2, 3, GF), seed=1), (1, 5)),
+    ],
+    "veronese_conic_section": [(lambda: linear_section_curve(veronese_surface(GF), seed=1), (1, 4))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+def test_dimensions_are_derived_as_each_construction_stated_them(name):
+    assert set(DIMENSION_CASES) == set(CONSTRUCTIONS)
+    for build, expected in DIMENSION_CASES[name]:
+        v = build()
+        assert v.construction["name"] == name
+        assert (v.n, v.amb) == expected
+        assert v.c == v.amb - v.n
+
+
+def test_a_variety_needs_a_coordinate():
+    with pytest.raises(ValueError, match="need at least one coordinate polynomial"):
+        ParamVariety("empty", 1, 0, GF, [], ProjectiveDomain((2,)), {"name": "drawn"})
+
+
+def test_domain_dimensions():
+    assert [ProjectiveDomain(b).dim for b in [(2,), (2, 2), (3,), (3, 2)]] == [1, 2, 2, 3]
+    assert WeierstrassDomain(GF, (1, 1, 0, 1)).dim == 1
+
+
+# ---------------------------------------------------------------- the retry policy
+
+
+def _attempts(*errors):
+    """An `attempt` that raises `errors` in turn, then returns "built", and
+    the list of the indices it was called with."""
+    calls = []
+
+    def attempt(i):
+        calls.append(i)
+        if i < len(errors):
+            raise errors[i]
+        return "built"
+
+    return attempt, calls
+
+
+def test_retry_never_retries_a_field_too_small():
+    attempt, calls = _attempts(FieldTooSmallError("too small"))
+    with pytest.raises(FieldTooSmallError, match="too small"):
+        varieties._retry(8, attempt, ConstructionError)
+    assert calls == [0]
+
+
+def test_retry_never_retries_a_usage_error():
+    attempt, calls = _attempts(ValueError("need r >= 2"))
+    with pytest.raises(ValueError, match="need r >= 2"):
+        varieties._retry(8, attempt, ConstructionError)
+    assert calls == [0]
+
+
+def test_retry_moves_on_after_a_construction_error():
+    attempt, calls = _attempts(VerificationError("refused"), ProjectionError("secant"))
+    assert varieties._retry(8, attempt, ConstructionError) == "built"
+    assert calls == [0, 1, 2]
+
+
+def test_retry_failure_receives_the_last_error():
+    errors = [ConstructionError(f"draw {i}") for i in range(3)]
+    attempt, calls = _attempts(*errors)
+    seen = []
+
+    def failure(last):
+        seen.append(last)
+        return ProjectionError(f"gave up: {last}")
+
+    with pytest.raises(ProjectionError, match="^gave up: draw 2$"):
+        varieties._retry(3, attempt, failure)
+    assert calls == [0, 1, 2] and seen == [errors[2]]
 
 
 @pytest.mark.parametrize(
@@ -521,10 +625,8 @@ def _drawn_curve(fld, coords, domain, d=None, g=0):
     """A curve with the given coordinates, claiming degree `d` (by default
     the forms' degree) and genus `g`."""
     return ParamVariety(
-        label="drawn", n=1, amb=len(coords) - 1,
-        d=max(c.degree() for c in coords) if d is None else d,
-        g=g, fld=fld, coords=coords, domain=domain, linearly_normal=False,
-        construction={"name": "drawn"},
+        label="drawn", d=max(c.degree() for c in coords) if d is None else d,
+        g=g, fld=fld, coords=coords, domain=domain, construction={"name": "drawn"},
     )
 
 
@@ -659,8 +761,7 @@ def test_certification_refusals_pinned(name):
 def test_degree_count_refuses_a_wrong_degree(claimed):
     # the twisted cubic and the plane cubic y^2 = x^3 + x + 1 have degree 3
     for v in (rational_normal_curve(3, GF), _elliptic_13((0, 0), (1, 0), (0, 1))):
-        v = ParamVariety(v.label, 1, v.amb, claimed, v.g, v.field, v.coords, v.domain,
-                         False, {"name": "drawn"})
+        v = ParamVariety(v.label, claimed, v.g, v.field, v.coords, v.domain, {"name": "drawn"})
         if claimed == 3:
             assert _certify(v) is v
         else:
@@ -679,8 +780,7 @@ def test_squares_composite_and_a_wrong_genus_are_refused():
     with pytest.raises(VerificationError, match="fall short .* for m = 1..4$"):
         _certify(_drawn_curve(GF, squares, ProjectiveDomain((2,))))
     for v, g in ((rational_normal_curve(3, GF), 1), (elliptic_normal_curve(2, 10007), 0)):
-        wrong = ParamVariety(v.label, 1, v.amb, v.d, g, v.field, v.coords, v.domain,
-                             False, {"name": "drawn"})
+        wrong = ParamVariety(v.label, v.d, g, v.field, v.coords, v.domain, {"name": "drawn"})
         with pytest.raises(VerificationError, match=f"genus {g}, .* source of genus {v.g}$"):
             _certify(wrong)
 
