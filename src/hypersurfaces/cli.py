@@ -590,8 +590,9 @@ def cmd_verify_main(args) -> int:
 
 
 def _common_flags(sp):
-    sp.add_argument("--p", type=int, default=None, help="prime modulus of the base field")
-    sp.add_argument("--q", action="store_true", help="work over the rationals")
+    field = sp.add_mutually_exclusive_group()
+    field.add_argument("--p", type=int, default=None, help="prime modulus of the base field")
+    field.add_argument("--q", action="store_true", help="work over the rationals")
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--format", choices=["text", "csv", "json"], default="text")
     sp.add_argument("--out", default=None, help="write the report to this path")

@@ -9,17 +9,15 @@ evaluation matrix at the images of those points.  Prime fields too small
 to hold the point set raise FieldTooSmallError.
 
 The count itself is `ParamVariety.count` in `varieties`, because the
-certificate of a curve is one of these counts.  A curve over GF(p) (every
-prime field has p < 2^31) evaluates its grid, (1, t) for t = 0..top on
-P^1 or the first points of y^2 = f(x), as one int64 array with the
-variety's `MPolyArray` evaluator.  The evaluation matrix is then one int64
-array of monomial products (`exactcore.monomial_products`), ranked in
-numpy.  Over Q the variety's evaluator holds the coordinates cleared of
-one common denominator D, and evaluates them in integers on the integer
-grid; each row of the evaluation matrix is then D^m times its rational
-row, and the rows are ranked fraction-free in one `Echelon`, with no
-Fraction arithmetic.  A surface over GF(p) evaluates its grid with its
-`MPolyArray` too, but ranks the degree-m monomials at the images point by
+certificate of a curve is one of these counts.  Every variety evaluates
+its grid (on P^1, (1, t) for t = 0..top; on y^2 = f(x), its first points)
+at once with its one `MPolyArray` evaluator: as int64 residues over GF(p)
+(every prime field has p < 2^31), and over Q in integers, the coordinates
+cleared of one common denominator D.  The evaluation matrix is then one
+array of monomial products (`exactcore.monomial_products`): over GF(p)
+ranked in numpy, over Q, where each row is D^m times its rational row,
+fraction-free in one `Echelon`, with no Fraction arithmetic.  Only a
+surface over GF(p) ranks the degree-m monomials at its images point by
 point, as `PointConfig.hilbert` does at a point set.  Each count is
 computed once per variety and memoised on it (a failure is not), so the
 certificate, the ledger, the profile and the classification share it.

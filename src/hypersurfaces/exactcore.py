@@ -13,17 +13,18 @@ int64 arrays directly, and reports which columns it found independent: a
 with a variable at an array of points; every degree-m monomial when all
 degree-(m-1) ones are chosen), or the transposed tangent rows of a
 Terracini trial, whose pivots are the rows independent of all earlier
-ones.  `MPolyArray` evaluates a list of MPolys on an int64 array of points
-over GF(p), as `poly_eval` does at one point: Terracini's tangent rows and
-the coordinates of a variety at the points a job needs.  It and
-`monomial_products` evaluate monomials the same way, as products of
-per-variable power tables.  Over Q, `_IntegerPolys` clears a list of
-MPolys of one common denominator and evaluates them in integers at
-integer points, so the rows built from the values go into `Echelon` as
-integer rows, and no Fraction arithmetic is done.  `poly_eval`, their
-per-point reference, serves only `MPoly.eval`; what is still per point is
-`monomial_values`, for the ranks of a surface over GF(p) and of a point
-set.  `null_space` back-substitutes in the echelon.
+ones.  `MPolyArray` is the one evaluator of a list of MPolys at many
+points, as `poly_eval` does at one point: Terracini's tangent rows and the
+coordinates of a variety at the points a job needs.  Over GF(p) it works
+on int64 arrays of residues.  Over Q it clears the polynomials of one
+common denominator and evaluates them in Python ints at integer points, in
+numpy object arrays, so the rows built from the values go into `Echelon`
+as integer rows, and no Fraction arithmetic is done.  It and
+`monomial_products` evaluate monomials the same way over both fields, as
+products of per-variable power tables, reduced mod p over GF(p) only.
+`poly_eval`, their per-point reference, serves only `MPoly.eval`; what is
+still per point is `monomial_values`, for the ranks of a surface over GF(p)
+and of a point set.  `null_space` back-substitutes in the echelon.
 Pivoting is deterministic (first nonzero) and no floating point is used
 anywhere.
 """
@@ -33,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -492,10 +493,13 @@ def _product_plan(v: int, m: int) -> tuple:
     return exponents, products
 
 
-def monomial_products(points: np.ndarray, basis: np.ndarray, m: int, p: int) -> tuple:
+def monomial_products(
+    points: np.ndarray, basis: np.ndarray, m: int, p: Optional[int] = None
+) -> tuple:
     """Values of the distinct products x_i * mu, for every variable x_i and
     every degree-(m-1) monomial mu in `basis` (indices into monomials()),
-    at every row of the int64 residue array `points` over GF(p), p < 2^31.
+    at every row of `points`: an int64 residue array over GF(p), p < 2^31,
+    or, for p None, an object array of Python ints, with no reduction.
 
     Returns (values, index): a row per point and a column per product, and
     the products' indices into monomials(v, m), ascending.  Each mu is
@@ -505,20 +509,25 @@ def monomial_products(points: np.ndarray, basis: np.ndarray, m: int, p: int) -> 
     index, first = np.unique(products[basis].ravel(), return_index=True)
     mu, var = np.divmod(first, points.shape[1])
     vals = _power_products(points, exponents[basis], p)
-    return (vals[mu] * points.T[var] % p).T, index
+    return _reduce(vals[mu] * points.T[var], p).T, index
 
 
-def _power_products(points: np.ndarray, exponents: np.ndarray, p: int) -> np.ndarray:
+def _reduce(a: np.ndarray, p: Optional[int]) -> np.ndarray:
+    """`a` modulo p, or `a` itself for p None (integers over Q)."""
+    return a if p is None else a % p
+
+
+def _power_products(points: np.ndarray, exponents: np.ndarray, p: Optional[int]) -> np.ndarray:
     """Values of the monomials with the given exponent rows at every row of
-    the int64 residue array `points` over GF(p), p < 2^31: a row per
-    monomial, a column per point.  Each is a product of powers taken from
-    one power table per variable."""
-    vals = np.ones((len(exponents), len(points)), dtype=np.int64)
+    `points`, as `monomial_products` takes them: a row per monomial, a
+    column per point.  Each is a product of powers taken from one power
+    table per variable."""
+    vals = np.ones((len(exponents), len(points)), dtype=points.dtype)
     for i, x in enumerate(points.T):
         powers = [np.ones_like(x)]
         for _ in range(int(exponents[:, i].max(initial=0))):
-            powers.append(powers[-1] * x % p)
-        vals = vals * np.stack(powers)[exponents[:, i]] % p
+            powers.append(_reduce(powers[-1] * x, p))
+        vals = _reduce(vals * np.stack(powers)[exponents[:, i]], p)
     return vals
 
 
@@ -653,8 +662,8 @@ class MPoly:
 
 def poly_eval(f: MPoly, point: Sequence):
     """Exact raw value of f at `point` (length must equal nvars), the point
-    coerced into the field: the per-point reference that `MPolyArray` and
-    `_IntegerPolys` evaluate the same as, many points at a time."""
+    coerced into the field: the per-point reference that `MPolyArray`
+    evaluates the same as, many points at a time."""
     fld = f.field
     if len(point) != f.nvars:
         raise ValueError(f"point length {len(point)} != nvars {f.nvars}")
@@ -689,97 +698,61 @@ def poly_diff(f: MPoly, var: int) -> MPoly:
 
 
 class MPolyArray:
-    """MPolys over one GF(p) evaluated together on an int64 array of
-    points: the column-wise counterpart of `poly_eval`.
+    """MPolys over one field evaluated together at many points: the
+    column-wise counterpart of `poly_eval`.
 
     The distinct monomials of all the polynomials are evaluated once per
     point from per-variable power tables, and their values are combined by
-    one product with the coefficient matrix.  The coefficients are split
-    into 16-bit halves, so each sum stays in int64 for up to
-    `_MONOMIAL_LIMIT` distinct monomials.
+    one product with the coefficient matrix.  Over GF(p), p < 2^31, the
+    points are int64 residues, and the coefficients are split into 16-bit
+    halves, so each sum stays in int64 for up to `_MONOMIAL_LIMIT` distinct
+    monomials.  Over Q the polynomials are cleared of one common
+    denominator D, which `terms` holds as integer coefficients by exponent
+    vector, and are evaluated in Python ints at integer points: each value
+    is D times the polynomial's, so a row of products of k values is D^k
+    times its rational row, and ranks are unchanged without any Fraction
+    arithmetic.
     """
 
-    __slots__ = ("p", "nvars", "exponents", "high", "low")
+    __slots__ = ("p", "nvars", "terms", "exponents", "coeffs")
 
     def __init__(self, polys: Sequence[MPoly]):
         if not polys:
             raise ValueError("need at least one polynomial")
         fld, nvars = polys[0].field, polys[0].nvars
-        if not fld.is_prime_field:
-            raise ValueError(f"array evaluation needs GF(p), p < 2^31, got {fld!r}")
         for f in polys:
             _same_field(fld, f.field)
             if f.nvars != nvars:
                 raise ValueError("polynomial variable counts differ")
-        exps = sorted({e for f in polys for e in f.terms})
-        if len(exps) > _MONOMIAL_LIMIT:
+        if fld.is_prime_field:
+            self.p, self.terms = fld.p, [f.terms for f in polys]
+        else:
+            scaled = iter(_integer_row([c for f in polys for c in f.terms.values()]))
+            self.p, self.terms = None, [{e: next(scaled) for e in f.terms} for f in polys]
+        exps = sorted({e for t in self.terms for e in t})
+        if self.p and len(exps) > _MONOMIAL_LIMIT:
             raise ValueError(
                 f"array evaluation takes at most {_MONOMIAL_LIMIT} distinct monomials, "
                 f"got {len(exps)}"
             )
         where = {e: k for k, e in enumerate(exps)}
-        coeffs = np.zeros((len(exps), len(polys)), dtype=np.int64)
-        for j, f in enumerate(polys):
-            for e, c in f.terms.items():
+        coeffs = np.zeros((len(exps), len(polys)), dtype=np.int64 if self.p else object)
+        for j, t in enumerate(self.terms):
+            for e, c in t.items():
                 coeffs[where[e], j] = c
-        self.p = fld.p
         self.nvars = nvars
         self.exponents = np.array(exps, dtype=np.intp).reshape(len(exps), nvars)
-        self.high = coeffs >> 16
-        self.low = coeffs & 0xFFFF
+        self.coeffs = coeffs
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        """Values at every row of the int64 residue array `points`: a row
-        per point, a column per polynomial."""
+    def __call__(self, points: Sequence) -> np.ndarray:
+        """Values at every point, a row each: a row per point, a column per
+        polynomial.  Over GF(p) an int64 array of residues; over Q an object
+        array of Python ints, D times the values at integer points."""
+        p = self.p
+        points = np.asarray(points, dtype=np.int64 if p else object)
         if points.ndim != 2 or points.shape[1] != self.nvars:
             raise ValueError(f"points must be an array of {self.nvars}-vectors")
-        p = self.p
         vals = _power_products(points, self.exponents, p).T
-        return ((vals @ self.high % p << 16) + vals @ self.low) % p
-
-
-class _IntegerPolys:
-    """MPolys over Q cleared of one common denominator D, evaluated in
-    integers at integer points: the counterpart over Q of `MPolyArray`.
-
-    `terms` holds each polynomial times D, as integer coefficients by
-    exponent vector.  At an integer point every value is D times the
-    polynomial's value, so a row of products of k values is D^k times its
-    rational row, and ranks are unchanged without any Fraction arithmetic.
-    The distinct monomials are evaluated once per point from per-variable
-    power tables.
-    """
-
-    __slots__ = ("terms", "exponents", "rows", "tops")
-
-    def __init__(self, polys: Sequence[MPoly]):
-        if not polys:
-            raise ValueError("need at least one polynomial")
-        nvars = polys[0].nvars
-        for f in polys:
-            _same_field(QQ, f.field)
-            if f.nvars != nvars:
-                raise ValueError("polynomial variable counts differ")
-        scaled = iter(_integer_row([c for f in polys for c in f.terms.values()]))
-        self.terms = [{e: next(scaled) for e in f.terms} for f in polys]
-        self.exponents = sorted({e for t in self.terms for e in t})
-        where = {e: k for k, e in enumerate(self.exponents)}
-        self.rows = [[(where[e], c) for e, c in t.items()] for t in self.terms]
-        self.tops = [max((e[i] for e in self.exponents), default=0) for i in range(nvars)]
-
-    def __call__(self, points: Iterable[Sequence[int]]) -> list:
-        """D times the values at each integer point: a list per point, an
-        entry per polynomial."""
-        out = []
-        for point in points:
-            if len(point) != len(self.tops):
-                raise ValueError(f"point length {len(point)} != nvars {len(self.tops)}")
-            powers = []
-            for x, top in zip(point, self.tops):
-                table = [1]
-                for _ in range(top):
-                    table.append(table[-1] * x)
-                powers.append(table)
-            monos = [math.prod(t[e] for t, e in zip(powers, exp)) for exp in self.exponents]
-            out.append([sum(c * monos[k] for k, c in row) for row in self.rows])
-        return out
+        if p is None:
+            return vals @ self.coeffs
+        return ((vals @ (self.coeffs >> 16) % p << 16) + vals @ (self.coeffs & 0xFFFF)) % p

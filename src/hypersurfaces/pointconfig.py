@@ -173,7 +173,7 @@ class PointConfig:
 
     # ------------------------------------------------------------ position
 
-    def nu_vector(self, size_cap: int = NU_SIZE_CAP, force: bool = False) -> NuVector:
+    def nu_vector(self, force: bool = False) -> NuVector:
         """Enumerate spans of independent (i+1)-subsets for i < c and count
         configuration points on each; the set is in linear semi-uniform
         position when it spans P^c and each count depends only on i.
@@ -184,13 +184,13 @@ class PointConfig:
         the span).  A dependent subset has no count, and neither has any
         subset that extends it.  A level stops at its second distinct count.
         The number of subsets is exponential in the configuration size, so
-        it refuses inputs above `size_cap` unless forced.
+        it refuses inputs above `NU_SIZE_CAP` points unless forced.
         """
         npts = len(self.points)
-        if npts > size_cap and not force:
+        if npts > NU_SIZE_CAP and not force:
             raise ValueError(
                 f"nu_vector enumerates subsets; {npts} points exceeds the cap "
-                f"{size_cap} (pass force=True to override)"
+                f"{NU_SIZE_CAP} (pass force=True to override)"
             )
         spans_ok = self.span_dim() == self.c
         values = []

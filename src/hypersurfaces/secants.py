@@ -10,16 +10,17 @@ the affine chart (both computed once per embedding), and reads the rank of
 the rows of its first k+1 points; s_k is the maximum over the trials.  The
 rows lie in the span of Y, so they are built only at the span_dim + 1
 products that the base's degree-2 count keeps as a basis, which the span
-projects onto isomorphically; every rank is kept.  Over GF(p) the points are
-evaluated in batches as int64 arrays and the rows are ranked in chunks by
-the numpy kernel, whose pivots on the transposed rows are the rows
-independent of all rows before them.  Over Q the base coordinates and
-their partials are cleared of one common denominator D and evaluated in
-integers at the integer parameter points, so each row is D^2 times its
-rational row, and the rows go into one fraction-free `Echelon`: no
-Fraction arithmetic is done.  The derived data are the deficiencies
-delta_k = s_{k-1} + n + 1 - s_k, the last deficiency-free index ell_2, the
-filling index k_2, and the total delta^2.
+projects onto isomorphically; every rank is kept.  One loop serves both
+fields: the points are evaluated in batches by one `MPolyArray`, and the
+rows are ranked in chunks, each chunk finding the rows independent of all
+rows before them.  Over GF(p) the rows are int64 residues and those are
+the pivots of the numpy kernel on the transposed rows.  Over Q the base
+coordinates and their partials are cleared of one common denominator D
+and evaluated in integers at the integer parameter points, so each row is
+D^2 times its rational row, and the rows go into one fraction-free
+`Echelon` per trial: no Fraction arithmetic is done.  The derived data
+are the deficiencies delta_k = s_{k-1} + n + 1 - s_k, the last
+deficiency-free index ell_2, the filling index k_2, and the total delta^2.
 
 Zak's span-count identity a_2(X) = delta^2 - (k_2+1)(n+1) + C(c+n+2, 2)
 and its companion inequalities are consistency checks: a failure means the
@@ -42,7 +43,6 @@ from .exactcore import (
     Echelon,
     Field,
     MPolyArray,
-    _IntegerPolys,
     _pivots_modp_numpy,
     binomial,
     poly_diff,
@@ -109,13 +109,12 @@ class QuadraticEmbedding:
         )
 
     @functools.cached_property
-    def tangent_values(self):
-        """`tangent_polys`, flattened row by row, as one evaluator with a
-        row per parameter point: an `MPolyArray` over GF(p); over Q an
-        `_IntegerPolys`, their values times one common denominator D, so
-        that each tangent row is D^2 times its row over Q."""
-        polys = [f for row in self.tangent_polys for f in row]
-        return MPolyArray(polys) if self.base.field.is_prime_field else _IntegerPolys(polys)
+    def tangent_values(self) -> MPolyArray:
+        """`tangent_polys`, flattened row by row, as one `MPolyArray` with a
+        row per parameter point; over Q their values are times one common
+        denominator D, so that each tangent row is D^2 times its row over
+        Q."""
+        return MPolyArray([f for row in self.tangent_polys for f in row])
 
 
 def veronese_square(v: ParamVariety) -> QuadraticEmbedding:
@@ -170,71 +169,57 @@ def _draw(v: ParamVariety, rng: random.Random, count: int, evaluate) -> list:
 def _tangent_ranks(y: QuadraticEmbedding, seed: int, trial: int) -> list:
     """One Terracini trial: entry k is the rank, minus 1, of the tangent
     spaces of Y at the first k+1 points the trial draws.  The run ends once
-    it fills the span, or after span_dim + 2 points."""
+    it fills the span, or after span_dim + 2 points.
+
+    The rows are ranked in chunks.  A chunk asks for as many points as could
+    fill the span at n+1 new dimensions each, one per tangent row, and
+    finds which of [independent rows so far; chunk], cut at span_dim + 1
+    rows, are independent of all rows before them.  The rank after each
+    point is a prefix count of those, so no chunk draws a point past the
+    one that fills the span, and the run stops there.  Over GF(p) those
+    rows are the pivots of the kernel on the transpose, which is not wide;
+    over Q they are the rows that one fraction-free `Echelon`, kept across
+    the trial's chunks, takes in.
+    """
     v, fld = y.base, y.base.field
     check_terracini_field(fld)
     rng = random.Random(("terracini", v.label, seed, trial).__repr__())
-    if fld.is_prime_field:
-        return _tangent_ranks_modp(y, rng)
-
-    width = v.amb + 1
-
-    def evaluate(drawn):
-        values = y.tangent_values(drawn)
-        return values, [any(vals[:width]) for vals in values]
-
-    pairs = list(zip(*(a.tolist() for a in y.products)))
-    basis = Echelon(fld)
-    ranks: list = []
-    while len(ranks) < y.span_dim + 2 and (not ranks or ranks[-1] < y.span_dim):
-        [vals] = _draw(v, rng, 1, evaluate)
-        xs = vals[:width]
-        # chain rule on the products: cone point x_i x_j, partials dx_i x_j + x_i dx_j
-        basis.add([xs[i] * xs[j] for i, j in pairs])
-        for start in range(width, len(vals), width):
-            dx = vals[start : start + width]
-            basis.add([dx[i] * xs[j] + xs[i] * dx[j] for i, j in pairs])
-        ranks.append(len(basis) - 1)
-    return ranks
-
-
-def _tangent_ranks_modp(y: QuadraticEmbedding, rng: random.Random) -> list:
-    """`_tangent_ranks` over GF(p), on the int64 kernel.
-
-    The rows are ranked in chunks.  A chunk asks for as many points as could
-    fill the span at n+1 new dimensions each, one per tangent row, and the
-    kernel gets the transpose of [independent rows so far; chunk], cut at
-    span_dim + 1 rows.  That transpose is not wide, so its pivots are
-    exactly the rows independent of all rows before them, and the rank
-    after each point is a prefix count of those.  So no chunk draws a point
-    past the one that fills the span, and the run stops there as the
-    per-point loop does.
-    """
-    v, p = y.base, y.base.field.p
+    p = fld.p if fld.is_prime_field else None
     width, per = v.amb + 1, v.n + 1  # coordinates; tangent rows per point
     full, limit = y.span_dim + 1, y.span_dim + 2
     first, second = y.products
+    echelon = Echelon(fld)  # over Q: the independent rows so far
 
     def evaluate(drawn):
-        values = y.tangent_values(np.array(drawn, dtype=np.int64))
-        return values, values[:, :width].any(axis=1).tolist()
+        values = y.tangent_values(drawn)
+        return values, (values[:, :width] != 0).any(axis=1).tolist()
 
     def tangent_rows(count):
         vals = np.array(_draw(v, rng, count, evaluate)).reshape(count, per, width)
         xs = vals[:, :1]
         # chain rule on the products: row 0 of a point is twice its cone
         # point x_i x_j, row 1 + k its k-th partial dx_i x_j + x_i dx_j;
-        # built in place, so that only two arrays of rows are alive at a time
+        # built in place, so that only two arrays of rows are alive at a
+        # time.  Over GF(p) a sum of two products of residues below 2^31
+        # stays below 2^63, so one reduction at the end keeps int64.
         rows, cross = vals[:, :, first], vals[:, :, second]
         rows *= xs[:, :, second]
-        rows %= p
         cross *= xs[:, :, first]
-        cross %= p
         rows += cross
-        rows %= p
+        if p:
+            rows %= p
         return rows.reshape(count * per, -1)
 
-    rows = np.zeros((0, full), dtype=np.int64)  # independent rows, then rows not yet ranked
+    def independent(rows, known):
+        """Indices of the rows independent of all rows before them; the
+        first `known` rows are."""
+        if p:
+            return _pivots_modp_numpy(rows.T, p)
+        gained = [i for i in range(known, len(rows)) if echelon.add(rows[i].tolist())]
+        return np.array(list(range(known)) + gained, dtype=np.intp)
+
+    # independent rows, then rows not yet ranked
+    rows = np.zeros((0, full), dtype=np.int64 if p else object)
     known = ranked = drawn = 0  # independent rows; rows ranked and points drawn so far
     gains: list = []  # the point of each independent row
     while known < full and (len(rows) > known or drawn < limit):
@@ -243,7 +228,7 @@ def _tangent_ranks_modp(y: QuadraticEmbedding, rng: random.Random) -> list:
             rows = np.concatenate([rows, tangent_rows(count)])
             drawn += count
         end = min(full, len(rows))
-        pivots = _pivots_modp_numpy(rows[:end].T, p)
+        pivots = independent(rows[:end], known)
         gains += ((pivots[known:] - known + ranked) // per).tolist()
         ranked += end - known
         rows = np.concatenate([rows[pivots], rows[end:]])

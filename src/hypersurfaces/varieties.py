@@ -26,16 +26,16 @@ bound m = d - amb + 1, the degree-m forms must reach rank dm + 1 - g on
 the curve: they then restrict onto H^0(L^m), which is very ample, so the
 coordinates embed the source as a smooth curve of degree d.  The counts
 a_m are exact (`ParamVariety.count`) and memoised, so certification and
-the ledgers share them.  Every variety is evaluated by one cached evaluator
-of its coordinates (`ParamVariety.evaluator`), only at the parameter points
-a job needs: each count's grid, the points a sample draws, the secant
-points of a multisecant projection.  Over GF(p) it is an `MPolyArray` on
-int64 arrays of points.  A curve's count there keeps each degree's
-independent monomials, and the next degree ranks only their products with
-a variable; a surface's count ranks the monomials at its images point by
-point.  Over Q the evaluator holds the coordinates cleared of one common
-denominator, so a count evaluates them in integers and ranks integer rows.
-A surface is certified by its coefficient rank alone.
+the ledgers share them.  Every variety is evaluated by one cached
+`MPolyArray` of its coordinates (`ParamVariety.evaluator`), over either
+field, only at the parameter points a job needs: each count's grid, the
+points a sample draws, the secant points of a multisecant projection.
+Over GF(p) it evaluates int64 arrays of points; over Q it holds the
+coordinates cleared of one common denominator, and evaluates them in
+integers.  Every count keeps each degree's independent monomials, and the
+next degree ranks only their products with a variable, over both fields;
+only a surface over GF(p) ranks the monomials at its images point by
+point.  A surface is certified by its coefficient rank alone.
 """
 
 from __future__ import annotations
@@ -58,8 +58,6 @@ from .exactcore import (
     MPoly,
     MPolyArray,
     PrimeField,
-    _IntegerPolys,
-    _monomial_plan,
     _pivots_modp_numpy,
     binomial,
     monomial_products,
@@ -183,8 +181,6 @@ class ProjectiveDomain:
     """Product of projective parameter spaces; blocks list the homogeneous
     coordinate counts of the factors, e.g. (2,) for P^1, (2, 2) for P^1 x P^1,
     (3,) for P^2."""
-
-    kind = "projective"
 
     def __init__(self, blocks: Sequence[int]):
         self.blocks = tuple(int(b) for b in blocks)
@@ -312,7 +308,6 @@ class WeierstrassDomain:
     functions are polynomials in (x, y).
     """
 
-    kind = "weierstrass"
     nvars = 2
     dim = 1
 
@@ -390,17 +385,16 @@ class ParamVariety:
 
     Immutable after construction.  `evaluator` is the one way the
     coordinates are evaluated: counts evaluate their grids with it, and
-    samples the points they draw.  Over GF(p) it evaluates them on int64
-    arrays of parameter points, over Q, times one common denominator, in
-    integers.
+    samples the points they draw.  Over GF(p) it evaluates them at int64
+    residues, over Q, times one common denominator, in integers.
     `counts` memoises the exact a_m by m (filled by `count`, for
     certification and `cohomology.a_m` alike): a count depends on nothing
     but the variety and m.  Beside it, `bases` keeps by m the degree-m
     monomials that each count found independent on the variety, a_m fewer
     than all of them (an int64 array of indices into `monomials()` order):
-    a curve's count of degree m + 1 over GF(p) needs only their products
-    with a variable, and Terracini ranks its tangent rows at the degree-2
-    ones.
+    the count of degree m + 1 needs only their products with a variable
+    (but for a surface over GF(p)), and Terracini ranks its tangent rows
+    at the degree-2 ones.
     """
 
     def __init__(
@@ -447,14 +441,11 @@ class ParamVariety:
     # -------------------------------------------------------- evaluation
 
     @functools.cached_property
-    def evaluator(self):
-        """The coordinates as one evaluator, a row per parameter point:
-        over GF(p) an `MPolyArray`, their values on an int64 array of
-        points; over Q an `_IntegerPolys`, their values times one common
-        denominator at a list of integer points."""
-        if self.field.is_prime_field:
-            return MPolyArray(self.coords)
-        return _IntegerPolys(self.coords)
+    def evaluator(self) -> MPolyArray:
+        """The coordinates as one `MPolyArray`, a row per parameter point:
+        their values over GF(p), and over Q their values times one common
+        denominator, at integer points."""
+        return MPolyArray(self.coords)
 
     # -------------------------------------------------------- counts
 
@@ -522,11 +513,7 @@ def sample_points(v: ParamVariety, count: int, seed: int = 0) -> PointConfig:
     else:
         stream = itertools.islice(v.domain.parameter_stream(fld, seed), count * 4 + 64)
         batches = iter(lambda: list(itertools.islice(stream, count)), [])
-    if fld.is_prime_field:
-        rows = (v.evaluator(np.array(b, dtype=np.int64)).tolist() for b in batches)
-    else:
-        rows = map(v.evaluator, batches)
-    images = itertools.chain.from_iterable(rows)
+    images = itertools.chain.from_iterable(v.evaluator(b).tolist() for b in batches)
     points: dict = {}  # the distinct normalised images, in drawn order
     for vec in images:
         if any(vec):
@@ -552,46 +539,38 @@ def _count(v: ParamVariety, m: int) -> int:
     Every count keeps the independent columns it finds, degree-m monomials
     whose restrictions are a basis of W_m, in `v.bases[m]`.
 
-    Over GF(p) the grid is evaluated as one int64 array with `v.evaluator`.
-    A surface ranks the degree-m monomials at its images point by point,
-    with `evaluation_matrix`, and keeps the kernel's pivots.  A curve counts
-    degree by degree.  W_m is spanned by the distinct products x_i * mu of
-    the variables with a basis mu of W_{m-1}:
-    the one `v.bases` keeps for degree m-1, or else every degree-(m-1)
-    monomial, whose products are every degree-m monomial.  Either set spans
-    W_m, so its rank on the grid is dim W_m, and its independent members are
-    the basis of degree m.
-
-    Over Q the grid is integer and `v.evaluator` gives D times each image,
-    for the coordinates' common denominator D.  The degree-m monomials at
-    those are built level by level from `_monomial_plan` in ints: each row
-    is D^m times its rational row, so one fraction-free `Echelon` ranks
-    them with no Fraction arithmetic, and its pivots are the basis."""
+    The grid is evaluated at once with `v.evaluator`: residues over GF(p),
+    and over Q D times each image, for the coordinates' common denominator
+    D.  A surface over GF(p) ranks the degree-m monomials at its images
+    point by point, with `evaluation_matrix`, and keeps the kernel's
+    pivots.  Every other variety counts degree by degree.  W_m is spanned
+    by the distinct products x_i * mu of the variables with a basis mu of
+    W_{m-1}: the one `v.bases` keeps for degree m-1, or else every
+    degree-(m-1) monomial, whose products are every degree-m monomial.
+    Either set spans W_m, so its rank on the grid is dim W_m, and its
+    independent members are the basis of degree m.  Over GF(p) the kernel
+    ranks the products; over Q each of their rows is D^m times its
+    rational row, so one fraction-free `Echelon` ranks them with no
+    Fraction arithmetic, and its pivots are the basis."""
     try:
         params = v.domain.unisolvent_params(v.field, v.coords, m)
     except FieldTooSmallError as err:
         raise FieldTooSmallError(f"{v.label}: {err}") from None
     total = binomial(v.amb + m, m)
-    if v.field.is_prime_field:
-        p = v.field.p
-        rows = v.evaluator(np.array(params, dtype=np.int64))
-        if v.is_curve:
-            basis = v.bases.get(m - 1)
-            if basis is None:
-                basis = np.arange(binomial(v.amb + m - 1, m - 1))
-            values, index = monomial_products(rows, basis, m, p)
+    fld = v.field
+    p = fld.p if fld.is_prime_field else None
+    rows = v.evaluator(params)
+    if p and not v.is_curve:
+        pivots = _pivots_modp_numpy(evaluation_matrix(fld, rows.tolist(), m).raw_rows(), p)
+    else:
+        basis = v.bases.get(m - 1)
+        if basis is None:
+            basis = np.arange(binomial(v.amb + m - 1, m - 1))
+        values, index = monomial_products(rows, basis, m, p)
+        if p:
             pivots = index[_pivots_modp_numpy(values, p)]
         else:
-            pivots = _pivots_modp_numpy(evaluation_matrix(v.field, rows.tolist(), m).raw_rows(), p)
-    else:
-        plan = _monomial_plan(v.amb + 1, m)
-        rows = []
-        for xs in v.evaluator(params):
-            vals = [1]
-            for steps in plan:
-                vals = [vals[j] * xs[i] for j, i in steps]
-            rows.append(vals)
-        pivots = np.array(sorted(Echelon(QQ, rows).pivots), dtype=np.intp)
+            pivots = index[sorted(Echelon(QQ, values.tolist()).pivots)]
     v.bases[m] = pivots
     return total - len(pivots)
 
@@ -731,8 +710,7 @@ def _certify_curve(v: ParamVariety) -> None:
 
 def _certify(v: ParamVariety) -> ParamVariety:
     """Certify `v`: its coefficient rank, then the certificate of a curve.
-    A surface needs only a sample of 3(amb+1) distinct points, which fails
-    on a field too small for it."""
+    A surface is certified by its coefficient rank alone."""
     span = _coefficient_rank(v)
     if span != v.amb + 1:
         raise VerificationError(
@@ -740,8 +718,6 @@ def _certify(v: ParamVariety) -> ParamVariety:
         )
     if v.is_curve:
         _certify_curve(v)
-        return v
-    sample_points(v, 3 * (v.amb + 1), seed=987)
     return v
 
 
@@ -1032,7 +1008,7 @@ def multisecant_projection(
     def attempt(i: int) -> ParamVariety:
         rng = random.Random(("multisecant", c, k, g, p, seed, i).__repr__())
         stream = source.domain.parameter_stream(fld, rng.randrange(1 << 30))
-        params = np.array(list(itertools.islice(stream, npts)), dtype=np.int64)
+        params = list(itertools.islice(stream, npts))
         pts = source.evaluator(params).tolist()
         if rank(Matrix.from_rows(fld, pts)) != npts:
             raise ConstructionError("secant points not independent")

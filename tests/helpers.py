@@ -275,7 +275,7 @@ def table_parameters(v) -> list:
     """Every rational parameter of a curve over a small GF(p), in the order
     `rational_parameters` must list them: the affine points of y^2 = f(x) as
     `point_array` lists them, or on P^1 (1, t) for t < p and then (0, 1)."""
-    if v.domain.kind == "weierstrass":
+    if isinstance(v.domain, WeierstrassDomain):
         return [tuple(pt) for pt in v.domain.point_array().tolist()]
     return [(1, t) for t in range(v.field.p)] + [(0, 1)]
 

@@ -69,6 +69,17 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["curve", "rnc"], ["table2"], ["points", "sample", "--count", "4"],
+], ids=" ".join)
+def test_prime_and_rationals_together_exit_2(capsys, argv):
+    # --p and --q name two fields: neither is preferred
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--q", "--p", "7"])
+    assert exc.value.code == 2
+    assert "argument --p: not allowed with argument --q" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- curve
 
 

@@ -278,6 +278,41 @@ def test_every_count_keeps_a_basis(make, fld):
         _assert_count_keeps_a_basis(v, m)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: project_from_general_point(rational_normal_curve(6, QQ)),
+    lambda: scroll_section_curve(1, 2, 3, QQ),
+], ids=["projected-rnc(6)", "scroll-section(1,2;k=3)"])
+def test_counts_over_q_rank_the_products_of_the_kept_basis(make, monkeypatch):
+    # over Q, as over GF(p), degree m ranks only the products with a
+    # variable of degree m-1's kept basis: each a_m is the symbolic count,
+    # and each basis is the one that ranking every degree-m monomial keeps
+    v = make()
+
+    def uncounted():
+        return varieties.ParamVariety(v.label, v.d, v.g, v.field, v.coords, v.domain,
+                                      v.construction)
+
+    alone = {}
+    for m in (2, 3, 4):
+        w = uncounted()
+        w.count(m)
+        alone[m] = w.bases[m].tolist()
+    ranked = []
+    evaluate = varieties.monomial_products
+
+    def spy(rows, basis, m, p):
+        ranked.append((m, basis.tolist()))
+        return evaluate(rows, basis, m, p)
+
+    monkeypatch.setattr(varieties, "monomial_products", spy)
+    w = uncounted()
+    assert w.count(1) == 0
+    for m in (2, 3, 4):
+        assert w.count(m) == symbolic_a_m(v, m), (v.label, m)
+        assert ranked[-1] == (m, w.bases[m - 1].tolist())
+        assert w.bases[m].tolist() == alone[m], (v.label, m)
+
+
 def test_ledger_prime_basis_is_kept_only_on_a_hit():
     # projected rnc(4) over Q is certified at m = 2 by its rank modulo the
     # ledger prime, whose independent monomials are then its degree-2 basis

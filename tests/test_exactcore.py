@@ -19,7 +19,6 @@ from hypersurfaces.exactcore import (
     MPoly,
     MPolyArray,
     PrimeField,
-    _IntegerPolys,
     _integer_row,
     _pivots_modp_numpy,
     binomial,
@@ -504,33 +503,42 @@ def test_monomial_values_alignment():
     assert vals7 == [2, 5, 2]  # 9, 12, 16 mod 7
 
 
-@pytest.mark.parametrize("fld", [GF7, GF101, GF_M31], ids=repr)
+def _array_points(fld, rng, nvars):
+    """Six points as `monomial_products` takes them, with its modulus: int64
+    residues over GF(p), Python ints (of either sign) and None over Q."""
+    if fld.is_prime_field:
+        pts = [[rng.randrange(fld.p) for _ in range(nvars)] for _ in range(6)]
+        return pts, np.array(pts, dtype=np.int64), fld.p
+    pts = [[rng.randint(-999, 999) for _ in range(nvars)] for _ in range(6)]
+    return pts, np.array(pts, dtype=object), None
+
+
+@pytest.mark.parametrize("fld", [GF7, GF101, GF_M31, QQ], ids=repr)
 @pytest.mark.parametrize("nvars, m", [(1, 3), (2, 1), (3, 4), (5, 3), (9, 2)])
 def test_monomial_table_rows_are_monomial_values(fld, nvars, m):
     # the products of every degree-(m-1) monomial with a variable are every
     # degree-m monomial: a row per point, in monomials() order
     rng = random.Random(nvars * 10 + m)
-    points = [[rng.randrange(fld.p) for _ in range(nvars)] for _ in range(6)]
+    points, array, p = _array_points(fld, rng, nvars)
     full = np.arange(binomial(nvars + m - 2, m - 1))
-    table, index = monomial_products(np.array(points, dtype=np.int64), full, m, fld.p)
-    assert table.dtype == np.int64
+    table, index = monomial_products(array, full, m, p)
+    assert table.dtype == array.dtype
     assert index.tolist() == list(range(binomial(nvars + m - 1, m)))
     assert table.tolist() == [monomial_values(fld, pt, m) for pt in points]
 
 
-@pytest.mark.parametrize("fld", [GF7, GF101, GF_M31], ids=repr)
+@pytest.mark.parametrize("fld", [GF7, GF101, GF_M31, QQ], ids=repr)
 @pytest.mark.parametrize("nvars, m", [(1, 3), (2, 1), (3, 4), (5, 3), (9, 2)])
 def test_monomial_products_are_monomial_values(fld, nvars, m):
     # every product x_i * mu of a variable and a chosen degree-(m-1)
     # monomial, once each, in monomials() order
     rng = random.Random(nvars * 10 + m)
-    points = [[rng.randrange(fld.p) for _ in range(nvars)] for _ in range(6)]
+    points, array, p = _array_points(fld, rng, nvars)
     lower = monomials(nvars, m - 1)
     level = monomials(nvars, m)
     for size in (1, len(lower) // 2 + 1, len(lower)):
         basis = sorted(rng.sample(range(len(lower)), size))
-        values, index = monomial_products(
-            np.array(points, dtype=np.int64), np.array(basis, dtype=np.intp), m, fld.p)
+        values, index = monomial_products(array, np.array(basis, dtype=np.intp), m, p)
         products = {
             level.index(tuple(e + (i == k) for k, e in enumerate(lower[j])))
             for j in basis for i in range(nvars)
@@ -641,6 +649,7 @@ def test_mpoly_array_equals_poly_eval(fld):
         got = MPolyArray(polys)(np.array(points, dtype=np.int64))
         assert got.dtype == np.int64 and got.shape == (len(points), len(polys))
         assert got.tolist() == [[poly_eval(f, pt) for f in polys] for pt in points]
+        assert MPolyArray(polys)(points).tolist() == got.tolist()  # a list of points too
 
     check()
 
@@ -662,8 +671,6 @@ def test_mpoly_array_at_its_monomial_limit():
 
 
 def test_mpoly_array_rejects_other_fields_and_shapes():
-    with pytest.raises(ValueError, match="p < 2"):
-        MPolyArray([MPoly(QQ, 2, {(1, 0): 1})])
     with pytest.raises(FieldMismatchError):
         MPolyArray([MPoly(GF7, 1, {(1,): 1}), MPoly(GF101, 1, {(1,): 1})])
     with pytest.raises(ValueError, match="variable counts"):
@@ -674,7 +681,7 @@ def test_mpoly_array_rejects_other_fields_and_shapes():
 
 @given(st.integers(0, 2**32))
 @settings(max_examples=60, deadline=None)
-def test_integer_polys_are_one_denominator_times_poly_eval(seed):
+def test_mpoly_array_over_q_is_one_denominator_times_poly_eval(seed):
     rng = random.Random(seed)
     polys = []
     for _ in range(rng.randint(1, 4)):
@@ -688,22 +695,22 @@ def test_integer_polys_are_one_denominator_times_poly_eval(seed):
     for f in polys:
         for c in f.terms.values():
             den = den * c.denominator // math.gcd(den, c.denominator)
-    scaled = _IntegerPolys(polys)
+    scaled = MPolyArray(polys)
     assert scaled.terms == [{e: int(c * den) for e, c in f.terms.items()} for f in polys]
     assert all(type(c) is int for t in scaled.terms for c in t.values())
     points = [[rng.randint(-999, 999) for _ in range(3)] for _ in range(rng.randint(1, 4))]
-    got = scaled(points)
+    got = scaled(points).tolist()
     assert all(type(x) is int for row in got for x in row)
     assert got == [[den * poly_eval(f, pt) for f in polys] for pt in points]
 
 
-def test_integer_polys_reject_other_fields_and_shapes():
+def test_mpoly_array_over_q_rejects_other_fields_and_shapes():
     with pytest.raises(FieldMismatchError):
-        _IntegerPolys([MPoly(GF7, 1, {(1,): 1})])
+        MPolyArray([MPoly(QQ, 1, {(1,): 1}), MPoly(GF7, 1, {(1,): 1})])
     with pytest.raises(ValueError, match="variable counts"):
-        _IntegerPolys([MPoly(QQ, 1, {(1,): 1}), MPoly(QQ, 2, {(1, 0): 1})])
-    with pytest.raises(ValueError, match="point length 1 != nvars 2"):
-        _IntegerPolys([MPoly(QQ, 2, {(1, 0): 1})])([[1]])
+        MPolyArray([MPoly(QQ, 1, {(1,): 1}), MPoly(QQ, 2, {(1, 0): 1})])
+    with pytest.raises(ValueError, match="2-vectors"):
+        MPolyArray([MPoly(QQ, 2, {(1, 0): 1})])([[1]])
 
 
 @pytest.mark.parametrize("fld", [GF101, QQ], ids=repr)

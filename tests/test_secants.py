@@ -194,8 +194,8 @@ def test_integer_ranks_over_q_match_the_fraction_loop():
 
 
 def test_q_ledgers_evaluate_only_integers_at_integer_points(monkeypatch):
-    # over Q neither building a variety (its certificate, its counts and
-    # its sample) nor zak_invariants nor a_m evaluates a polynomial in
+    # over Q neither building a variety (its certificate and its counts)
+    # nor zak_invariants, a_m or a sample evaluates a polynomial in
     # Fractions: every value comes from the integer coordinates, at
     # parameter points that are Python ints
 
@@ -203,22 +203,25 @@ def test_q_ledgers_evaluate_only_integers_at_integer_points(monkeypatch):
         raise AssertionError("a Fraction evaluation on the integer path")
 
     monkeypatch.setattr(exactcore, "poly_eval", refuse)
-    evaluate = exactcore._IntegerPolys.__call__
+    evaluate = exactcore.MPolyArray.__call__
     points_seen = []
 
     def integer_points(self, points):
+        if self.p is not None:  # the ledger prime's reduction
+            return evaluate(self, points)
         points = list(points)
         assert all(type(x) is int for point in points for x in point), points
         points_seen.extend(points)
-        return evaluate(self, points)
+        values = evaluate(self, points)
+        assert all(type(x) is int for x in values.flat)
+        return values
 
-    monkeypatch.setattr(exactcore._IntegerPolys, "__call__", integer_points)
+    monkeypatch.setattr(exactcore.MPolyArray, "__call__", integer_points)
     built = [make(QQ) for make in ORACLE_WITNESSES]
-    assert points_seen
-    points_seen.clear()
     for v in built:
         zak_invariants(v)
         a_m(v, 3)
+        v.sample_points(3 * (v.amb + 1), seed=987)
     assert points_seen
 
 

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypersurfaces import varieties
-from hypersurfaces.cohomology import h1_ideal
+from hypersurfaces.cohomology import a_m, h1_ideal
 from hypersurfaces.exactcore import QQ, Matrix, MPoly, PrimeField, rank
 from hypersurfaces.varieties import (
     CONSTRUCTIONS,
@@ -876,6 +876,16 @@ def test_field_too_small_for_the_certificate_is_not_retried(build, grid, monkeyp
     with pytest.raises(FieldTooSmallError, match=grid) as exc:
         build()
     assert len(refused) == 1 and str(exc.value).startswith(refused[0] + ": exact degree-2")
+
+
+def test_a_surface_is_built_on_a_field_too_small_for_its_counts():
+    # a surface is certified by its coefficient rank alone, so GF(2) builds
+    # S(1,2); its counts need a grid that GF(2) is too small for
+    v = scroll_surface(1, 2, PrimeField(2))
+    assert (v.n, v.amb) == (2, 4)
+    with pytest.raises(FieldTooSmallError, match=r"exact degree-2 counts need p > \d+ "
+                       r"\(an evaluation grid 0\.\.\d+\), got GF\(2\)"):
+        a_m(v, 2)
 
 
 def test_span_is_exact_over_the_closure():
