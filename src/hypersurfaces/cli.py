@@ -233,6 +233,8 @@ def _variety(args, fld: Field, command: str, spelling: str):
 
 
 def cmd_curve(args) -> int:
+    if args.m_max < 1:
+        raise ValueError("need --m-max >= 1")
     fld = _field_from_args(args)
     v = _variety(args, fld, "curve", args.kind)
     summary = [
@@ -385,6 +387,8 @@ def table1_rows(c: int):
 
 
 def cmd_table1(args) -> int:
+    if args.c < 3:
+        raise ValueError("need --c >= 3")  # the table's ranks run k = 3..c
     fld = _field_from_args(args)
     if not fld.is_prime_field:
         raise ValueError("table1 needs a prime field")
@@ -541,6 +545,8 @@ def cmd_secants(args) -> int:
 
 
 def cmd_verify_main(args) -> int:
+    if args.m_max < 2:
+        raise ValueError("need --m-max >= 2")  # the checks run m = 2..m_max
     fld = _field_from_args(args)
     if not fld.is_prime_field:
         raise ValueError("verify-main needs a prime field")

@@ -6,8 +6,9 @@ residues in [0, p) over GF(p)); the field objects do the arithmetic.
 
 There is one pure-Python elimination, the incremental `Echelon`: monic rows
 over GF(p), and fraction-free primitive integer rows over Q.  Prime fields
-take only p < 2^31, so `rank` ranks every one of them by a vectorised int64
-numpy elimination, and uses `Echelon` for Q.  That elimination also takes
+take only p < 2^31, so `_row_rank` ranks a list of raw rows over every one
+of them by a vectorised int64 numpy elimination, and by `Echelon` over Q;
+`rank` of a `Matrix` unpacks its rows into it.  That elimination also takes
 int64 arrays directly, and reports which columns it found independent: a
 `monomial_products` array (the products of chosen degree-(m-1) monomials
 with a variable at an array of points; every degree-m monomial when all
@@ -23,8 +24,9 @@ as integer rows, and no Fraction arithmetic is done.  It and
 `monomial_products` evaluate monomials the same way over both fields, as
 products of per-variable power tables, reduced mod p over GF(p) only.
 `poly_eval`, their per-point reference, serves only `MPoly.eval`; what is
-still per point is `monomial_values`, for the ranks of a surface over GF(p)
-and of a point set.  `null_space` back-substitutes in the echelon.
+still per point is `monomial_values`, whose rows a surface over GF(p) and a
+point set rank as plain lists, with no `Matrix`.  `null_space`
+back-substitutes in the echelon.
 Pivoting is deterministic (first nonzero) and no floating point is used
 anywhere.
 """
@@ -301,14 +303,17 @@ def _pivots_modp_numpy(rows, p: int) -> np.ndarray:
     return np.array(sorted(order[:r]) if wide else pivots, dtype=np.intp)
 
 
+def _row_rank(field: Field, rows: Sequence[Sequence]) -> int:
+    """Row rank of a list of raw rows over `field`: the int64 kernel over
+    GF(p), an `Echelon` over Q."""
+    if field.is_prime_field:
+        return len(_pivots_modp_numpy(rows, field.p))
+    return len(Echelon(field, rows))
+
+
 def rank(m: Matrix) -> int:
     """Row rank of `m` over its field."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    f = m.field
-    if f.is_prime_field:
-        return len(_pivots_modp_numpy(m.raw_rows(), f.p))
-    return len(Echelon(f, m.raw_rows()))
+    return _row_rank(m.field, m.raw_rows())
 
 
 def _integer_row(vec: Sequence) -> list:

@@ -3,16 +3,22 @@
 A PointConfig holds pairwise-distinct points of P^c with canonically
 normalised homogeneous coordinates.  It answers the questions that drive
 everything else: how many degree-m forms vanish on the set (via the rank of
-an evaluation matrix), how regular the set is, whether it sits in linear
-(semi-)uniform position, and, constructively, how to extract a spanning
-3-regular subset of 2c+1 points from a larger semi-uniform set.
+the degree-m monomials' values at the points), how regular the set is,
+whether it sits in linear (semi-)uniform position, and, constructively, how
+to extract a spanning 3-regular subset of 2c+1 points from a larger
+semi-uniform set.
+
+The span and the Hilbert function rank plain rows, the coordinates or the
+`_monomial_rows` of the points, with `exactcore._row_rank`: the int64
+kernel over GF(p), an `Echelon` over Q.  No rank here builds a `Matrix` or
+calls `exactcore.rank`.
 
 Both subset searches walk one generator, `_independent_subsets`: a
 depth-first search in lexicographic index order that carries each prefix's
 `Echelon` down to its extensions and never extends a dependent prefix.  The
 nu-vector walks the point coordinates and tests each other point by one
 reduction against the subset's echelon; the extraction walks the degree-2
-evaluation rows.  Both are still exponential in the number of points.
+`_monomial_rows`.  Both are still exponential in the number of points.
 """
 
 from __future__ import annotations
@@ -21,23 +27,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactcore import (
-    QQ,
-    Echelon,
-    Field,
-    Matrix,
-    PrimeField,
-    binomial,
-    monomial_values,
-    rank,
-)
+from .exactcore import QQ, Echelon, Field, PrimeField, _row_rank, binomial, monomial_values
 
 __all__ = [
     "PointConfig",
     "NuVector",
     "ExtractionError",
     "extract_three_regular",
-    "evaluation_matrix",
 ]
 
 NU_SIZE_CAP = 16
@@ -121,18 +117,16 @@ class PointConfig:
 
     # ------------------------------------------------------------ geometry
 
-    def coordinate_matrix(self) -> Matrix:
-        return Matrix.from_rows(self.field, [list(p) for p in self.points])
-
     def span_dim(self) -> int:
         """Dimension of the projective span."""
-        return rank(self.coordinate_matrix()) - 1
+        return _row_rank(self.field, self.points) - 1
 
     def hilbert(self, m: int) -> int:
-        """Hilbert function value: rank of the degree-m evaluation matrix."""
+        """Hilbert function value: the rank of the degree-m monomials'
+        values at the points, a row per point."""
         if m < 0:
             raise ValueError("degree must be nonnegative")
-        return rank(evaluation_matrix(self.field, self.points, m))
+        return _row_rank(self.field, _monomial_rows(self.field, self.points, m))
 
     def h0_ideal(self, m: int) -> int:
         """Number of independent degree-m forms vanishing on the set."""
@@ -288,14 +282,10 @@ def _independent_subsets(field: Field, rows, size: int):
     return walk(0, (), Echelon(field))
 
 
-def evaluation_matrix(field: Field, points, m: int) -> Matrix:
-    """Rows = points, columns = degree-m monomials in graded-lex order."""
-    points = list(points)
-    ncols = binomial(len(points[0]) - 1 + m, m)
-    flat = []
-    for p in points:
-        flat.extend(monomial_values(field, list(p), m))
-    return Matrix(field, len(points), ncols, flat)
+def _monomial_rows(field: Field, points, m: int) -> list:
+    """The values of the degree-m monomials at each point, in monomials()
+    order: a row per point, as `_row_rank` and `Echelon` take them."""
+    return [monomial_values(field, p, m) for p in points]
 
 
 def extract_three_regular(config: PointConfig) -> PointConfig:
@@ -317,9 +307,7 @@ def extract_three_regular(config: PointConfig) -> PointConfig:
     if config.span_dim() != c:
         raise ValueError("configuration does not span the ambient space")
     fld = config.field
-    eval_rows = evaluation_matrix(fld, config.points, 2).raw_rows()
-
-    for chosen, _ in _independent_subsets(fld, eval_rows, size):
+    for chosen, _ in _independent_subsets(fld, _monomial_rows(fld, config.points, 2), size):
         # hilbert(2) = |subset| certifies regularity <= 3
         if len(Echelon(fld, [config.points[i] for i in chosen])) == c + 1:
             result = config.subset(chosen)

@@ -35,7 +35,9 @@ coordinates cleared of one common denominator, and evaluates them in
 integers.  Every count keeps each degree's independent monomials, and the
 next degree ranks only their products with a variable, over both fields;
 only a surface over GF(p) ranks the monomials at its images point by
-point.  A surface is certified by its coefficient rank alone.
+point, as plain rows of `monomial_values` that go straight to the int64
+kernel, with no `Matrix`.  A surface is certified by its coefficient rank
+alone.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from .exactcore import (
     null_space,
     rank,
 )
-from .pointconfig import PointConfig, _normalize, evaluation_matrix
+from .pointconfig import PointConfig, _monomial_rows, _normalize
 
 __all__ = [
     "ConstructionError",
@@ -542,11 +544,13 @@ def _count(v: ParamVariety, m: int) -> int:
     The grid is evaluated at once with `v.evaluator`: residues over GF(p),
     and over Q D times each image, for the coordinates' common denominator
     D.  A surface over GF(p) ranks the degree-m monomials at its images
-    point by point, with `evaluation_matrix`, and keeps the kernel's
-    pivots.  Every other variety counts degree by degree.  W_m is spanned
-    by the distinct products x_i * mu of the variables with a basis mu of
-    W_{m-1}: the one `v.bases` keeps for degree m-1, or else every
-    degree-(m-1) monomial, whose products are every degree-m monomial.
+    point by point: their `monomial_values`, a plain integer row per image,
+    go straight to the kernel, which builds no `Matrix` and calls no
+    `rank`, and the count keeps the kernel's pivots.  Every other variety
+    counts degree by degree.  W_m is spanned by the distinct products
+    x_i * mu of the variables with a basis mu of W_{m-1}: the one `v.bases`
+    keeps for degree m-1, or else every degree-(m-1) monomial, whose
+    products are every degree-m monomial.
     Either set spans W_m, so its rank on the grid is dim W_m, and its
     independent members are the basis of degree m.  Over GF(p) the kernel
     ranks the products; over Q each of their rows is D^m times its
@@ -561,7 +565,7 @@ def _count(v: ParamVariety, m: int) -> int:
     p = fld.p if fld.is_prime_field else None
     rows = v.evaluator(params)
     if p and not v.is_curve:
-        pivots = _pivots_modp_numpy(evaluation_matrix(fld, rows.tolist(), m).raw_rows(), p)
+        pivots = _pivots_modp_numpy(_monomial_rows(fld, rows.tolist(), m), p)
     else:
         basis = v.bases.get(m - 1)
         if basis is None:

@@ -20,6 +20,10 @@ each image scaled to lead entry 1, then the rank of the whole table), and
 weierstrass_points_by_sqrt enumerates the points of y^2 = f(x) with one
 Tonelli-Shanks square root per x; the library does both on arrays.
 
+evaluation_matrix is the degree-m monomials' values at a list of points, a
+row per point, as a `Matrix`: the per-point oracle of the counts and of
+`PointConfig.hilbert`, which the library ranks on plain rows instead.
+
 image_by_poly_eval is the image of one parameter point, every coordinate
 evaluated by `poly_eval`, and a_m_by_point_evaluation is the count on that
 per-point path: every point of the unisolvent grid evaluated so, then the
@@ -54,17 +58,13 @@ from hypersurfaces.exactcore import (
     Matrix,
     MPoly,
     binomial,
+    monomial_values,
     monomials,
     poly_diff,
     poly_eval,
     rank,
 )
-from hypersurfaces.pointconfig import (
-    ExtractionError,
-    NuVector,
-    PointConfig,
-    evaluation_matrix,
-)
+from hypersurfaces.pointconfig import ExtractionError, NuVector, PointConfig
 from hypersurfaces.varieties import (
     FieldTooSmallError,
     ProjectiveDomain,
@@ -116,6 +116,16 @@ def symbolic_a_m(v, m: int) -> int:
             flat.append(t.terms.get(e, zero))
     mat = Matrix(fld, len(param_monos), len(composed), flat)
     return mat.cols - rank(mat)
+
+
+def evaluation_matrix(field, points, m: int) -> Matrix:
+    """Rows = points, columns = degree-m monomials in graded-lex order."""
+    points = list(points)
+    ncols = binomial(len(points[0]) - 1 + m, m)
+    flat = []
+    for p in points:
+        flat.extend(monomial_values(field, list(p), m))
+    return Matrix(field, len(points), ncols, flat)
 
 
 def image_by_poly_eval(v, params) -> tuple:

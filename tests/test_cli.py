@@ -208,6 +208,29 @@ def test_points_sample_needs_a_positive_count(tmp_path, capsys, count):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify-main", "--m-max", "1"], "need --m-max >= 2"),  # checks run m = 2..m_max
+    (["table1", "--c", "2"], "need --c >= 3"),  # rows run k = 3..c
+    (["curve", "rnc", "--m-max", "0"], "need --m-max >= 1"),
+], ids=["verify-main", "table1", "curve"])
+def test_flags_that_check_nothing_exit_2(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, checks", [
+    (["table1", "--c", "3"], "rows = 1"),
+    (["curve", "rnc", "--m-max", "1"], "[profile]"),
+], ids=["table1", "curve"])  # test_verify_main runs the least --m-max, 2
+def test_least_flag_values_check_something(capsys, argv, checks):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert checks in out
+
+
 def test_points_bad_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("field Q\n2 1\n1 2\n")

@@ -4,7 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from helpers import a_m_by_point_evaluation, image_by_poly_eval, symbolic_a_m, table_parameters
+from helpers import (
+    a_m_by_point_evaluation,
+    evaluation_matrix,
+    image_by_poly_eval,
+    rank_mod_p,
+    symbolic_a_m,
+    table_parameters,
+)
 
 from hypersurfaces import formulas, varieties
 from hypersurfaces.cohomology import (
@@ -18,8 +25,15 @@ from hypersurfaces.cohomology import (
     verify_monotonic,
     verify_reg_bound,
 )
-from hypersurfaces.exactcore import QQ, Echelon, Matrix, PrimeField, binomial, rank
-from hypersurfaces.pointconfig import evaluation_matrix
+from hypersurfaces.exactcore import (
+    QQ,
+    Echelon,
+    Matrix,
+    PrimeField,
+    _pivots_modp_numpy,
+    binomial,
+    rank,
+)
 from hypersurfaces.varieties import (
     CONSTRUCTIONS,
     FieldTooSmallError,
@@ -276,6 +290,48 @@ def test_every_count_keeps_a_basis(make, fld):
     for m in (3, 1, 2):
         v.count(m)
         _assert_count_keeps_a_basis(v, m)
+
+
+# the five minimal-degree surfaces of the surface counts, and a projection
+# that is not of minimal degree
+SURFACES = {
+    "veronese": veronese_surface,
+    "S(1,2)": lambda f: scroll_surface(1, 2, f),
+    "S(2,2)": lambda f: scroll_surface(2, 2, f),
+    "S(2,3)": lambda f: scroll_surface(2, 3, f),
+    "S(1,4)": lambda f: scroll_surface(1, 4, f),
+    "projected S(1,4)": lambda f: project_from_general_point(scroll_surface(1, 4, f), seed=2),
+}
+
+
+@pytest.mark.parametrize("name", SURFACES)
+def test_surface_counts_over_gf_build_no_matrix(name, monkeypatch):
+    v = SURFACES[name](GF)  # its certificate may build one; its counts may not
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a surface count built a Matrix")
+
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    counts = [v.count(m) for m in (2, 3, 4)]
+    if name != "projected S(1,4)":  # minimal degree: C(c+2+m, m) - C(m+2, 2) - c C(m+1, 2)
+        assert counts == [binomial(v.c + 2 + m, m) - binomial(m + 2, 2) - v.c * binomial(m + 1, 2)
+                          for m in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("name", SURFACES)
+def test_surface_bases_are_the_evaluation_matrix_pivots(name):
+    # the basis a count keeps is the kernel's pivots on the per-point
+    # evaluation matrix of the grid's images, which a plain elimination
+    # confirms to be independent and as many as the rank
+    v = SURFACES[name](GF)
+    for m in (2, 3, 4):
+        count = v.count(m)
+        grid = v.domain.unisolvent_params(v.field, v.coords, m)
+        values = evaluation_matrix(v.field, [image_by_poly_eval(v, q) for q in grid], m).raw_rows()
+        basis = v.bases[m].tolist()
+        assert basis == _pivots_modp_numpy(values, GF.p).tolist(), m
+        assert len(basis) == binomial(v.amb + m, m) - count == rank_mod_p(values, GF.p), m
+        assert rank_mod_p([[row[j] for j in basis] for row in values], GF.p) == len(basis), m
 
 
 @pytest.mark.parametrize("make", [

@@ -4,7 +4,14 @@ import itertools
 import random
 
 import pytest
-from helpers import coordinate_simplex, extract_three_regular_by_scan, nu_vector_by_rank
+from helpers import (
+    coordinate_simplex,
+    evaluation_matrix,
+    extract_three_regular_by_scan,
+    fraction_elimination_rank,
+    nu_vector_by_rank,
+    rank_mod_p,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +21,6 @@ from hypersurfaces.pointconfig import (
     PointConfig,
     _independent_subsets,
     _normalize,
-    evaluation_matrix,
     extract_three_regular,
 )
 
@@ -407,17 +413,19 @@ ORACLE_FIELDS = [PrimeField(5), PrimeField(7), QQ]
 def coincident_configs(draw, min_points=None):
     """Up to 2c+3 distinct points of P^2 or P^3 over GF(5), GF(7) or QQ,
     drawn from `min_points` (default 2c+1) on before repeats are dropped.
-    Small coordinates, and points drawn on the line through the first two,
-    make collinear and coplanar coincidences common."""
+    Small coordinates, points drawn on the line through the first two and
+    points drawn on the plane through the first three make collinear and
+    coplanar coincidences common."""
     fld = draw(st.sampled_from(ORACLE_FIELDS))
     c = draw(st.integers(2, 3))
     coord = st.integers(0, fld.p - 1) if fld.is_prime_field else st.integers(-2, 2)
     low = 2 * c + 1 if min_points is None else min_points
     vecs = []
     for _ in range(draw(st.integers(low, 2 * c + 3))):
-        if len(vecs) >= 2 and draw(st.integers(0, 3)) == 0:
-            a, b = draw(coord), draw(coord)
-            vecs.append([a * x + b * y for x, y in zip(vecs[0], vecs[1])])
+        spanned = draw(st.integers(0, 4)) + 2  # a combination of the first 2 or 3 points
+        if spanned <= min(3, len(vecs)):
+            weights = [draw(coord) for _ in range(spanned)]
+            vecs.append([sum(w * x for w, x in zip(weights, xs)) for xs in zip(*vecs[:spanned])])
         else:
             vecs.append(draw(st.lists(coord, min_size=c + 1, max_size=c + 1)))
     distinct, seen = [], set()
@@ -435,6 +443,44 @@ def coincident_configs(draw, min_points=None):
 @settings(max_examples=60, deadline=None)
 def test_nu_vector_matches_rank_oracle(cfg):
     assert cfg.nu_vector() == nu_vector_by_rank(cfg)
+
+
+def _rank_by_elimination(fld, rows) -> int:
+    if fld.is_prime_field:
+        return rank_mod_p(rows, fld.p)
+    return fraction_elimination_rank(rows)
+
+
+@given(coincident_configs(min_points=1))
+@settings(max_examples=80, deadline=None)
+def test_span_and_hilbert_match_rank_oracle(cfg):
+    # plain Gauss-Jordan on the coordinates and on the monomial evaluation
+    # matrix, against the library's ranks of the same rows
+    fld = cfg.field
+    assert cfg.span_dim() == _rank_by_elimination(fld, cfg.points) - 1
+    for m in range(4):
+        rows = evaluation_matrix(fld, cfg.points, m).raw_rows()
+        assert cfg.hilbert(m) == _rank_by_elimination(fld, rows), m
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS + [PrimeField(10007)], ids=repr)
+def test_point_set_ranks_build_no_matrix(field, monkeypatch):
+    # span, Hilbert function, nu-vector and extraction rank plain rows
+    cfg = PointConfig(field, [[1, t, t * t, t ** 3] for t in range(1, 5)]
+                      + [[1, 1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 1], [1, 3, 1, 3]])
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a point-set rank built a Matrix")
+
+    span = _rank_by_elimination(field, cfg.points) - 1
+    hilbert = [_rank_by_elimination(field, evaluation_matrix(field, cfg.points, m).raw_rows())
+               for m in range(4)]
+    nu, extracted = nu_vector_by_rank(cfg), _extraction(extract_three_regular_by_scan, cfg)
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    assert cfg.span_dim() == span
+    assert [cfg.hilbert(m) for m in range(4)] == hilbert
+    assert cfg.nu_vector() == nu
+    assert _extraction(extract_three_regular, cfg) == extracted
 
 
 def _extraction(fn, cfg):
