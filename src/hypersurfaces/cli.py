@@ -209,10 +209,17 @@ def _offered(command: str) -> dict:
 _FIELD_FLAGS = {
     "p": lambda args, fld: fld.p,
     "weierstrass": lambda args, fld: [args.wa, args.wb],
-    "f_coeffs": lambda args, fld: (
-        [int(x) for x in args.f.split(",")] if args.f else varieties.GENUS2_DEFAULT_F
-    ),
+    "f_coeffs": lambda args, fld: args.f if args.f is not None else varieties.GENUS2_DEFAULT_F,
 }
+
+
+def _integer_list(text: str) -> list:
+    """The value of a comma-separated integer flag."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def _variety(args, fld: Field, command: str, spelling: str):
@@ -645,7 +652,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--g", type=int, default=0)
     c.add_argument("--wa", type=int, default=1, help="Weierstrass coefficient A")
     c.add_argument("--wb", type=int, default=1, help="Weierstrass coefficient B")
-    c.add_argument("--f", default=None, help="genus-2 model coefficients, comma separated")
+    c.add_argument("--f", type=_integer_list, default=None,
+                   help="genus-2 model coefficients, comma separated")
     c.add_argument("--m-max", dest="m_max", type=int, default=2)
     _common_flags(c)
     c.set_defaults(handler=cmd_curve)

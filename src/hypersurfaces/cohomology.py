@@ -9,14 +9,10 @@ evaluation matrix at the images of those points.  Prime fields too small
 to hold the point set raise FieldTooSmallError.
 
 The count itself is `ParamVariety.count` in `varieties`, because the
-certificate of a curve is one of these counts.  Every variety evaluates
-its grid (on P^1, (1, t) for t = 0..top; on y^2 = f(x), its first points)
-at once with its one `MPolyArray` evaluator: as int64 residues over GF(p)
-(every prime field has p < 2^31), and over Q in integers, the coordinates
-cleared of one common denominator D.  The evaluation matrix is then one
-array of monomial products (`exactcore.monomial_products`): over GF(p)
-ranked in numpy, over Q, where each row is D^m times its rational row,
-fraction-free in one `Echelon`, with no Fraction arithmetic.  Only a
+certificate of a curve is one of these counts.  It evaluates the grid (on
+P^1, (1, t) for t = 0..top; on y^2 = f(x), its first points) at once with
+the variety's `MPolyArray` evaluator, and ranks the monomial products at
+the images (`exactcore.monomial_products`) with `exactcore.pivots`; only a
 surface over GF(p) ranks the degree-m monomials at its images point by
 point, as `PointConfig.hilbert` does at a point set.  Each count is
 computed once per variety and memoised on it (a failure is not), so the
@@ -33,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .exactcore import Matrix, binomial, null_space
+from .exactcore import binomial, null_space
 from .formulas import H as H_bound
 from .formulas import u as u_count
 from .pointconfig import PointConfig
@@ -278,8 +274,7 @@ def hyperplane_section_points(v: ParamVariety, seed: int = 0, budget: int = 400)
     npar = len(images)
     for _ in range(budget):
         picks = rng.sample(range(npar), v.amb)
-        m = Matrix.from_rows(fld, [images[i].tolist() for i in picks])
-        ann = null_space(m)
+        ann = null_space(fld, images[picks].tolist())
         if len(ann) != 1:
             continue
         h = [int(x) for x in ann[0]]

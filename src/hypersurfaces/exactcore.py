@@ -1,34 +1,26 @@
-"""Exact fields, dense matrix rank/kernel, and sparse multivariate polynomials.
+"""Exact fields, elimination on plain rows, and sparse multivariate polynomials.
 
 Two ground fields are supported: arbitrary-precision rationals and prime
-fields GF(p).  Field elements are raw Python values (Fractions over Q,
-residues in [0, p) over GF(p)); the field objects do the arithmetic.
+fields GF(p), p < 2^31.  Field elements are raw Python values (Fractions
+over Q, residues in [0, p) over GF(p)); the field objects do the arithmetic.
 
-There is one pure-Python elimination, the incremental `Echelon`: monic rows
-over GF(p), and fraction-free primitive integer rows over Q.  Prime fields
-take only p < 2^31, so `_row_rank` ranks a list of raw rows over every one
-of them by a vectorised int64 numpy elimination, and by `Echelon` over Q;
-`rank` of a `Matrix` unpacks its rows into it.  That elimination also takes
-int64 arrays directly, and reports which columns it found independent: a
-`monomial_products` array (the products of chosen degree-(m-1) monomials
-with a variable at an array of points; every degree-m monomial when all
-degree-(m-1) ones are chosen), or the transposed tangent rows of a
-Terracini trial, whose pivots are the rows independent of all earlier
-ones.  `MPolyArray` is the one evaluator of a list of MPolys at many
-points, as `poly_eval` does at one point: Terracini's tangent rows and the
-coordinates of a variety at the points a job needs.  Over GF(p) it works
-on int64 arrays of residues.  Over Q it clears the polynomials of one
-common denominator and evaluates them in Python ints at integer points, in
-numpy object arrays, so the rows built from the values go into `Echelon`
-as integer rows, and no Fraction arithmetic is done.  It and
-`monomial_products` evaluate monomials the same way over both fields, as
-products of per-variable power tables, reduced mod p over GF(p) only.
-`poly_eval`, their per-point reference, serves only `MPoly.eval`; what is
-still per point is `monomial_values`, whose rows a surface over GF(p) and a
-point set rank as plain lists, with no `Matrix`.  `null_space`
-back-substitutes in the echelon.
-Pivoting is deterministic (first nonzero) and no floating point is used
-anywhere.
+Every rank is `pivots(field, rows)`, the independent columns of plain rows
+(lists, or int64 or object arrays), and it alone chooses the eliminator: a
+vectorised int64 numpy elimination over every prime field, and over Q the
+incremental `Echelon`, whose rows are fraction-free primitive integer rows
+(monic rows over GF(p)).  `null_space(field, rows)` back-substitutes in an
+`Echelon`.  `Matrix` has no caller in the library.
+
+`MPolyArray` is the one evaluator of a list of MPolys at many points, and
+`poly_eval` its per-point reference.  Over GF(p) it works on int64 arrays
+of residues.  Over Q it clears the polynomials of one common denominator
+and evaluates them in Python ints at integer points, in numpy object
+arrays, so the rows built from the values are integer rows and no Fraction
+arithmetic is done.  It and `monomial_products` evaluate monomials the same
+way over both fields, as products of per-variable power tables, reduced mod
+p over GF(p) only; `monomial_values` gives every degree-m monomial at one
+point.  Pivoting is deterministic (first nonzero) and no floating point is
+used anywhere.
 """
 
 from __future__ import annotations
@@ -51,7 +43,7 @@ __all__ = [
     "monomials",
     "monomial_products",
     "binomial",
-    "rank",
+    "pivots",
     "Echelon",
     "poly_eval",
     "poly_diff",
@@ -202,7 +194,9 @@ def _same_field(a: Field, b: Field) -> None:
 
 class Matrix:
     """Dense matrix over one exact field, row-major and immutable, with raw
-    entries (ints or Fractions)."""
+    entries (ints or Fractions).  Nothing in the library builds one; it
+    stays because `perfbench/layers.py` looks `exactcore.Matrix` up, with
+    no default, when it installs its timing wrappers."""
 
     __slots__ = ("field", "rows", "cols", "_data")
 
@@ -303,17 +297,23 @@ def _pivots_modp_numpy(rows, p: int) -> np.ndarray:
     return np.array(sorted(order[:r]) if wide else pivots, dtype=np.intp)
 
 
-def _row_rank(field: Field, rows: Sequence[Sequence]) -> int:
-    """Row rank of a list of raw rows over `field`: the int64 kernel over
-    GF(p), an `Echelon` over Q."""
+def pivots(field: Field, rows) -> np.ndarray:
+    """Independent columns of the raw `rows` over `field`, ascending and as
+    many as the rank, as an index array.
+
+    `rows` is a list of rows or an array of them (int64 over GF(p), whose
+    entries are reduced mod p; object over Q), read and never written.
+    Over GF(p) they are the pivots of `_pivots_modp_numpy`: the column rank
+    profile (each column independent of the ones before it, each skipped
+    one dependent on them) when there are no more columns than rows, but
+    only some independent set on a wide input.  Over Q they are the pivots
+    of an `Echelon`, the column rank profile at any shape.
+    """
     if field.is_prime_field:
-        return len(_pivots_modp_numpy(rows, field.p))
-    return len(Echelon(field, rows))
-
-
-def rank(m: Matrix) -> int:
-    """Row rank of `m` over its field."""
-    return _row_rank(m.field, m.raw_rows())
+        return _pivots_modp_numpy(rows, field.p)
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    return np.array(sorted(Echelon(field, rows).pivots), dtype=np.intp)
 
 
 def _integer_row(vec: Sequence) -> list:
@@ -341,7 +341,7 @@ class Echelon:
     fraction-free elimination, no Fraction arithmetic is done.  Each row has
     a 0 at the pivot of every earlier row, so reducing a vector against the
     rows in insertion order clears all pivots.  `add` keeps a nonzero
-    remainder as a new row; `contains` is the membership test that `rank`
+    remainder as a new row; `contains` is the membership test that `pivots`
     cannot give.  The number of rows is the rank of everything added.
     """
 
@@ -414,8 +414,9 @@ class Echelon:
         return True
 
 
-def null_space(m: Matrix) -> list:
-    """Canonical basis of the right kernel {x : m x = 0}, as raw row vectors.
+def null_space(field: Field, rows: Sequence[Sequence]) -> list:
+    """Canonical basis of the right kernel {x : A x = 0} of the nonempty
+    list of raw rows A over `field`, as raw row vectors.
 
     One basis vector per free column, in increasing column order; entry at
     the free column is 1 and the other free entries are 0, which fixes the
@@ -423,17 +424,18 @@ def null_space(m: Matrix) -> list:
     so downstream constructions that depend on the choice of complement
     are reproducible.
     """
-    f = m.field
-    ech = Echelon(f, m.raw_rows())
+    f = field
+    ncols = len(rows[0])
+    ech = Echelon(f, rows)
     # back substitution, from the last pivot up
     steps = sorted(zip(ech.pivots, ech.rows), reverse=True)
-    free = sorted(set(range(m.cols)) - set(ech.pivots))
+    free = sorted(set(range(ncols)) - set(ech.pivots))
     basis = []
     for fc in free:
-        v = [f.raw(0)] * m.cols
+        v = [f.raw(0)] * ncols
         v[fc] = f.raw(1)
         for c, row in steps:
-            s = f.raw(sum(row[j] * v[j] for j in range(c + 1, m.cols) if v[j]))
+            s = f.raw(sum(row[j] * v[j] for j in range(c + 1, ncols) if v[j]))
             v[c] = f.neg(f.mul(s, f.inv(f.raw(row[c]))))
         basis.append(v)
     return basis
@@ -636,9 +638,6 @@ class MPoly:
         return out
 
     __rmul__ = __mul__
-
-    def eval(self, point: Sequence):
-        return poly_eval(self, point)
 
     def __eq__(self, other) -> bool:
         return (

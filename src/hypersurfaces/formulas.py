@@ -73,15 +73,17 @@ def F(n: int, c: int, m: int) -> int:
 
 def G(t: int, n: int, c: int, m: int) -> int:
     """Hypersurface count for degree c+2 with arithmetic depth t (1 <= t <= n+1)."""
+    if n < 1 or c < 1 or m < 2:
+        raise ValueError(f"G needs n >= 1, c >= 1, m >= 2; got {(n, c, m)}")
     if not 1 <= t <= n + 1:
         raise ValueError(f"depth t={t} outside [1, n+1] for n={n}")
-    if c < 1 or m < 2:
-        raise ValueError(f"G needs c >= 1, m >= 2; got {(c, m)}")
     return _G(t, n, c, m)
 
 
 def H(k: int, n: int, c: int, m: int) -> int:
     """Hypersurface count for an arithmetically Cohen-Macaulay variety of degree c+k."""
+    if n < 1 or c < 1 or m < 1:
+        raise ValueError(f"H needs n >= 1, c >= 1, m >= 1; got {(n, c, m)}")
     if not 1 <= k <= c + 1:
         raise ValueError(f"k={k} outside [1, c+1] for c={c}")
     return _H(k, n, c, m)

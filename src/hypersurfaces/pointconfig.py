@@ -8,10 +8,9 @@ whether it sits in linear (semi-)uniform position, and, constructively, how
 to extract a spanning 3-regular subset of 2c+1 points from a larger
 semi-uniform set.
 
-The span and the Hilbert function rank plain rows, the coordinates or the
-`_monomial_rows` of the points, with `exactcore._row_rank`: the int64
-kernel over GF(p), an `Echelon` over Q.  No rank here builds a `Matrix` or
-calls `exactcore.rank`.
+The span, the Hilbert function and the extraction's spanning check rank
+plain rows, the coordinates or the `_monomial_rows` of the points, with
+`exactcore.pivots`.
 
 Both subset searches walk one generator, `_independent_subsets`: a
 depth-first search in lexicographic index order that carries each prefix's
@@ -27,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactcore import QQ, Echelon, Field, PrimeField, _row_rank, binomial, monomial_values
+from .exactcore import QQ, Echelon, Field, PrimeField, binomial, monomial_values, pivots
 
 __all__ = [
     "PointConfig",
@@ -119,14 +118,14 @@ class PointConfig:
 
     def span_dim(self) -> int:
         """Dimension of the projective span."""
-        return _row_rank(self.field, self.points) - 1
+        return len(pivots(self.field, self.points)) - 1
 
     def hilbert(self, m: int) -> int:
         """Hilbert function value: the rank of the degree-m monomials'
         values at the points, a row per point."""
         if m < 0:
             raise ValueError("degree must be nonnegative")
-        return _row_rank(self.field, _monomial_rows(self.field, self.points, m))
+        return len(pivots(self.field, _monomial_rows(self.field, self.points, m)))
 
     def h0_ideal(self, m: int) -> int:
         """Number of independent degree-m forms vanishing on the set."""
@@ -284,7 +283,7 @@ def _independent_subsets(field: Field, rows, size: int):
 
 def _monomial_rows(field: Field, points, m: int) -> list:
     """The values of the degree-m monomials at each point, in monomials()
-    order: a row per point, as `_row_rank` and `Echelon` take them."""
+    order: a row per point, as `pivots` and `Echelon` take them."""
     return [monomial_values(field, p, m) for p in points]
 
 
@@ -309,7 +308,7 @@ def extract_three_regular(config: PointConfig) -> PointConfig:
     fld = config.field
     for chosen, _ in _independent_subsets(fld, _monomial_rows(fld, config.points, 2), size):
         # hilbert(2) = |subset| certifies regularity <= 3
-        if len(Echelon(fld, [config.points[i] for i in chosen])) == c + 1:
+        if len(pivots(fld, [config.points[i] for i in chosen])) == c + 1:
             result = config.subset(chosen)
             assert result.regularity() <= 3
             return result

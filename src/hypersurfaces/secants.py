@@ -43,8 +43,8 @@ from .exactcore import (
     Echelon,
     Field,
     MPolyArray,
-    _pivots_modp_numpy,
     binomial,
+    pivots,
     poly_diff,
 )
 from .varieties import ParamVariety, ProjectiveDomain
@@ -214,7 +214,9 @@ def _tangent_ranks(y: QuadraticEmbedding, seed: int, trial: int) -> list:
         """Indices of the rows independent of all rows before them; the
         first `known` rows are."""
         if p:
-            return _pivots_modp_numpy(rows.T, p)
+            return pivots(fld, rows.T)
+        # not `pivots`, which would eliminate the known rows again, in big
+        # integers, every chunk: the echelon kept across chunks holds them
         gained = [i for i in range(known, len(rows)) if echelon.add(rows[i].tolist())]
         return np.array(list(range(known)) + gained, dtype=np.intp)
 
@@ -228,11 +230,11 @@ def _tangent_ranks(y: QuadraticEmbedding, seed: int, trial: int) -> list:
             rows = np.concatenate([rows, tangent_rows(count)])
             drawn += count
         end = min(full, len(rows))
-        pivots = independent(rows[:end], known)
-        gains += ((pivots[known:] - known + ranked) // per).tolist()
+        kept = independent(rows[:end], known)
+        gains += ((kept[known:] - known + ranked) // per).tolist()
         ranked += end - known
-        rows = np.concatenate([rows[pivots], rows[end:]])
-        known = len(pivots)
+        rows = np.concatenate([rows[kept], rows[end:]])
+        known = len(kept)
     return (np.cumsum(np.bincount(gains, minlength=drawn)) - 1).tolist()
 
 

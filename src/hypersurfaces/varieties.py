@@ -30,14 +30,11 @@ the ledgers share them.  Every variety is evaluated by one cached
 `MPolyArray` of its coordinates (`ParamVariety.evaluator`), over either
 field, only at the parameter points a job needs: each count's grid, the
 points a sample draws, the secant points of a multisecant projection.
-Over GF(p) it evaluates int64 arrays of points; over Q it holds the
-coordinates cleared of one common denominator, and evaluates them in
-integers.  Every count keeps each degree's independent monomials, and the
-next degree ranks only their products with a variable, over both fields;
-only a surface over GF(p) ranks the monomials at its images point by
-point, as plain rows of `monomial_values` that go straight to the int64
-kernel, with no `Matrix`.  A surface is certified by its coefficient rank
-alone.
+Every count keeps each degree's independent monomials, and the next degree
+ranks only their products with a variable; only a surface over GF(p)
+ranks the `monomial_values` of its images.  Every rank and linear relation
+here is `exactcore.pivots` or `exactcore.null_space` of plain rows.  A
+surface is certified by its coefficient rank alone.
 """
 
 from __future__ import annotations
@@ -54,18 +51,15 @@ import numpy as np
 
 from .exactcore import (
     QQ,
-    Echelon,
     Field,
-    Matrix,
     MPoly,
     MPolyArray,
     PrimeField,
-    _pivots_modp_numpy,
     binomial,
     monomial_products,
     monomials,
     null_space,
-    rank,
+    pivots,
 )
 from .pointconfig import PointConfig, _monomial_rows, _normalize
 
@@ -361,8 +355,9 @@ class ProjectionCenter:
     basis: tuple
 
     def __post_init__(self):
-        rows = [list(v) for v in self.basis]
-        if any(len(r) != self.ambient + 1 for r in rows):
+        if not self.basis:
+            raise ValueError("a projection center needs at least one basis vector")
+        if any(len(v) != self.ambient + 1 for v in self.basis):
             raise ValueError("center vectors must have ambient+1 coordinates")
 
     @property
@@ -370,8 +365,8 @@ class ProjectionCenter:
         return len(self.basis) - 1
 
     def validate(self, fld: Field) -> None:
-        m = Matrix.from_rows(fld, [list(v) for v in self.basis])
-        if rank(m) != len(self.basis):
+        # coerced first: a residue class may be given by any integer
+        if len(pivots(fld, [[fld.raw(x) for x in v] for v in self.basis])) != len(self.basis):
             raise ValueError("projection-center basis is linearly dependent")
 
 
@@ -539,44 +534,33 @@ def _count(v: ParamVariety, m: int) -> int:
     exactly when it vanishes on the variety).
 
     Every count keeps the independent columns it finds, degree-m monomials
-    whose restrictions are a basis of W_m, in `v.bases[m]`.
-
-    The grid is evaluated at once with `v.evaluator`: residues over GF(p),
-    and over Q D times each image, for the coordinates' common denominator
-    D.  A surface over GF(p) ranks the degree-m monomials at its images
-    point by point: their `monomial_values`, a plain integer row per image,
-    go straight to the kernel, which builds no `Matrix` and calls no
-    `rank`, and the count keeps the kernel's pivots.  Every other variety
-    counts degree by degree.  W_m is spanned by the distinct products
-    x_i * mu of the variables with a basis mu of W_{m-1}: the one `v.bases`
-    keeps for degree m-1, or else every degree-(m-1) monomial, whose
-    products are every degree-m monomial.
-    Either set spans W_m, so its rank on the grid is dim W_m, and its
-    independent members are the basis of degree m.  Over GF(p) the kernel
-    ranks the products; over Q each of their rows is D^m times its
-    rational row, so one fraction-free `Echelon` ranks them with no
-    Fraction arithmetic, and its pivots are the basis."""
+    whose restrictions are a basis of W_m, in `v.bases[m]`: the `pivots` of
+    the rows it ranks.  The grid is evaluated at once with `v.evaluator`:
+    residues over GF(p), and over Q D times each image, for the
+    coordinates' common denominator D.  A surface over GF(p) ranks the
+    `monomial_values` rows of its images.  Every other variety ranks the
+    distinct products x_i * mu of the variables with a basis mu of
+    W_{m-1}: the one `v.bases` keeps for degree m-1, or else every
+    degree-(m-1) monomial, whose products are every degree-m monomial.
+    Either set spans W_m.  Over Q each row is D^m times its rational row,
+    so its rank is unchanged and no Fraction arithmetic is done."""
     try:
         params = v.domain.unisolvent_params(v.field, v.coords, m)
     except FieldTooSmallError as err:
         raise FieldTooSmallError(f"{v.label}: {err}") from None
-    total = binomial(v.amb + m, m)
     fld = v.field
     p = fld.p if fld.is_prime_field else None
     rows = v.evaluator(params)
     if p and not v.is_curve:
-        pivots = _pivots_modp_numpy(_monomial_rows(fld, rows.tolist(), m), p)
+        found = pivots(fld, _monomial_rows(fld, rows.tolist(), m))
     else:
         basis = v.bases.get(m - 1)
         if basis is None:
             basis = np.arange(binomial(v.amb + m - 1, m - 1))
         values, index = monomial_products(rows, basis, m, p)
-        if p:
-            pivots = index[_pivots_modp_numpy(values, p)]
-        else:
-            pivots = index[sorted(Echelon(QQ, values.tolist()).pivots)]
-    v.bases[m] = pivots
-    return total - len(pivots)
+        found = index[pivots(fld, values)]
+    v.bases[m] = found
+    return binomial(v.amb + m, m) - len(found)
 
 
 # a prime below 2^31: over Q the grid is ranked modulo it first
@@ -617,7 +601,7 @@ def _coefficient_rank(v: ParamVariety) -> int:
         e[1] > 1 for c in v.coords for e in c.terms
     ):
         raise ValueError("Weierstrass coordinates must have y-degree <= 1")
-    return rank(Matrix.from_rows(v.field, _coefficient_rows(v.field, v.coords)))
+    return len(pivots(v.field, _coefficient_rows(v.field, v.coords)))
 
 
 def _weierstrass_split(poly: MPoly) -> tuple:
@@ -839,7 +823,7 @@ def scroll_section_curve(
             # the minimal-class section spans only a hyperplane: a+b+2
             # forms of degree a+b satisfy one linear relation; drop a
             # coordinate supporting it to land in the span
-            rel = null_space(Matrix.from_rows(fld, _coefficient_rows(fld, coords)))
+            rel = null_space(fld, _coefficient_rows(fld, coords))
             if len(rel) != 1:
                 raise ConstructionError("section forms unexpectedly degenerate")
             drop = next(j for j, x in enumerate(rel[0]) if x != 0)
@@ -949,7 +933,7 @@ def _project(
             f"has genus {plane_genus}, not {v.g}"
         )
     fld = v.field
-    ann = null_space(Matrix.from_rows(fld, [list(b) for b in center.basis]))
+    ann = null_space(fld, center.basis)
     new_coords = []
     for row in ann:
         acc = MPoly.zero(fld, v.coords[0].nvars)
@@ -1014,21 +998,16 @@ def multisecant_projection(
         stream = source.domain.parameter_stream(fld, rng.randrange(1 << 30))
         params = list(itertools.islice(stream, npts))
         pts = source.evaluator(params).tolist()
-        if rank(Matrix.from_rows(fld, pts)) != npts:
+        if len(pivots(fld, pts)) != npts:
             raise ConstructionError("secant points not independent")
         combo = [[rng.randrange(1, p) for _ in range(npts)] for _ in range(ncenter)]
-        basis = []
-        for row in combo:
-            vec = [0] * (source.amb + 1)
-            for coeff, pt in zip(row, pts):
-                for j, x in enumerate(pt):
-                    vec[j] = (vec[j] + coeff * x) % p
-            basis.append(tuple(vec))
-        if rank(Matrix.from_rows(fld, basis)) != ncenter:
+        basis = [tuple(sum(coeff * x for coeff, x in zip(row, col)) % p for col in zip(*pts))
+                 for row in combo]
+        if len(pivots(fld, basis)) != ncenter:
             raise ConstructionError("center basis degenerate")
         # no chosen point may sit inside the center (they must survive to
         # pairwise-distinct points of the secant line)
-        if any(rank(Matrix.from_rows(fld, [*basis, pt])) == ncenter for pt in pts):
+        if any(len(pivots(fld, [*basis, pt])) == ncenter for pt in pts):
             raise ConstructionError("a secant point fell into the center")
         construction = {"name": "multisecant", "c": c, "k": k, "g": g, "p": p,
                         "seed": seed, "attempt": i}
@@ -1038,7 +1017,7 @@ def multisecant_projection(
         # distinct collinear points, their images under the projection
         images = out.evaluator(params).tolist()
         keys = {_normalize(fld, img) for img in images}
-        if len(keys) != npts or rank(Matrix.from_rows(fld, images)) != 2:
+        if len(keys) != npts or len(pivots(fld, images)) != 2:
             raise ConstructionError("secant-line certificate failed")
         return out
 
@@ -1138,9 +1117,24 @@ class Construction:
 
 
 def _rebuild_projection(fld: Field, base: dict, center: list) -> ParamVariety:
+    """`project` from a center given as a nonempty list of nonempty
+    coordinate lists: integers over GF(p), and over Q integers or the
+    rational strings that `project` writes."""
+    def entry(x):
+        if not (_is_integer(x) or isinstance(x, str) and not fld.is_prime_field):
+            raise ValueError
+        return x if fld.is_prime_field else Fraction(x)
+
+    try:
+        if not (isinstance(center, list) and center
+                and all(isinstance(b, list) and b for b in center)):
+            raise ValueError
+        basis = tuple(tuple(map(entry, b)) for b in center)
+    except (ValueError, ZeroDivisionError):
+        kind = "integers" if fld.is_prime_field else "integers or rational strings"
+        raise ValueError(f"construction 'project' field 'center' must be a nonempty "
+                         f"list of coordinate lists of {kind}, got {center!r}") from None
     source = _construct(_entry(base), base, fld)
-    coerce = int if fld.is_prime_field else (lambda x: Fraction(str(x)))
-    basis = tuple(tuple(coerce(x) for x in b) for b in center)
     return project(source, ProjectionCenter(source.amb, basis))
 
 

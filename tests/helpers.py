@@ -7,7 +7,7 @@ oracle for the grid-evaluation counts in hypersurfaces.cohomology.
 
 nu_vector_by_rank and extract_three_regular_by_scan are the plain searches
 that the incremental-echelon versions in hypersurfaces.pointconfig replace:
-one fresh `rank` per (subset, point) and a lexicographic scan of every
+one fresh rank per (subset, point) and a lexicographic scan of every
 (2c+1)-subset.
 
 fraction_elimination_rank, rank_mod_p and null_space_by_rref are plain
@@ -21,8 +21,9 @@ weierstrass_points_by_sqrt enumerates the points of y^2 = f(x) with one
 Tonelli-Shanks square root per x; the library does both on arrays.
 
 evaluation_matrix is the degree-m monomials' values at a list of points, a
-row per point, as a `Matrix`: the per-point oracle of the counts and of
-`PointConfig.hilbert`, which the library ranks on plain rows instead.
+row per point: the per-point oracle of the counts and of
+`PointConfig.hilbert`.  The oracles here take every rank as the number of
+`exactcore.pivots` of the same plain rows.
 
 image_by_poly_eval is the image of one parameter point, every coordinate
 evaluated by `poly_eval`, and a_m_by_point_evaluation is the count on that
@@ -55,14 +56,13 @@ from fractions import Fraction
 from hypersurfaces import secants
 from hypersurfaces.exactcore import (
     Echelon,
-    Matrix,
     MPoly,
     binomial,
     monomial_values,
     monomials,
+    pivots,
     poly_diff,
     poly_eval,
-    rank,
 )
 from hypersurfaces.pointconfig import ExtractionError, NuVector, PointConfig
 from hypersurfaces.varieties import (
@@ -110,22 +110,13 @@ def symbolic_a_m(v, m: int) -> int:
     param_monos = sorted({e for t in composed for e in t.terms})
     index = {e: i for i, e in enumerate(param_monos)}
     zero = fld.raw(0)
-    flat = []
-    for e in param_monos:
-        for t in composed:
-            flat.append(t.terms.get(e, zero))
-    mat = Matrix(fld, len(param_monos), len(composed), flat)
-    return mat.cols - rank(mat)
+    rows = [[t.terms.get(e, zero) for t in composed] for e in param_monos]
+    return len(composed) - len(pivots(fld, rows))
 
 
-def evaluation_matrix(field, points, m: int) -> Matrix:
+def evaluation_matrix(field, points, m: int) -> list:
     """Rows = points, columns = degree-m monomials in graded-lex order."""
-    points = list(points)
-    ncols = binomial(len(points[0]) - 1 + m, m)
-    flat = []
-    for p in points:
-        flat.extend(monomial_values(field, list(p), m))
-    return Matrix(field, len(points), ncols, flat)
+    return [monomial_values(field, list(p), m) for p in points]
 
 
 def image_by_poly_eval(v, params) -> tuple:
@@ -138,7 +129,7 @@ def a_m_by_point_evaluation(v, m: int) -> int:
     images, each computed by evaluating the coordinate polynomials."""
     params = v.domain.unisolvent_params(v.field, v.coords, m)
     vecs = [image_by_poly_eval(v, q) for q in params]
-    return binomial(v.amb + m, m) - rank(evaluation_matrix(v.field, vecs, m))
+    return binomial(v.amb + m, m) - len(pivots(v.field, evaluation_matrix(v.field, vecs, m)))
 
 
 def _rref(rows, inv, mul, sub):
@@ -185,17 +176,17 @@ def rank_mod_p(rows, p: int) -> int:
     )
 
 
-def null_space_by_rref(m: Matrix) -> list:
-    """Canonical kernel basis read off the reduced row echelon form: one
-    vector per free column, 1 there, minus the free column of the reduced
-    rows at the pivots."""
-    f = m.field
-    a, pivots = _rref(m.raw_rows(), f.inv, f.mul, f.sub)
+def null_space_by_rref(f, rows) -> list:
+    """Canonical kernel basis of raw rows over the field f, read off the
+    reduced row echelon form: one vector per free column, 1 there, minus
+    the free column of the reduced rows at the pivots."""
+    ncols = len(rows[0])
+    a, found = _rref([[f.raw(x) for x in row] for row in rows], f.inv, f.mul, f.sub)
     basis = []
-    for fc in (c for c in range(m.cols) if c not in pivots):
-        v = [f.raw(0)] * m.cols
+    for fc in (c for c in range(ncols) if c not in found):
+        v = [f.raw(0)] * ncols
         v[fc] = f.raw(1)
-        for r, pc in enumerate(pivots):
+        for r, pc in enumerate(found):
             v[pc] = f.neg(a[r][fc])
         basis.append(v)
     return basis
@@ -204,17 +195,15 @@ def null_space_by_rref(m: Matrix) -> list:
 def nu_vector_by_rank(cfg: PointConfig) -> NuVector:
     """nu-vector with one rank per independence test and per point."""
     fld = cfg.field
-    spans_ok = rank(Matrix.from_rows(fld, cfg.points)) == cfg.c + 1
+    spans_ok = len(pivots(fld, cfg.points)) == cfg.c + 1
     values = []
     for i in range(cfg.c):
         counts = set()
         for subset in itertools.combinations(cfg.points, i + 1):
             rows = [list(q) for q in subset]
-            if rank(Matrix.from_rows(fld, rows)) != i + 1:
+            if len(pivots(fld, rows)) != i + 1:
                 continue
-            counts.add(
-                sum(1 for q in cfg.points if rank(Matrix.from_rows(fld, rows + [list(q)])) == i + 1)
-            )
+            counts.add(sum(1 for q in cfg.points if len(pivots(fld, rows + [list(q)])) == i + 1))
         values.append(counts.pop() if len(counts) == 1 else None)
     return NuVector(tuple(values), spans_ok and None not in values)
 
@@ -229,8 +218,8 @@ def extract_three_regular_by_scan(cfg: PointConfig) -> PointConfig:
     for subset in itertools.combinations(range(len(cfg)), size):
         points = [cfg.points[i] for i in subset]
         if (
-            rank(Matrix.from_rows(fld, points)) == c + 1
-            and rank(evaluation_matrix(fld, points, 2)) == size
+            len(pivots(fld, points)) == c + 1
+            and len(pivots(fld, evaluation_matrix(fld, points, 2))) == size
         ):
             return cfg.subset(subset)
     raise ExtractionError(f"no spanning 3-regular subset of {size} points")
@@ -360,11 +349,11 @@ def secant_dims_by_rank(y, k_max: int, trials: int = 3, seed: int = 0) -> list:
                 params = []
                 for b in v.domain.blocks:
                     params += [1] + [rng.randrange(1, top) for _ in range(b - 1)]
-                cone = [f.eval(params) for f in products]
+                cone = [poly_eval(f, params) for f in products]
                 if any(cone):
                     rows.append(cone)
-                    rows += [[df.eval(params) for df in row] for row in jac]
-            best = max(best, rank(Matrix.from_rows(fld, rows)) - 1)
+                    rows += [[poly_eval(df, params) for df in row] for row in jac]
+            best = max(best, len(pivots(fld, rows)) - 1)
         dims.append(best)
     return dims
 
@@ -384,14 +373,14 @@ def tangent_ranks_by_echelon(y, seed: int, trial: int) -> list:
     while len(ranks) < y.span_dim + 2 and (not ranks or ranks[-1] < y.span_dim):
         for _attempt in range(8):
             params = secants._random_params(v.domain, fld, rng)
-            xs = [c.eval(params) for c in v.coords]
+            xs = [poly_eval(c, params) for c in v.coords]
             if any(xs):
                 break
         else:
             raise secants.TerraciniError(f"{v.label}: could not sample a nonzero point")
         basis.add([xs[i] * xs[j] for i, j in pairs])
         for partials in jac:
-            dx = [d.eval(params) for d in partials]
+            dx = [poly_eval(d, params) for d in partials]
             basis.add([dx[i] * xs[j] + xs[i] * dx[j] for i, j in pairs])
         ranks.append(len(basis) - 1)
     return ranks

@@ -221,6 +221,28 @@ def test_flags_that_check_nothing_exit_2(capsys, argv, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["formula", "H", "--k", "1", "--n", "1", "--c", "1", "--m", "0"],
+     "H needs n >= 1, c >= 1, m >= 1; got (1, 1, 0)"),
+    (["formula", "H", "--k", "1", "--n", "1", "--c", "1", "--m", "-3"],
+     "H needs n >= 1, c >= 1, m >= 1; got (1, 1, -3)"),
+    (["formula", "G", "--t", "1", "--n", "0", "--c", "1", "--m", "2"],
+     "G needs n >= 1, c >= 1, m >= 2; got (0, 1, 2)"),
+], ids=["H m=0", "H m=-3", "G n=0"])
+def test_formulas_outside_their_domain_exit_2(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("value", ["a,b", "1,,2", ""])
+def test_curve_f_names_the_flag(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["curve", "genus2", "--f", value])
+    assert exc.value.code == 2
+    assert f"argument --f: expected comma-separated integers, got {value!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, checks", [
     (["table1", "--c", "3"], "rows = 1"),
     (["curve", "rnc", "--m-max", "1"], "[profile]"),

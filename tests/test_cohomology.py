@@ -13,7 +13,7 @@ from helpers import (
     table_parameters,
 )
 
-from hypersurfaces import formulas, varieties
+from hypersurfaces import formulas, secants, varieties
 from hypersurfaces.cohomology import (
     a_m,
     classify_a2_curve,
@@ -30,14 +30,15 @@ from hypersurfaces.exactcore import (
     Echelon,
     Matrix,
     PrimeField,
-    _pivots_modp_numpy,
     binomial,
-    rank,
+    pivots,
 )
 from hypersurfaces.varieties import (
     CONSTRUCTIONS,
+    GENUS2_DEFAULT_F,
     FieldTooSmallError,
     elliptic_normal_curve,
+    from_descriptor,
     hyperelliptic_g2_curve,
     linear_section_curve,
     multisecant_projection,
@@ -262,11 +263,10 @@ def test_degree_by_degree_counts_match_point_evaluation(name, p, monkeypatch):
         for m in degrees:
             grid = v.domain.unisolvent_params(v.field, v.coords, m)
             images = [image_by_poly_eval(v, q) for q in grid]
-            values = evaluation_matrix(v.field, images, m).raw_rows()
+            values = evaluation_matrix(v.field, images, m)
             basis = v.bases[m].tolist()
             assert len(basis) == binomial(v.amb + m, m) - want[m]
-            assert rank(Matrix.from_rows(v.field, [[row[j] for j in basis] for row in values])) \
-                == len(basis)
+            assert len(pivots(v.field, [[row[j] for j in basis] for row in values])) == len(basis)
 
 
 def _assert_count_keeps_a_basis(v, m):
@@ -275,7 +275,7 @@ def _assert_count_keeps_a_basis(v, m):
     basis = v.bases[m].tolist()
     assert len(basis) == binomial(v.amb + m, m) - v.count(m), (v.label, m)
     grid = v.domain.unisolvent_params(v.field, v.coords, m)
-    values = evaluation_matrix(v.field, [image_by_poly_eval(v, q) for q in grid], m).raw_rows()
+    values = evaluation_matrix(v.field, [image_by_poly_eval(v, q) for q in grid], m)
     assert len(Echelon(v.field, [[row[j] for j in basis] for row in values])) == len(basis)
 
 
@@ -304,18 +304,67 @@ SURFACES = {
 }
 
 
-@pytest.mark.parametrize("name", SURFACES)
-def test_surface_counts_over_gf_build_no_matrix(name, monkeypatch):
-    v = SURFACES[name](GF)  # its certificate may build one; its counts may not
-
+def _refuse_matrix(monkeypatch):
+    # no rank or kernel in the library builds a Matrix: they take plain rows
     def refuse(self, *args, **kwargs):
-        raise AssertionError("a surface count built a Matrix")
+        raise AssertionError("the library built a Matrix")
 
     monkeypatch.setattr(Matrix, "__init__", refuse)
+
+
+@pytest.mark.parametrize("name", SURFACES)
+def test_surface_counts_over_gf_build_no_matrix(name, monkeypatch):
+    _refuse_matrix(monkeypatch)  # neither the certificate nor the counts build one
+    v = SURFACES[name](GF)
     counts = [v.count(m) for m in (2, 3, 4)]
     if name != "projected S(1,4)":  # minimal degree: C(c+2+m, m) - C(m+2, 2) - c C(m+1, 2)
         assert counts == [binomial(v.c + 2 + m, m) - binomial(m + 2, 2) - v.c * binomial(m + 1, 2)
                           for m in (2, 3, 4)]
+
+
+# descriptor fields of every construction; the k = 0 scroll section drops a
+# coordinate by its linear relation, and the projection's center is a
+# general point of P^4 over both fields
+NO_MATRIX_FIELDS = {
+    "rnc": {"r": 4},
+    "scroll": {"a": 1, "b": 3},
+    "veronese": {},
+    "scroll_section": {"a": 1, "b": 2, "k": 0, "seed": 1},
+    "elliptic": {"c": 3, "p": GF.p, "weierstrass": [1, 1]},
+    "genus2": {"c": 3, "p": GF.p, "f_coeffs": list(GENUS2_DEFAULT_F)},
+    "multisecant": {"c": 4, "k": 3, "g": 0, "p": GF.p, "seed": 2},
+    "project": {"base": {"name": "rnc", "r": 4}, "center": [[1, 3, 7, 2, 5]]},
+    "scroll_hyperplane_section": {"a": 1, "b": 3, "seed": 4},
+    "veronese_conic_section": {"seed": 2},
+}
+
+
+@pytest.mark.parametrize("name, field", [
+    (name, field)
+    for name in sorted(CONSTRUCTIONS)
+    for field in (GF.p, "Q")
+    if field != "Q" or not CONSTRUCTIONS[name].prime_only
+])
+def test_every_construction_builds_no_matrix(name, field, monkeypatch):
+    # certificates, counts and descriptor round trips rank plain rows
+    assert set(NO_MATRIX_FIELDS) == set(CONSTRUCTIONS)
+    _refuse_matrix(monkeypatch)
+    v = from_descriptor({"field": field,
+                         "construction": {"name": name, **NO_MATRIX_FIELDS[name]}})
+    assert [a_m(v, m) for m in (2, 3)] == [symbolic_a_m(v, m) for m in (2, 3)]
+    assert from_descriptor(v.descriptor()).coords == v.coords
+
+
+@pytest.mark.parametrize("fld", [GF, QQ], ids=repr)
+def test_projections_sections_and_ledgers_build_no_matrix(fld, monkeypatch):
+    _refuse_matrix(monkeypatch)
+    v = project_from_general_point(rational_normal_curve(5, fld), seed=1)
+    assert (v.amb, v.d) == (4, 5)
+    if fld.is_prime_field:
+        assert multisecant_projection(5, 4, 1, fld.p, seed=3).d == 8
+        assert len(hyperplane_section_points(rational_normal_curve(4, fld), seed=2)) == 4
+    terracini = fld if fld == QQ else PrimeField(1000003)  # Q or p > 10^6
+    assert secants.zak_invariants(scroll_surface(1, 2, terracini)).a2 == 3
 
 
 @pytest.mark.parametrize("name", SURFACES)
@@ -327,9 +376,9 @@ def test_surface_bases_are_the_evaluation_matrix_pivots(name):
     for m in (2, 3, 4):
         count = v.count(m)
         grid = v.domain.unisolvent_params(v.field, v.coords, m)
-        values = evaluation_matrix(v.field, [image_by_poly_eval(v, q) for q in grid], m).raw_rows()
+        values = evaluation_matrix(v.field, [image_by_poly_eval(v, q) for q in grid], m)
         basis = v.bases[m].tolist()
-        assert basis == _pivots_modp_numpy(values, GF.p).tolist(), m
+        assert basis == pivots(GF, values).tolist(), m
         assert len(basis) == binomial(v.amb + m, m) - count == rank_mod_p(values, GF.p), m
         assert rank_mod_p([[row[j] for j in basis] for row in values], GF.p) == len(basis), m
 

@@ -26,9 +26,9 @@ from hypersurfaces.exactcore import (
     monomial_values,
     monomials,
     null_space,
+    pivots,
     poly_diff,
     poly_eval,
-    rank,
 )
 
 from helpers import fraction_elimination_rank, null_space_by_rref, rank_mod_p
@@ -103,16 +103,21 @@ def test_rational_inverse_of_an_int_stays_exact():
 # ---------------------------------------------------------------- rank
 
 
-def _identity(field, n):
-    return Matrix.from_rows(field, [[int(i == j) for j in range(n)] for i in range(n)])
+def rank(field, rows) -> int:
+    return len(pivots(field, rows))
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def test_rank_identity_gf101():
-    assert rank(_identity(GF101, 3)) == 3
+    assert rank(GF101, _identity(3)) == 3
 
 
 def test_rank_zero_matrix():
-    assert rank(Matrix(QQ, 4, 7, [0] * 28)) == 0
+    assert rank(QQ, [[0] * 7] * 4) == 0
+    assert pivots(QQ, []).tolist() == pivots(GF101, []).tolist() == []
 
 
 def test_rank_classic_rank_two():
@@ -126,24 +131,21 @@ def test_rank_classic_rank_two():
     )
     minor2 = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     assert det3 == 0 and minor2 != 0
-    m = Matrix.from_rows(QQ, rows)
-    assert rank(m) == 2
-    assert len(null_space(m)) == 1
+    assert pivots(QQ, rows).tolist() == [0, 1]
+    assert len(null_space(QQ, rows)) == 1
 
 
 def test_kernel_dim_examples():
-    assert null_space(_identity(GF101, 3)) == []
+    assert null_space(GF101, _identity(3)) == []
     # every column of a zero matrix is free: the kernel basis is the unit basis
-    assert null_space(Matrix(QQ, 4, 7, [0] * 28)) == [
+    assert null_space(QQ, [[0] * 7] * 4) == [
         [int(i == j) for j in range(7)] for i in range(7)
     ]
 
 
 def test_rank_rational_entries():
-    m = Matrix.from_rows(
-        QQ, [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]
-    )
-    assert rank(m) == 1  # second row = 3 * first row
+    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]
+    assert rank(QQ, rows) == 1  # second row = 3 * first row
 
 
 def test_matrix_shape_validation():
@@ -157,8 +159,7 @@ def test_rank_transpose_200_random_matrices():
         nr = rng.randint(1, 12)
         nc = rng.randint(1, 12)
         rows = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
-        m = Matrix.from_rows(QQ, rows)
-        assert rank(m) == rank(Matrix.from_rows(QQ, zip(*rows)))
+        assert rank(QQ, rows) == rank(QQ, [list(c) for c in zip(*rows)])
 
 
 def test_rank_plus_kernel_is_cols():
@@ -168,8 +169,7 @@ def test_rank_plus_kernel_is_cols():
         nc = rng.randint(1, 10)
         rows = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
         for field in (QQ, GF101):
-            m = Matrix.from_rows(field, rows)
-            assert rank(m) + len(null_space(m)) == nc
+            assert rank(field, rows) + len(null_space(field, rows)) == nc
 
 
 def test_rank_drop_mod_p_vs_rational():
@@ -181,9 +181,9 @@ def test_rank_drop_mod_p_vs_rational():
         nr = rng.randint(1, 8)
         nc = rng.randint(1, 8)
         rows = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
-        rq = rank(Matrix.from_rows(QQ, rows))
+        rq = rank(QQ, rows)
         picks = rng.sample(primes, 2)
-        ranks_p = [rank(Matrix.from_rows(PrimeField(p), rows)) for p in picks]
+        ranks_p = [rank(PrimeField(p), rows) for p in picks]
         assert all(rp <= rq for rp in ranks_p)
         assert rq in ranks_p
 
@@ -203,7 +203,7 @@ def test_vectorised_rank_of_low_rank_products(p, shape):
         rows = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*c)] for row in b]
         want = rank_mod_p(rows, p)
         assert want == k
-        assert rank(Matrix.from_rows(PrimeField(p), rows)) == want
+        assert rank(PrimeField(p), rows) == want
         table = np.array(rows, dtype=np.int64)
         table.setflags(write=False)  # read, never written
         assert len(_pivots_modp_numpy(table, p)) == want
@@ -218,13 +218,13 @@ def test_rank_engines_agree_on_random_matrices():
         nc = rng.randint(1, 9)
         rows = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
         oracle = fraction_elimination_rank(rows)
-        assert rank(Matrix.from_rows(QQ, rows)) == oracle
+        assert rank(QQ, rows) == oracle
         # with entries in [-9, 9] the relevant minors almost never vanish
         # mod a large prime; the seeds below are fixed, so this is a stable
         # agreement check
-        assert rank(Matrix.from_rows(GF_BIGNUMPY, rows)) == oracle
+        assert rank(GF_BIGNUMPY, rows) == oracle
         # the pure-Python echelon against the vectorised rank, near 2^31
-        assert len(Echelon(GF_M31, rows)) == rank(Matrix.from_rows(GF_M31, rows))
+        assert len(Echelon(GF_M31, rows)) == rank(GF_M31, rows)
 
 
 @pytest.mark.parametrize("p", [2, 10007, 1000003, (1 << 31) - 1])
@@ -434,29 +434,51 @@ def field_and_matrix(draw):
 @settings(max_examples=200, deadline=None)
 def test_rank_and_null_space_match_oracles(case):
     fld, rows = case
-    m = Matrix.from_rows(fld, rows)
-    assert rank(m) == oracle_rank(fld, rows)
+    raw = [[fld.raw(x) for x in row] for row in rows]
+    assert rank(fld, raw) == oracle_rank(fld, rows)
     if fld.is_prime_field:
         # reduction mod p can only lose rank
-        assert rank(m) <= rank(Matrix.from_rows(QQ, rows))
-    ns, want = null_space(m), null_space_by_rref(m)
+        assert rank(fld, raw) <= rank(QQ, rows)
+    ns, want = null_space(fld, raw), null_space_by_rref(fld, rows)
     assert ns == want
     assert [[type(x) for x in v] for v in ns] == [[type(x) for x in v] for v in want]
     for v in ns:
-        for row in m.raw_rows():
+        for row in raw:
             assert fld.raw(sum(a * b for a, b in zip(row, v))) == 0
 
 
+@given(field_and_matrix(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_pivots_are_the_column_rank_profile(case, transpose):
+    # over Q at any shape, and over GF(p) on an input that is not wide:
+    # each returned column is independent of the columns before it, and
+    # each skipped column depends on them; an array of rows gives the same
+    fld, rows = case
+    raw = [[fld.raw(x) for x in row] for row in rows]
+    if transpose:
+        raw = [list(col) for col in zip(*raw)]
+    found = pivots(fld, raw)
+    assert found.dtype == np.intp
+    array = np.array(raw, dtype=np.int64 if fld.is_prime_field else object)
+    assert pivots(fld, array).tolist() == found.tolist()
+    if fld.is_prime_field and len(raw[0]) > len(raw):
+        assert len(found) == oracle_rank(fld, raw)
+        return
+    before = Echelon(fld)
+    for j in range(len(raw[0])):
+        column = [row[j] for row in raw]
+        assert (j in found) == (not before.contains(column)), j
+        before.add(column)
+
+
 def test_null_space_annihilates_rows():
-    m = Matrix.from_rows(QQ, [[1, 2, 3], [4, 5, 6]])
-    ns = null_space(m)
+    rows = [[1, 2, 3], [4, 5, 6]]
+    ns = null_space(QQ, rows)
     assert ns == [[Fraction(1), Fraction(-2), Fraction(1)]]
-    for row in m.raw_rows():
+    for row in rows:
         assert sum(a * b for a, b in zip(row, ns[0])) == 0
     # over GF(101) the free column is 2 and the pivots are back-substituted
-    assert null_space(Matrix.from_rows(GF101, [[2, 1, 0], [0, 1, 1]])) == [
-        [51, 100, 1]
-    ]
+    assert null_space(GF101, [[2, 1, 0], [0, 1, 1]]) == [[51, 100, 1]]
 
 
 # ---------------------------------------------------------------- monomials

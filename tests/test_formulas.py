@@ -77,6 +77,13 @@ def test_G_depth_out_of_range():
         G(3, 1, 3, 2)
 
 
+@pytest.mark.parametrize("t, n, c, m", [(1, 0, 1, 2), (1, 1, 0, 2), (1, 1, 1, 1), (2, 1, 1, -3)])
+def test_G_domain(t, n, c, m):
+    # the domain of F, with m >= 2: G(1, 0, 1, 2) once returned 0
+    with pytest.raises(ValueError, match=r"G needs n >= 1, c >= 1, m >= 2; got "):
+        G(t, n, c, m)
+
+
 # ---------------------------------------------------------------- H
 
 
@@ -104,6 +111,13 @@ def test_H_k_out_of_range():
         H(0, 1, 3, 2)
     with pytest.raises(ValueError):
         H(5, 1, 3, 2)
+
+
+@pytest.mark.parametrize("k, n, c, m", [(1, 1, 1, 0), (1, 1, 1, -3), (1, 0, 2, 2), (1, 1, 0, 2)])
+def test_H_domain(k, n, c, m):
+    # the domain of F: H(1, 1, 1, 0) once returned 1 and H(1, 1, 1, -3) 0
+    with pytest.raises(ValueError, match=r"H needs n >= 1, c >= 1, m >= 1; got "):
+        H(k, n, c, m)
 
 
 # ---------------------------------------------------------------- u

@@ -15,7 +15,7 @@ from helpers import (
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hypersurfaces.exactcore import QQ, Echelon, Matrix, PrimeField, binomial, rank
+from hypersurfaces.exactcore import QQ, Echelon, Matrix, PrimeField, binomial, pivots
 from hypersurfaces.pointconfig import (
     ExtractionError,
     PointConfig,
@@ -172,10 +172,8 @@ def test_regularity_collinear_points():
         vecs = [[1, t, 0] for t in range(npts)]
         cfg = PointConfig(QQ, vecs)
         for m in range(npts + 1):
-            vandermonde = Matrix.from_rows(
-                QQ, [[t**j for j in range(m + 1)] for t in range(npts)]
-            )
-            assert cfg.hilbert(m) == rank(vandermonde) == min(npts, m + 1)
+            vandermonde = [[t**j for j in range(m + 1)] for t in range(npts)]
+            assert cfg.hilbert(m) == len(pivots(QQ, vandermonde)) == min(npts, m + 1)
         assert cfg.regularity() == npts
 
 
@@ -365,8 +363,8 @@ def test_text_format_errors():
 
 def test_evaluation_matrix_shape():
     cfg = coordinate_simplex(QQ, 2)
-    m = evaluation_matrix(QQ, cfg.points, 2)
-    assert (m.rows, m.cols) == (3, 6)
+    rows = evaluation_matrix(QQ, cfg.points, 2)
+    assert (len(rows), len(rows[0])) == (3, 6)
 
 
 # ---------------------------------------------------------------- properties
@@ -459,7 +457,7 @@ def test_span_and_hilbert_match_rank_oracle(cfg):
     fld = cfg.field
     assert cfg.span_dim() == _rank_by_elimination(fld, cfg.points) - 1
     for m in range(4):
-        rows = evaluation_matrix(fld, cfg.points, m).raw_rows()
+        rows = evaluation_matrix(fld, cfg.points, m)
         assert cfg.hilbert(m) == _rank_by_elimination(fld, rows), m
 
 
@@ -473,7 +471,7 @@ def test_point_set_ranks_build_no_matrix(field, monkeypatch):
         raise AssertionError("a point-set rank built a Matrix")
 
     span = _rank_by_elimination(field, cfg.points) - 1
-    hilbert = [_rank_by_elimination(field, evaluation_matrix(field, cfg.points, m).raw_rows())
+    hilbert = [_rank_by_elimination(field, evaluation_matrix(field, cfg.points, m))
                for m in range(4)]
     nu, extracted = nu_vector_by_rank(cfg), _extraction(extract_three_regular_by_scan, cfg)
     monkeypatch.setattr(Matrix, "__init__", refuse)
@@ -532,7 +530,7 @@ def test_independent_subsets_are_the_full_rank_combinations(field):
         found = list(_independent_subsets(field, rows, size))
         expected = [
             s for s in itertools.combinations(range(len(rows)), size)
-            if rank(Matrix.from_rows(field, [rows[i] for i in s])) == size
+            if len(pivots(field, [rows[i] for i in s])) == size
         ]
         assert [s for s, _ in found] == expected
         for s, span in found:
@@ -576,7 +574,7 @@ def test_dependent_prefix_is_never_extended(monkeypatch):
         prefix + (i,)
         for k in range(4)
         for prefix in itertools.combinations(range(n), k)
-        if k == 0 or rank(Matrix.from_rows(GF10007, [cfg.points[j] for j in prefix])) == k
+        if k == 0 or len(pivots(GF10007, [cfg.points[j] for j in prefix])) == k
         for i in range((prefix[-1] + 1) if prefix else 0, n - (4 - k) + 1)
     )
     assert sorted(tried) == expected

@@ -157,13 +157,13 @@ def test_chunked_ranks_match_the_echelon_loop(monkeypatch, fld):
     # sees only transposes that are not wide, whose pivots are the rows
     # independent of all rows before them
     shapes = []
-    kernel = secants._pivots_modp_numpy
+    kernel = secants.pivots
 
-    def pivots(rows, p):
+    def pivots(field, rows):
         shapes.append(rows.shape)
-        return kernel(rows, p)
+        return kernel(field, rows)
 
-    monkeypatch.setattr(secants, "_pivots_modp_numpy", pivots)
+    monkeypatch.setattr(secants, "pivots", pivots)
     for make in ORACLE_WITNESSES:
         y = veronese_square(make(fld))
         for trial in range(3):

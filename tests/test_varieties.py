@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from hypersurfaces import varieties
 from hypersurfaces.cohomology import a_m, h1_ideal
-from hypersurfaces.exactcore import QQ, Matrix, MPoly, PrimeField, rank
+from hypersurfaces.exactcore import QQ, MPoly, PrimeField
 from hypersurfaces.varieties import (
     CONSTRUCTIONS,
     ConstructionError,
@@ -580,6 +580,43 @@ def test_descriptor_field_of_the_wrong_type_is_named(field, cons, message):
     with pytest.raises(ValueError) as exc:
         from_descriptor({"field": field, "construction": cons})
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("field, center", [
+    (10007, []), (10007, 5), (10007, [5]), (10007, [[]]), (10007, [["a", 2, 3, 4, 5]]),
+    (10007, [[1, 2, 3, 4, True]]), (10007, [["1", 2, 3, 4, 5]]), (10007, [[0.5, 2, 3, 4, 5]]),
+    ("Q", [["1/0", 1, 1, 1, 1]]), ("Q", [["x", 1, 1, 1, 1]]), ("Q", [[0.5, 1, 1, 1, 1]]),
+    ("Q", "1,2,3,4,5"),
+], ids=repr)
+def test_projection_center_of_the_wrong_type_is_named(field, center):
+    kind = "integers" if field != "Q" else "integers or rational strings"
+    cons = {"name": "project", "base": {"name": "rnc", "r": 4}, "center": center}
+    with pytest.raises(ValueError) as exc:
+        from_descriptor({"field": field, "construction": cons})
+    assert str(exc.value) == (
+        f"construction 'project' field 'center' must be a nonempty list of "
+        f"coordinate lists of {kind}, got {center!r}"
+    )
+
+
+def test_projection_center_needs_a_basis_vector():
+    with pytest.raises(ValueError, match="needs at least one basis vector"):
+        ProjectionCenter(3, ())
+
+
+def test_projection_center_entries_beyond_int64_are_residues():
+    # a center entry is any integer of its residue class, also past 2^63,
+    # where it could not enter an int64 array unreduced
+    reduced = [1, 3, 7, 2, 5]
+    big = [x + GF.p * (1 << 70) for x in reduced]
+    assert min(big) > 1 << 63
+    desc = {"field": GF.p, "construction": {
+        "name": "project", "base": {"name": "rnc", "r": 4}, "center": [big]}}
+    v = from_descriptor(desc)
+    want = project(rational_normal_curve(4, GF), ProjectionCenter(4, (tuple(reduced),)))
+    assert v.coords == want.coords
+    assert v.construction["center"] == [big]
+    assert from_descriptor(json.loads(json.dumps(v.descriptor()))).coords == want.coords
 
 
 def test_descriptor_extra_keys_are_accepted():
