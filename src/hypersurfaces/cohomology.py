@@ -11,12 +11,12 @@ to hold the point set raise FieldTooSmallError.
 The count itself is `ParamVariety.count` in `varieties`, because the
 certificate of a curve is one of these counts.  It evaluates the grid (on
 P^1, (1, t) for t = 0..top; on y^2 = f(x), its first points) at once with
-the variety's `MPolyArray` evaluator, and ranks the monomial products at
-the images (`exactcore.monomial_products`) with `exactcore.pivots`; only a
-surface over GF(p) ranks the degree-m monomials at its images point by
-point, as `PointConfig.hilbert` does at a point set.  Each count is
-computed once per variety and memoised on it (a failure is not), so the
-certificate, the ledger, the profile and the classification share it.
+the variety's `MPolyArray` evaluator, and keeps the `exactcore.span_basis`
+of the degree below, as `PointConfig.hilbert_function` does at a point
+set; only a surface over GF(p) ranks every degree-m monomial, point by
+point.  Each count is computed once per variety and memoised on it (a
+failure is not), so the certificate, the ledger, the profile and the
+classification share it.
 
 The deficiency numbers h^1(I(m)) then come from the Riemann-Roch ledger
 a_m = u(c, g, d, m) + h^1(I(m)), valid whenever d <= 2c+1 (the twist

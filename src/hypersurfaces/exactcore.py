@@ -9,18 +9,22 @@ Every rank is `pivots(field, rows)`, the independent columns of plain rows
 vectorised int64 numpy elimination over every prime field, and over Q the
 incremental `Echelon`, whose rows are fraction-free primitive integer rows
 (monic rows over GF(p)).  `null_space(field, rows)` back-substitutes in an
-`Echelon`.  `Matrix` has no caller in the library.
+`Echelon`.  `Matrix` is a name only.
 
-`MPolyArray` is the one evaluator of a list of MPolys at many points, and
-`poly_eval` its per-point reference.  Over GF(p) it works on int64 arrays
-of residues.  Over Q it clears the polynomials of one common denominator
-and evaluates them in Python ints at integer points, in numpy object
-arrays, so the rows built from the values are integer rows and no Fraction
-arithmetic is done.  It and `monomial_products` evaluate monomials the same
-way over both fields, as products of per-variable power tables, reduced mod
-p over GF(p) only; `monomial_values` gives every degree-m monomial at one
-point.  Pivoting is deterministic (first nonzero) and no floating point is
-used anywhere.
+A monomial is its exponent row.  `monomial_products` forms the products
+x_i * mu of the variables with given monomials from their rows, and
+`span_basis` keeps those independent at some points: from a basis of the
+degree-(m-1) forms there it gives one of the degree-m forms, at a cost that
+follows the rank, not the number of monomials.  `MPolyArray` is the one
+evaluator of a list of MPolys at many points, and `poly_eval` its per-point
+reference.  Over GF(p) it works on int64 arrays of residues.  Over Q it
+clears the polynomials of one common denominator and evaluates them in
+Python ints at integer points, in numpy object arrays, so the rows built
+from the values are integer rows and no Fraction arithmetic is done.  It
+and `monomial_products` evaluate monomials as products of per-variable
+power tables, reduced mod p over GF(p) only; `monomial_values` gives every
+degree-m monomial at one point.  Pivoting is deterministic (first nonzero)
+and no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ __all__ = [
     "MPolyArray",
     "monomials",
     "monomial_products",
+    "span_basis",
     "binomial",
     "pivots",
     "Echelon",
@@ -193,52 +198,10 @@ def _same_field(a: Field, b: Field) -> None:
 
 
 class Matrix:
-    """Dense matrix over one exact field, row-major and immutable, with raw
-    entries (ints or Fractions).  Nothing in the library builds one; it
-    stays because `perfbench/layers.py` looks `exactcore.Matrix` up, with
-    no default, when it installs its timing wrappers."""
-
-    __slots__ = ("field", "rows", "cols", "_data")
-
-    def __init__(self, field: Field, rows: int, cols: int, entries: Sequence):
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(entries) != rows * cols:
-            raise ValueError(
-                f"entry count {len(entries)} does not match {rows}x{cols}"
-            )
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        self._data = tuple(map(field.raw, entries))
-
-    @classmethod
-    def from_rows(cls, field: Field, rows: Iterable[Sequence]) -> "Matrix":
-        rows = [list(r) for r in rows]
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        flat = []
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            flat.extend(r)
-        return cls(field, nrows, ncols, flat)
-
-    def raw_rows(self) -> list:
-        c = self.cols
-        return [list(self._data[i * c : (i + 1) * c]) for i in range(self.rows)]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._data == other._data
-        )
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.field!r}, {self.rows}x{self.cols})"
+    """The name of a dense matrix class that the library no longer has.
+    Every rank and kernel takes plain rows (`pivots`, `null_space`); the
+    name stays only because `perfbench/layers.py` looks `exactcore.Matrix`
+    up, with no default, and skips the attributes it does not define."""
 
 
 def _pivots_modp_numpy(rows, p: int) -> np.ndarray:
@@ -483,40 +446,37 @@ def _monomial_plan(v: int, m: int) -> tuple:
     return tuple(plan)
 
 
-@functools.lru_cache(maxsize=None)
-def _product_plan(v: int, m: int) -> tuple:
-    """(exponents, products) for degree m >= 1 in v variables: the exponent
-    vectors of the degree-(m-1) monomials, a row each in monomials() order,
-    and at [j, i] the index in monomials(v, m) of x_i times monomial j."""
-    lower = monomials(v, m - 1)
-    where = {e: k for k, e in enumerate(monomials(v, m))}
-    products = np.array(
-        [[where[e[:i] + (e[i] + 1,) + e[i + 1 :]] for i in range(v)] for e in lower],
-        dtype=np.intp,
-    )
-    exponents = np.array(lower, dtype=np.intp)
-    exponents.setflags(write=False)  # cached and shared
-    products.setflags(write=False)
-    return exponents, products
-
-
-def monomial_products(
-    points: np.ndarray, basis: np.ndarray, m: int, p: Optional[int] = None
-) -> tuple:
+def monomial_products(points: np.ndarray, basis: np.ndarray, p: Optional[int] = None) -> tuple:
     """Values of the distinct products x_i * mu, for every variable x_i and
-    every degree-(m-1) monomial mu in `basis` (indices into monomials()),
-    at every row of `points`: an int64 residue array over GF(p), p < 2^31,
-    or, for p None, an object array of Python ints, with no reduction.
+    every monomial mu whose exponent row is in `basis` (one degree, a row
+    each), at every row of `points`: an int64 residue array over GF(p),
+    p < 2^31, or, for p None, an object array of Python ints, with no
+    reduction.
 
-    Returns (values, index): a row per point and a column per product, and
-    the products' indices into monomials(v, m), ascending.  Each mu is
-    evaluated as a product of powers, each x_i * mu as one product more.
+    Returns (values, exponents): a row per point and a column per product,
+    and the products' exponent rows, in monomials() order.  The products are
+    sorted by one lexsort (descending, first variable first) and each kept
+    once; each mu is evaluated as a product of powers, each x_i * mu as one
+    product more.
     """
-    exponents, products = _product_plan(points.shape[1], m)
-    index, first = np.unique(products[basis].ravel(), return_index=True)
-    mu, var = np.divmod(first, points.shape[1])
-    vals = _power_products(points, exponents[basis], p)
-    return _reduce(vals[mu] * points.T[var], p).T, index
+    nvars = points.shape[1]
+    products = (basis[:, None, :] + np.eye(nvars, dtype=basis.dtype)).reshape(-1, nvars)
+    order = np.lexsort(-products.T[::-1])
+    ranked = products[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    mu, var = np.divmod(order[first], nvars)
+    vals = _power_products(points, basis, p)
+    return _reduce(vals[mu] * points.T[var], p).T, ranked[first]
+
+
+def span_basis(field: Field, points: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The exponent rows, in monomials() order, of the products x_i * mu that
+    are independent at `points` (as `monomial_products` takes them), for mu
+    in `basis`.  When `basis` spans the degree-(m-1) forms restricted to the
+    points, these span, and so are a basis of, the degree-m ones."""
+    values, products = monomial_products(points, basis, field.p if field.is_prime_field else None)
+    return products[pivots(field, values)]
 
 
 def _reduce(a: np.ndarray, p: Optional[int]) -> np.ndarray:
@@ -527,14 +487,15 @@ def _reduce(a: np.ndarray, p: Optional[int]) -> np.ndarray:
 def _power_products(points: np.ndarray, exponents: np.ndarray, p: Optional[int]) -> np.ndarray:
     """Values of the monomials with the given exponent rows at every row of
     `points`, as `monomial_products` takes them: a row per monomial, a
-    column per point.  Each is a product of powers taken from one power
-    table per variable."""
-    vals = np.ones((len(exponents), len(points)), dtype=points.dtype)
-    for i, x in enumerate(points.T):
-        powers = [np.ones_like(x)]
-        for _ in range(int(exponents[:, i].max(initial=0))):
-            powers.append(_reduce(powers[-1] * x, p))
-        vals = _reduce(vals * np.stack(powers)[exponents[:, i]], p)
+    column per point.  Each is a product of powers taken from one table of
+    every variable's powers, [power, variable, point]."""
+    table = np.empty((int(exponents.max(initial=0)) + 1,) + points.T.shape, dtype=points.dtype)
+    table[0] = 1
+    for k in range(1, len(table)):
+        table[k] = _reduce(table[k - 1] * points.T, p)
+    vals = table[exponents[:, 0], 0]
+    for i in range(1, points.shape[1]):
+        vals = _reduce(vals * table[exponents[:, i], i], p)
     return vals
 
 

@@ -3,30 +3,33 @@
 A PointConfig holds pairwise-distinct points of P^c with canonically
 normalised homogeneous coordinates.  It answers the questions that drive
 everything else: how many degree-m forms vanish on the set (via the rank of
-the degree-m monomials' values at the points), how regular the set is,
-whether it sits in linear (semi-)uniform position, and, constructively, how
-to extract a spanning 3-regular subset of 2c+1 points from a larger
+the degree-m forms' values at the points), how regular the set is, whether
+it sits in linear (semi-)uniform position, and, constructively, how to
+extract a spanning 3-regular subset of 2c+1 points from a larger
 semi-uniform set.
 
-The span, the Hilbert function and the extraction's spanning check rank
-plain rows, the coordinates or the `_monomial_rows` of the points, with
-`exactcore.pivots`.
+The span and the extraction's spanning check rank the coordinates with
+`exactcore.pivots`; the Hilbert function carries each degree's
+`exactcore.span_basis` to the next, as a variety's counts do.
 
 Both subset searches walk one generator, `_independent_subsets`: a
 depth-first search in lexicographic index order that carries each prefix's
 `Echelon` down to its extensions and never extends a dependent prefix.  The
 nu-vector walks the point coordinates and tests each other point by one
 reduction against the subset's echelon; the extraction walks the degree-2
-`_monomial_rows`.  Both are still exponential in the number of points.
+`monomial_products` of the points.  Both are exponential in their number.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Iterator
 
-from .exactcore import QQ, Echelon, Field, PrimeField, binomial, monomial_values, pivots
+import numpy as np
+
+from .exactcore import (QQ, Echelon, Field, PrimeField, _integer_row, binomial,
+                        monomial_products, pivots, span_basis)
 
 __all__ = [
     "PointConfig",
@@ -120,12 +123,22 @@ class PointConfig:
         """Dimension of the projective span."""
         return len(pivots(self.field, self.points)) - 1
 
+    def _bases(self) -> Iterator[np.ndarray]:
+        """The exponent rows of a basis of the degree-m forms restricted to
+        the points, for m = 0, 1, 2, ...: the constant, then each degree's
+        `span_basis` of the one before, as counts carry theirs."""
+        points = _point_array(self)
+        basis = np.zeros((1, self.c + 1), dtype=np.intp)
+        while True:
+            yield basis
+            basis = span_basis(self.field, points, basis)
+
     def hilbert(self, m: int) -> int:
-        """Hilbert function value: the rank of the degree-m monomials'
-        values at the points, a row per point."""
+        """Hilbert function value: the rank of the degree-m forms' values at
+        the points."""
         if m < 0:
             raise ValueError("degree must be nonnegative")
-        return len(pivots(self.field, _monomial_rows(self.field, self.points, m)))
+        return len(next(itertools.islice(self._bases(), m, None)))
 
     def h0_ideal(self, m: int) -> int:
         """Number of independent degree-m forms vanishing on the set."""
@@ -135,13 +148,14 @@ class PointConfig:
 
     def hilbert_function(self) -> list:
         """[hilbert(0), ..., hilbert(r-1)] for r the regularity: the values up
-        to the first that reaches |G|.  Every later value is |G| as well,
-        since a form separating a point times a linear form not vanishing
-        there separates it one degree up."""
-        values = [self.hilbert(0)]
-        while values[-1] < len(self.points):  # degree |G|-1 always separates
-            values.append(self.hilbert(len(values)))
-        return values
+        to the first that reaches |G|, which degree |G|-1 does.  Every later
+        value is |G| as well, since a form separating a point times a linear
+        form not vanishing there separates it one degree up."""
+        values = []
+        for basis in self._bases():
+            values.append(len(basis))
+            if values[-1] == len(self.points):
+                return values
 
     def regularity(self) -> int:
         """Least r >= 1 such that degree-(r-1) forms separate the points."""
@@ -209,42 +223,40 @@ class PointConfig:
 
     def to_text(self) -> str:
         """Point-file format: `field p|Q`, then `c npoints`, then one point
-        per line as c+1 integers interpreted in the field."""
-        if self.field.is_prime_field:
-            head = f"field {self.field.p}"
-            rows = [" ".join(str(v) for v in p) for p in self.points]
-        else:
-            head = "field Q"
-            rows = []
-            for p in self.points:
-                den = 1
-                for v in p:
-                    q = Fraction(v)
-                    den = den * q.denominator // math.gcd(den, q.denominator)
-                ints = [int(Fraction(v) * den) for v in p]
-                rows.append(" ".join(str(v) for v in ints))
+        per line as c+1 integers interpreted in the field (over Q, the point
+        scaled by the lcm of its denominators)."""
+        prime = self.field.is_prime_field
+        head = f"field {self.field.p}" if prime else "field Q"
+        rows = [" ".join(map(str, p if prime else _integer_row(p))) for p in self.points]
         return "\n".join([head, f"{self.c} {len(self.points)}"] + rows) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "PointConfig":
+        """Parse the point-file format; a line that does not read as what
+        its place expects raises ValueError naming the line."""
         lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
         if len(lines) < 3:
             raise ValueError("point file needs a field line, a size line and points")
         head = lines[0].split()
-        if len(head) != 2 or head[0] != "field":
-            raise ValueError(f"bad field line {lines[0]!r}")
-        field: Field = QQ if head[1] == "Q" else PrimeField(int(head[1]))
-        dims = lines[1].split()
-        if len(dims) != 2:
-            raise ValueError(f"bad size line {lines[1]!r}")
-        c, npoints = int(dims[0]), int(dims[1])
+        if len(head) != 2 or head[0] != "field" or not (head[1] == "Q" or head[1].isdecimal()):
+            raise ValueError(f"field line {lines[0]!r}: expected 'field Q' or 'field <prime>'")
+        try:
+            field: Field = QQ if head[1] == "Q" else PrimeField(int(head[1]))
+        except ValueError as err:
+            raise ValueError(f"field line {lines[0]!r}: {err}") from None
+        dims = _integers(lines[1])
+        if dims is None or len(dims) != 2 or min(dims) < 1:
+            raise ValueError(
+                f"size line {lines[1]!r}: expected two integers, c >= 1 and npoints >= 1"
+            )
+        c, npoints = dims
         if len(lines) != 2 + npoints:
             raise ValueError(f"expected {npoints} point lines, found {len(lines) - 2}")
         vectors = []
         for ln in lines[2:]:
-            coords = [int(tok) for tok in ln.split()]
-            if len(coords) != c + 1:
-                raise ValueError(f"point line {ln!r} does not have {c + 1} coordinates")
+            coords = _integers(ln)
+            if coords is None or len(coords) != c + 1:
+                raise ValueError(f"point line {ln!r}: expected {c + 1} integer coordinates")
             vectors.append(coords)
         return cls(field, vectors)
 
@@ -281,10 +293,23 @@ def _independent_subsets(field: Field, rows, size: int):
     return walk(0, (), Echelon(field))
 
 
-def _monomial_rows(field: Field, points, m: int) -> list:
-    """The values of the degree-m monomials at each point, in monomials()
-    order: a row per point, as `pivots` and `Echelon` take them."""
-    return [monomial_values(field, p, m) for p in points]
+def _integers(line: str):
+    """The whitespace-separated integers of a line, or None if a token is
+    not one."""
+    try:
+        return [int(tok) for tok in line.split()]
+    except ValueError:
+        return None
+
+
+def _point_array(config: PointConfig) -> np.ndarray:
+    """The points as `monomial_products` takes them: int64 residues over
+    GF(p); over Q each point scaled by the lcm of its denominators, Python
+    ints in an object array.  A scaled point is the same projective point,
+    and its row of a degree-m evaluation is only scaled."""
+    if config.field.is_prime_field:
+        return np.array(config.points, dtype=np.int64)
+    return np.array([_integer_row(p) for p in config.points], dtype=object)
 
 
 def extract_three_regular(config: PointConfig) -> PointConfig:
@@ -306,7 +331,10 @@ def extract_three_regular(config: PointConfig) -> PointConfig:
     if config.span_dim() != c:
         raise ValueError("configuration does not span the ambient space")
     fld = config.field
-    for chosen, _ in _independent_subsets(fld, _monomial_rows(fld, config.points, 2), size):
+    points = _point_array(config)
+    unit = np.eye(c + 1, dtype=np.intp)  # the variables, whose products are every quadric
+    quadrics = monomial_products(points, unit, fld.p if fld.is_prime_field else None)[0]
+    for chosen, _ in _independent_subsets(fld, quadrics.tolist(), size):
         # hilbert(2) = |subset| certifies regularity <= 3
         if len(pivots(fld, [config.points[i] for i in chosen])) == c + 1:
             result = config.subset(chosen)

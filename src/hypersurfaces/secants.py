@@ -3,24 +3,25 @@
 The quadratic embedding of a parametrised variety X in P^r is the image Y
 of X under all C(r+2, 2) pairwise coordinate products.  The dimension s_k
 of its k-th secant variety is the rank, minus 1, of the affine tangent
-spaces of Y at k+1 generic points (Terracini).  One nested pass gives every
-s_k: each trial draws one point sequence, builds each point's n+1 tangent
-rows by the chain rule from the base coordinates and their partials along
-the affine chart (both computed once per embedding), and reads the rank of
-the rows of its first k+1 points; s_k is the maximum over the trials.  The
-rows lie in the span of Y, so they are built only at the span_dim + 1
-products that the base's degree-2 count keeps as a basis, which the span
+spaces of Y at k+1 generic points (Terracini).  One nested pass gives
+every s_k: each trial draws one point sequence, builds each point's n+1
+tangent rows by the chain rule from the base coordinates and their
+partials along the affine chart (both computed once per embedding), and
+reads the rank of the rows of its first k+1 points; s_k is the maximum
+over the trials.  The rows lie in the span of Y, so they are built only at
+the span_dim + 1 products x_i x_j that the base's degree-2 count keeps as
+a basis (i and j read off each product's exponent row), which the span
 projects onto isomorphically; every rank is kept.  One loop serves both
 fields: the points are evaluated in batches by one `MPolyArray`, and the
 rows are ranked in chunks, each chunk finding the rows independent of all
 rows before them.  Over GF(p) the rows are int64 residues and those are
 the pivots of the numpy kernel on the transposed rows.  Over Q the base
-coordinates and their partials are cleared of one common denominator D
-and evaluated in integers at the integer parameter points, so each row is
-D^2 times its rational row, and the rows go into one fraction-free
-`Echelon` per trial: no Fraction arithmetic is done.  The derived data
-are the deficiencies delta_k = s_{k-1} + n + 1 - s_k, the last
-deficiency-free index ell_2, the filling index k_2, and the total delta^2.
+coordinates and their partials are cleared of one common denominator D and
+evaluated in integers at the integer parameter points, so each row is D^2
+times its rational row, and the rows go into one fraction-free `Echelon`
+per trial: no Fraction arithmetic is done.  The derived data are the
+deficiencies delta_k = s_{k-1} + n + 1 - s_k, the last deficiency-free
+index ell_2, the filling index k_2, and the total delta^2.
 
 Zak's span-count identity a_2(X) = delta^2 - (k_2+1)(n+1) + C(c+n+2, 2)
 and its companion inequalities are consistency checks: a failure means the
@@ -73,10 +74,10 @@ class QuadraticEmbedding:
     """The quadratic embedding of `base` in P^N, N = C(amb+2, 2) - 1; span_dim
     is recomputed from the exact quadric count of the base, never copied
     from metadata.  `basis` lists span_dim + 1 of the products x_i x_j
-    (indices into their graded-lex order) that are independent on the base:
-    the degree-2 basis its count keeps.  Every tangent row of Y lies in the
-    span of Y, which those columns project isomorphically, so Terracini
-    ranks the rows at those columns only."""
+    that are independent on the base, as their exponent rows: the degree-2
+    basis its count keeps.  Every tangent row of Y lies in the span of Y,
+    which those columns project isomorphically, so Terracini ranks the rows
+    at those columns only."""
 
     base: ParamVariety
     N: int
@@ -86,11 +87,10 @@ class QuadraticEmbedding:
     @functools.cached_property
     def products(self) -> tuple:
         """(first, second): int arrays with x_first[k] * x_second[k] the k-th
-        product of `basis`, read off the products x_i x_j, i <= j, in graded
-        lex order (that of `monomials(amb + 1, 2)`)."""
-        first, second = np.triu_indices(self.base.amb + 1)
-        keep = list(self.basis)
-        return first[keep], second[keep]
+        product of `basis`, read off its exponent row: the first and the
+        last variable with a positive exponent (the same one for a square)."""
+        rows = np.array(self.basis, dtype=np.intp)
+        return rows.argmax(axis=1), rows.shape[1] - 1 - rows[:, ::-1].argmax(axis=1)
 
     @functools.cached_property
     def tangent_polys(self) -> tuple:
@@ -126,7 +126,8 @@ def veronese_square(v: ParamVariety) -> QuadraticEmbedding:
         )
     n_big = binomial(v.amb + 2, 2) - 1
     span_dim = n_big - a_m(v, 2)
-    return QuadraticEmbedding(base=v, N=n_big, span_dim=span_dim, basis=tuple(v.bases[2].tolist()))
+    basis = tuple(map(tuple, v.bases[2].tolist()))
+    return QuadraticEmbedding(base=v, N=n_big, span_dim=span_dim, basis=basis)
 
 
 def _random_params(domain: ProjectiveDomain, fld, rng: random.Random) -> tuple:

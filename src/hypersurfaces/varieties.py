@@ -30,9 +30,11 @@ the ledgers share them.  Every variety is evaluated by one cached
 `MPolyArray` of its coordinates (`ParamVariety.evaluator`), over either
 field, only at the parameter points a job needs: each count's grid, the
 points a sample draws, the secant points of a multisecant projection.
-Every count keeps each degree's independent monomials, and the next degree
-ranks only their products with a variable; only a surface over GF(p)
-ranks the `monomial_values` of its images.  Every rank and linear relation
+Every count keeps the exponent rows of each degree's independent
+monomials, and the next degree ranks only their products with a variable
+(`exactcore.span_basis`), so its cost follows the rank, not the number of
+monomials; only a surface over GF(p) ranks the `monomial_values` of its
+images.  Every rank and linear relation
 here is `exactcore.pivots` or `exactcore.null_space` of plain rows.  A
 surface is certified by its coefficient rank alone.
 """
@@ -56,12 +58,13 @@ from .exactcore import (
     MPolyArray,
     PrimeField,
     binomial,
-    monomial_products,
+    monomial_values,
     monomials,
     null_space,
     pivots,
+    span_basis,
 )
-from .pointconfig import PointConfig, _monomial_rows, _normalize
+from .pointconfig import PointConfig, _normalize
 
 __all__ = [
     "ConstructionError",
@@ -388,10 +391,10 @@ class ParamVariety:
     certification and `cohomology.a_m` alike): a count depends on nothing
     but the variety and m.  Beside it, `bases` keeps by m the degree-m
     monomials that each count found independent on the variety, a_m fewer
-    than all of them (an int64 array of indices into `monomials()` order):
-    the count of degree m + 1 needs only their products with a variable
-    (but for a surface over GF(p)), and Terracini ranks its tangent rows
-    at the degree-2 ones.
+    than all of them, as their exponent rows (an int array, a row per
+    monomial, in `monomials()` order): the count of degree m + 1 needs only
+    their products with a variable (but for a surface over GF(p)), and
+    Terracini ranks its tangent rows at the degree-2 ones.
     """
 
     def __init__(
@@ -533,34 +536,37 @@ def _count(v: ParamVariety, m: int) -> int:
     the images of the domain's unisolvent grid (a form vanishes there
     exactly when it vanishes on the variety).
 
-    Every count keeps the independent columns it finds, degree-m monomials
-    whose restrictions are a basis of W_m, in `v.bases[m]`: the `pivots` of
-    the rows it ranks.  The grid is evaluated at once with `v.evaluator`:
-    residues over GF(p), and over Q D times each image, for the
-    coordinates' common denominator D.  A surface over GF(p) ranks the
-    `monomial_values` rows of its images.  Every other variety ranks the
-    distinct products x_i * mu of the variables with a basis mu of
-    W_{m-1}: the one `v.bases` keeps for degree m-1, or else every
-    degree-(m-1) monomial, whose products are every degree-m monomial.
-    Either set spans W_m.  Over Q each row is D^m times its rational row,
-    so its rank is unchanged and no Fraction arithmetic is done."""
+    It keeps in `v.bases[m]` the exponent rows of degree-m monomials whose
+    restrictions are a basis of W_m: the `span_basis`, at the grid's images
+    under `v.evaluator`, of a basis of W_{m-1}.  That is the one `v.bases`
+    keeps, or else the constant for m = 1, every variable for m = 2, and
+    for m > 2 the one that counting degree m-1 first keeps.  Over Q the
+    images are D times the rational ones, for the coordinates' common
+    denominator D, so each row is D^m times its rational row and its rank
+    is unchanged.  A surface over GF(p) still ranks the `monomial_values`
+    rows of its images."""
     try:
         params = v.domain.unisolvent_params(v.field, v.coords, m)
     except FieldTooSmallError as err:
         raise FieldTooSmallError(f"{v.label}: {err}") from None
     fld = v.field
-    p = fld.p if fld.is_prime_field else None
     rows = v.evaluator(params)
-    if p and not v.is_curve:
-        found = pivots(fld, _monomial_rows(fld, rows.tolist(), m))
+    if fld.is_prime_field and not v.is_curve:
+        # waits on ROADMAP item 1, step 1: the bench harness keeps every
+        # round, and surfaces on the products read +14% peak RSS there
+        found = pivots(fld, [monomial_values(fld, row, m) for row in rows.tolist()])
+        basis = np.array(monomials(v.amb + 1, m), dtype=np.intp)[found]
     else:
-        basis = v.bases.get(m - 1)
-        if basis is None:
-            basis = np.arange(binomial(v.amb + m - 1, m - 1))
-        values, index = monomial_products(rows, basis, m, p)
-        found = index[pivots(fld, values)]
-    v.bases[m] = found
-    return binomial(v.amb + m, m) - len(found)
+        lower = v.bases.get(m - 1)
+        if lower is None and m > 2:
+            v.counts[m - 1] = _count(v, m - 1)
+            lower = v.bases[m - 1]
+        elif lower is None:  # every variable, or the constant
+            width = v.amb + 1
+            lower = np.eye(width, dtype=np.intp) if m == 2 else np.zeros((1, width), dtype=np.intp)
+        basis = span_basis(fld, rows, lower)
+    v.bases[m] = basis
+    return binomial(v.amb + m, m) - len(basis)
 
 
 # a prime below 2^31: over Q the grid is ranked modulo it first
@@ -568,13 +574,14 @@ _LEDGER_PRIME = (1 << 31) - 1
 
 
 def _basis_mod_ledger_prime(v: ParamVariety, m: int) -> np.ndarray:
-    """The degree-m monomials that `_count` finds independent modulo
-    _LEDGER_PRIME at the grid's images over Q.  The reduced coordinates are
-    the integer ones of `v.evaluator`, so each row is a multiple of its row
-    over Q by a power of their common denominator, and the reduced curve is
-    counted on the same grid.  A minor of those integer rows that is nonzero
-    modulo the prime is nonzero, so the monomials are independent over Q
-    too, and their number is a lower bound on the rank over Q."""
+    """The exponent rows of the degree-m monomials that `_count` finds
+    independent modulo _LEDGER_PRIME at the grid's images over Q.  The
+    reduced coordinates are the integer ones of `v.evaluator`, so each row
+    is a multiple of its row over Q by a power of their common denominator,
+    and the reduced curve is counted on the same grids.  A minor of those
+    integer rows that is nonzero modulo the prime is nonzero, so the
+    monomials are independent over Q too, and their number is a lower bound
+    on the rank over Q."""
     fq = PrimeField(_LEDGER_PRIME)
     coords = [MPoly(fq, v.domain.nvars, terms) for terms in v.evaluator.terms]
     reduced = ParamVariety(v.label, v.d, v.g, fq, coords, v.domain, v.construction)

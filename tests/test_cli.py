@@ -4,6 +4,7 @@ import csv
 import json
 import pathlib
 import shlex
+import time
 
 import pytest
 
@@ -258,6 +259,37 @@ def test_points_bad_file_exits_2(tmp_path, capsys):
     bad.write_text("field Q\n2 1\n1 2\n")
     assert run_cli(capsys, "points", "check", "--in", str(bad))[0] == 2
     assert run_cli(capsys, "points", "check", "--in", str(tmp_path / "missing"))[0] == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("field abc\n1 2\n1 0\n0 1\n",
+     "field line 'field abc': expected 'field Q' or 'field <prime>'"),
+    ("field 9\n1 2\n1 0\n0 1\n", "field line 'field 9': 9 is not prime"),
+    ("field 7\n1 2\n1 0\nx 1\n", "point line 'x 1': expected 2 integer coordinates"),
+    ("field 7\n-1 2\n1 0\n0 1\n",
+     "size line '-1 2': expected two integers, c >= 1 and npoints >= 1"),
+    ("field 7\n0 2\n1\n2\n", "size line '0 2': expected two integers, c >= 1 and npoints >= 1"),
+    ("field Q\n1 0\n1 0\n", "size line '1 0': expected two integers, c >= 1 and npoints >= 1"),
+], ids=["field abc", "field 9", "coordinate x", "size -1", "c = 0", "no points"])
+def test_point_files_fail_with_the_line_they_break(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    code = main(["points", "check", "--in", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert (captured.out, captured.err) == ("", f"point-file error: {message}\n")
+
+
+def test_table1_c18_counts_follow_the_rank(capsys):
+    # each count ranks the products of the kept basis with a variable, not
+    # every monomial of its degree: 0.4 s on a 2-core host, where listing
+    # every monomial took 2.3 s
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "table1", "--c", "18")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert "rows = 22\npass = 16\nskipped = 6\nfail = 0\n" in out
+    assert elapsed < 2.1, elapsed
 
 
 # ---------------------------------------------------------------- tables

@@ -1,6 +1,7 @@
 """Tests for hypersurface counts, deficiency profiles and classifications."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from hypersurfaces.exactcore import (
     Matrix,
     PrimeField,
     binomial,
+    monomials,
     pivots,
 )
 from hypersurfaces.varieties import (
@@ -227,52 +229,81 @@ def test_line_counts_above_the_table_limit_match_point_evaluation(name, p):
         assert a_m(v, m) == a_m_by_point_evaluation(v, m), (v.label, m)
 
 
+def _columns(v, m) -> list:
+    """The positions in monomials() order of the exponent rows that the
+    degree-m count keeps, which are in that order."""
+    level = monomials(v.amb + 1, m)
+    columns = [level.index(tuple(e)) for e in v.bases[m].tolist()]
+    assert columns == sorted(set(columns)), (v.label, m)
+    return columns
+
+
 @pytest.mark.parametrize("name, p", [
     ("rnc", 10007), ("scroll_section", 10007), ("elliptic", 10007), ("genus2", 10007),
     ("multisecant", 10007), ("project", 10007), ("scroll_section", 1000003),
 ])
 def test_degree_by_degree_counts_match_point_evaluation(name, p, monkeypatch):
     # degree m ranks the products with a variable of degree m-1's kept
-    # basis when there is one, and of every degree-(m-1) monomial
-    # otherwise: asked in decreasing order with no basis kept, every degree
-    # gets the full basis; asked again, or in increasing order, every degree
-    # above 1 gets the kept one
+    # basis when there is one; with none kept, degree 1 takes the constant,
+    # degree 2 every variable, and a higher degree counts the degree below
+    # first.  Asked in decreasing order with no basis kept, degree 6 counts
+    # 2..5 on the way, and only degree 1 is left to rank; asked again, or in
+    # increasing order, every degree above 1 gets the kept one
     ranked = []
-    evaluate = varieties.monomial_products
+    evaluate = varieties.span_basis
 
-    def spy(rows, basis, m, p):
+    def spy(fld, rows, basis):
+        m = int(basis[0].sum()) + 1
         kept = v.bases.get(m - 1)  # what the count could reuse
         ranked.append((m, basis.tolist(), None if kept is None else kept.tolist()))
-        return evaluate(rows, basis, m, p)
+        return evaluate(fld, rows, basis)
 
     v = CURVE_CASES[name](p)
+    width = v.amb + 1
     want = {m: a_m_by_point_evaluation(v, m) for m in range(1, 7)}
-    monkeypatch.setattr(varieties, "monomial_products", spy)
+    monkeypatch.setattr(varieties, "span_basis", spy)
     for degrees, fresh in ((range(6, 0, -1), True), (range(6, 0, -1), False), (range(1, 7), False)):
         if fresh:
             v.bases.clear()
         v.counts.clear()
         ranked.clear()
         assert {m: a_m(v, m) for m in degrees} == want, (v.label, list(degrees))
-        assert [m for m, *_ in ranked] == list(degrees)
+        assert [m for m, *_ in ranked] == ([2, 3, 4, 5, 6, 1] if fresh else list(degrees))
         for m, basis, kept in ranked:
-            assert (kept is None) == (fresh or m == 1), m
-            full = list(range(binomial(v.amb + m - 1, m - 1)))
-            assert basis == (full if kept is None else kept), m
+            assert (kept is None) == (fresh and m <= 2 or m == 1), m
+            if m == 1:
+                assert basis == [[0] * width]
+            elif kept is None:
+                assert basis == np.eye(width, dtype=int).tolist()
+            else:
+                assert basis == kept, m
         # each basis is independent on the curve and as large as W_m
         for m in degrees:
             grid = v.domain.unisolvent_params(v.field, v.coords, m)
             images = [image_by_poly_eval(v, q) for q in grid]
             values = evaluation_matrix(v.field, images, m)
-            basis = v.bases[m].tolist()
+            basis = _columns(v, m)
             assert len(basis) == binomial(v.amb + m, m) - want[m]
             assert len(pivots(v.field, [[row[j] for j in basis] for row in values])) == len(basis)
+
+
+def test_rnc40_counts_to_degree_six_follow_the_rank():
+    # a_6 = F(1, 39, 6) ranks 241 of the C(46, 6) sextics, and each degree
+    # ranks only the products of the one below's basis: 1.0 s on a 2-core
+    # host, where listing every monomial did not finish in 30 s
+    start = time.perf_counter()
+    v = rational_normal_curve(40, GF)
+    counts = [v.count(m) for m in range(1, 7)]
+    elapsed = time.perf_counter() - start
+    assert counts == [formulas.F(1, 39, m) for m in range(1, 7)]
+    assert counts[-1] == binomial(46, 6) - 241 == 9_366_578
+    assert elapsed < 6.0, elapsed
 
 
 def _assert_count_keeps_a_basis(v, m):
     # C(amb+m, m) - a_m monomials whose columns of the grid's degree-m
     # evaluation are independent
-    basis = v.bases[m].tolist()
+    basis = _columns(v, m)
     assert len(basis) == binomial(v.amb + m, m) - v.count(m), (v.label, m)
     grid = v.domain.unisolvent_params(v.field, v.coords, m)
     values = evaluation_matrix(v.field, [image_by_poly_eval(v, q) for q in grid], m)
@@ -377,7 +408,7 @@ def test_surface_bases_are_the_evaluation_matrix_pivots(name):
         count = v.count(m)
         grid = v.domain.unisolvent_params(v.field, v.coords, m)
         values = evaluation_matrix(v.field, [image_by_poly_eval(v, q) for q in grid], m)
-        basis = v.bases[m].tolist()
+        basis = _columns(v, m)
         assert basis == pivots(GF, values).tolist(), m
         assert len(basis) == binomial(v.amb + m, m) - count == rank_mod_p(values, GF.p), m
         assert rank_mod_p([[row[j] for j in basis] for row in values], GF.p) == len(basis), m
@@ -403,13 +434,13 @@ def test_counts_over_q_rank_the_products_of_the_kept_basis(make, monkeypatch):
         w.count(m)
         alone[m] = w.bases[m].tolist()
     ranked = []
-    evaluate = varieties.monomial_products
+    evaluate = varieties.span_basis
 
-    def spy(rows, basis, m, p):
-        ranked.append((m, basis.tolist()))
-        return evaluate(rows, basis, m, p)
+    def spy(fld, rows, basis):
+        ranked.append((int(basis[0].sum()) + 1, basis.tolist()))
+        return evaluate(fld, rows, basis)
 
-    monkeypatch.setattr(varieties, "monomial_products", spy)
+    monkeypatch.setattr(varieties, "span_basis", spy)
     w = uncounted()
     assert w.count(1) == 0
     for m in (2, 3, 4):
@@ -443,9 +474,9 @@ def test_unisolvent_grid_is_the_head_of_the_table(build, monkeypatch):
     # are the first rows of their evaluation, and they are exactly what the
     # count ranks
     evaluated = []
-    evaluate = varieties.monomial_products
-    monkeypatch.setattr(varieties, "monomial_products", lambda rows, *args:
-                        evaluated.append(rows.tolist()) or evaluate(rows, *args))
+    evaluate = varieties.span_basis
+    monkeypatch.setattr(varieties, "span_basis", lambda fld, rows, basis:
+                        evaluated.append(rows.tolist()) or evaluate(fld, rows, basis))
     v = build()
     v.counts.clear()  # count afresh what certification may have counted
     params = rational_parameters(v)

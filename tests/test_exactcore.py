@@ -15,7 +15,6 @@ from hypersurfaces.exactcore import (
     QQ,
     Echelon,
     FieldMismatchError,
-    Matrix,
     MPoly,
     MPolyArray,
     PrimeField,
@@ -146,11 +145,6 @@ def test_kernel_dim_examples():
 def test_rank_rational_entries():
     rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]
     assert rank(QQ, rows) == 1  # second row = 3 * first row
-
-
-def test_matrix_shape_validation():
-    with pytest.raises(ValueError):
-        Matrix(QQ, 2, 2, [1, 2, 3])
 
 
 def test_rank_transpose_200_random_matrices():
@@ -535,6 +529,11 @@ def _array_points(fld, rng, nvars):
     return pts, np.array(pts, dtype=object), None
 
 
+def _rows(exponents) -> np.ndarray:
+    """Exponent tuples as the int array of rows that `monomial_products` takes."""
+    return np.array(exponents, dtype=np.intp).reshape(len(exponents), -1)
+
+
 @pytest.mark.parametrize("fld", [GF7, GF101, GF_M31, QQ], ids=repr)
 @pytest.mark.parametrize("nvars, m", [(1, 3), (2, 1), (3, 4), (5, 3), (9, 2)])
 def test_monomial_table_rows_are_monomial_values(fld, nvars, m):
@@ -542,10 +541,9 @@ def test_monomial_table_rows_are_monomial_values(fld, nvars, m):
     # degree-m monomial: a row per point, in monomials() order
     rng = random.Random(nvars * 10 + m)
     points, array, p = _array_points(fld, rng, nvars)
-    full = np.arange(binomial(nvars + m - 2, m - 1))
-    table, index = monomial_products(array, full, m, p)
+    table, exponents = monomial_products(array, _rows(monomials(nvars, m - 1)), p)
     assert table.dtype == array.dtype
-    assert index.tolist() == list(range(binomial(nvars + m - 1, m)))
+    assert [tuple(e) for e in exponents.tolist()] == monomials(nvars, m)
     assert table.tolist() == [monomial_values(fld, pt, m) for pt in points]
 
 
@@ -559,15 +557,35 @@ def test_monomial_products_are_monomial_values(fld, nvars, m):
     lower = monomials(nvars, m - 1)
     level = monomials(nvars, m)
     for size in (1, len(lower) // 2 + 1, len(lower)):
-        basis = sorted(rng.sample(range(len(lower)), size))
-        values, index = monomial_products(array, np.array(basis, dtype=np.intp), m, p)
-        products = {
-            level.index(tuple(e + (i == k) for k, e in enumerate(lower[j])))
-            for j in basis for i in range(nvars)
-        }
-        assert index.tolist() == sorted(products)
+        basis = rng.sample(lower, size)
+        values, exponents = monomial_products(array, _rows(basis), p)
+        products = {tuple(e + (i == k) for k, e in enumerate(mu))
+                    for mu in basis for i in range(nvars)}
+        assert [tuple(e) for e in exponents.tolist()] == sorted(products, key=level.index)
         assert values.tolist() == [
-            [monomial_values(fld, pt, m)[k] for k in index.tolist()] for pt in points]
+            [monomial_values(fld, pt, m)[level.index(tuple(e))] for e in exponents.tolist()]
+            for pt in points]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([GF7, GF_M31, QQ]), st.integers(1, 5), st.integers(0, 4),
+       st.randoms(use_true_random=False))
+def test_monomial_products_follow_monomials_order(fld, nvars, degree, rng):
+    # for any nonempty set of monomials of one degree, listed in any order,
+    # the products come back once each, in monomials() order, with the
+    # values that `monomial_values` gives them
+    points, array, p = _array_points(fld, rng, nvars)
+    lower = monomials(nvars, degree)
+    basis = rng.sample(lower, rng.randint(1, len(lower)))
+    values, exponents = monomial_products(array, _rows(basis), p)
+    level = monomials(nvars, degree + 1)
+    got = [tuple(e) for e in exponents.tolist()]
+    where = [level.index(e) for e in got]
+    assert where == sorted(set(where))
+    assert set(got) == {tuple(e + (i == k) for k, e in enumerate(mu))
+                        for mu in basis for i in range(nvars)}
+    full = [monomial_values(fld, pt, degree + 1) for pt in points]
+    assert values.tolist() == [[row[k] for k in where] for row in full]
 
 
 # ---------------------------------------------------------------- polynomials

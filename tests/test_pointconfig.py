@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from helpers import (
@@ -459,6 +460,37 @@ def test_span_and_hilbert_match_rank_oracle(cfg):
     for m in range(4):
         rows = evaluation_matrix(fld, cfg.points, m)
         assert cfg.hilbert(m) == _rank_by_elimination(fld, rows), m
+
+
+def _hilbert_function_by_monomial_values(cfg) -> list:
+    """Ranks of every degree-m monomial's values, point by point, for m = 0,
+    1, ... up to the first that reaches |G|."""
+    values = []
+    while not values or values[-1] < len(cfg):
+        rows = evaluation_matrix(cfg.field, cfg.points, len(values))
+        values.append(_rank_by_elimination(cfg.field, rows))
+    return values
+
+
+@given(coincident_configs(min_points=1))
+@settings(max_examples=80, deadline=None)
+def test_hilbert_function_matches_monomial_values_rank(cfg):
+    # each degree's basis is carried to the next, and ranks as all of its
+    # degree's monomials do
+    assert cfg.hilbert_function() == _hilbert_function_by_monomial_values(cfg)
+
+
+@pytest.mark.parametrize("field", [PrimeField(10007), QQ], ids=repr)
+def test_hilbert_function_of_collinear_and_curve_points(field):
+    # five collinear points, then points of a rational normal quartic with
+    # rational coordinates over Q: the Hilbert function rises to 13 at m = 4
+    line = [[1, 2 * t, 3, -t, 5] for t in range(1, 6)]
+    curve = [[1, *(Fraction(t, 3) ** i for i in range(1, 5))] for t in range(2, 10)]
+    if field.is_prime_field:
+        curve = [[field.raw(x) for x in q] for q in curve]
+    cfg = PointConfig(field, line + curve)
+    assert cfg.hilbert_function() == _hilbert_function_by_monomial_values(cfg)
+    assert cfg.hilbert_function()[-1] == len(cfg) == 13
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS + [PrimeField(10007)], ids=repr)

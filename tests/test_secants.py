@@ -59,16 +59,17 @@ def test_square_veronese_surface():
 @pytest.mark.parametrize("fld", [BIGP, QQ], ids=repr)
 def test_products_are_the_basis_monomials(make, fld):
     # x_first * x_second has exponent e_first + e_second, and that is the
-    # degree-2 monomial the basis names
+    # exponent row of the degree-2 monomial the basis names
     y = veronese_square(make(fld))
     first, second = y.products
     width = y.base.amb + 1
     unit = [tuple(int(i == j) for j in range(width)) for i in range(width)]
     quadrics = monomials(width, 2)
     assert len(first) == len(second) == len(y.basis) == y.span_dim + 1
-    for i, j, k in zip(first.tolist(), second.tolist(), y.basis):
+    assert sorted(y.basis, key=quadrics.index) == list(y.basis)
+    for i, j, row in zip(first.tolist(), second.tolist(), y.basis):
         assert i <= j
-        assert tuple(a + b for a, b in zip(unit[i], unit[j])) == quadrics[k]
+        assert tuple(a + b for a, b in zip(unit[i], unit[j])) == row
 
 
 @pytest.mark.parametrize("make, chart", [
@@ -85,6 +86,7 @@ def test_tangent_rows_are_the_point_and_the_partials_along_the_chart(make, chart
     assert len(y.tangent_polys) == v.n + 1
     assert y.tangent_polys == (v.coords, *partials)
     assert len(y.basis) == y.span_dim + 1 == len(set(y.basis))
+    assert set(y.basis) <= set(monomials(v.amb + 1, 2))  # exponent rows of quadrics
 
 
 def test_square_rejects_enumerator_curves():
